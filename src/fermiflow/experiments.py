@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from math import comb
@@ -331,23 +330,13 @@ def _prepare_orbitals(cfg: ExperimentConfig, rng: np.random.Generator,
     return OrbitalSet.random(rng, system.d, n)
 
 
-def _pool_map(work, payloads):
-    """Evaluate rows concurrently but keep the sweep order."""
-    if len(payloads) == 1:
-        return [work(payloads[0])]
-    with ThreadPoolExecutor(max_workers=min(len(payloads), 4)) as pool:
-        return list(pool.map(work, payloads))
-
-
-def _timed_pool(work, payloads):
-    def timed(payload):
+def _timed_map(work, payloads):
+    """Evaluate rows one after another in sweep order, timing each one."""
+    results, seconds = [], []
+    for payload in payloads:
         start = perf_counter()
-        result = work(payload)
-        return result, perf_counter() - start
-
-    outcomes = _pool_map(timed, payloads)
-    results = [r for r, _ in outcomes]
-    seconds = [round(s, 3) for _, s in outcomes]
+        results.append(work(payload))
+        seconds.append(round(perf_counter() - start, 3))
     return results, seconds
 
 
@@ -382,7 +371,7 @@ def run_convergence(cfg: ExperimentConfig,
         gap = trace_norm(exact.mat - fitted.mat)
         return n, p, t, gap, p * p / n
 
-    results, seconds = _timed_pool(work, payloads)
+    results, seconds = _timed_map(work, payloads)
     slope = _fit_slope([r[0] for r in results], [r[3] for r in results])
     rows = [(n, p, t, gap, bound, slope, cfg.config_hash)
             for n, p, t, gap, bound in results]
@@ -422,7 +411,7 @@ def run_tree_truncation(cfg: ExperimentConfig,
                          float(series.quad_errors[order]), cfg.config_hash))
         return rows
 
-    results, seconds = _timed_pool(work, payloads)
+    results, seconds = _timed_map(work, payloads)
     rows = [row for chunk in results for row in chunk]
     return ExperimentReport(
         experiment=cfg.experiment,
@@ -448,7 +437,7 @@ def run_egorov(cfg: ExperimentConfig,
         return n, t, report.norm_difference, report.tree_tail_estimate, \
             report.quad_error
 
-    results, seconds = _timed_pool(work, payloads)
+    results, seconds = _timed_map(work, payloads)
     slope = _fit_slope([r[0] for r in results], [r[2] for r in results])
     rows = [(n, t, diff, slope, tail, quad, cfg.config_hash)
             for n, t, diff, tail, quad in results]
@@ -512,7 +501,7 @@ def run_conservation(cfg: ExperimentConfig,
                            - flows["density"].states[-1])
         return rows, cross
 
-    results, seconds = _timed_pool(work, payloads)
+    results, seconds = _timed_map(work, payloads)
     rows = [row for chunk, _ in results for row in chunk]
     metadata = _base_metadata(cfg, seconds)
     metadata["kappa_vs_density_trace_gap"] = json.dumps(
@@ -537,7 +526,7 @@ def run_graph_count(cfg: ExperimentConfig,
         satisfied = count <= bound and (l != 0 or count <= aux)
         return p, k, l, count, bound, aux, satisfied, cfg.config_hash
 
-    results, seconds = _timed_pool(work, list(cfg.sweep))
+    results, seconds = _timed_map(work, list(cfg.sweep))
     return ExperimentReport(
         experiment=cfg.experiment,
         columns=("p", "k", "l", "count", "bound", "aux_bound", "satisfied",

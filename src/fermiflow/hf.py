@@ -351,7 +351,9 @@ def evolve_hf_orbitals(orbitals: OrbitalSet, system: ModeSystem, t_grid,
 
     Interaction picture: the frame is stored with the free rotation
     removed, so the integrator only sees the mean-field potential and a
-    zero potential is propagated exactly.
+    zero potential is propagated exactly. The flow preserves the Gram
+    matrix; a recorded frame whose Gram matrix has drifted by more than
+    the frame tolerance raises :class:`DivergenceError`.
     """
     config = config or HFConfig()
     scale = orbitals.scale
@@ -373,12 +375,18 @@ def evolve_hf_orbitals(orbitals: OrbitalSet, system: ModeSystem, t_grid,
     energy, gdrift, trace, mineig = [], [], [], []
     for t, y in _rk4_stream(y0, t_grid, derivative, config.dt):
         u = system.free_propagator(t)
-        orbs = OrbitalSet(u @ y, scale=scale)
+        phi = u @ y
+        drift = float(np.max(np.abs(gram(phi) - g0)))
+        if drift > _GRAM_TOL:
+            raise DivergenceError(
+                f"orbital Gram drift {drift:.2e} at t={t} exceeds "
+                f"{_GRAM_TOL:.0e}; reduce the step size dt={config.dt}")
+        orbs = OrbitalSet(phi, scale=scale)
         times.append(t)
         states.append(orbs)
         dens = orbs.density()
         energy.append(energy_functional(dens, system))
-        gdrift.append(float(np.max(np.abs(gram(orbs.matrix) - g0))))
+        gdrift.append(drift)
         trace.append(float(np.real(np.trace(dens))))
         mineig.append(float(np.linalg.eigvalsh(dens).min()))
     return OrbitalTrajectory(np.array(times), states, np.array(energy),

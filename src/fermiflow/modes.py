@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import RangeError, ShapeError, ValidationError
+from .sector import compound_matrix, sector_basis
 
 HERMITICITY_TOL = 1e-12
 
@@ -59,9 +60,13 @@ H_PRESETS = {"hopping": hopping_hamiltonian, "well": well_hamiltonian}
 W_PRESETS = {"soft-coulomb": soft_coulomb, "gaussian": gaussian_potential, "zero": zero_potential}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModeSystem:
     """A d-mode one-particle space with one-body operator and pair potential.
+
+    The system is immutable: ``h`` and ``w`` are read-only copies of the
+    inputs, so the data derived from them and kept in ``_derived`` (the
+    eigensystem of h and the per-sector rotations) can never go stale.
 
     Parameters
     ----------
@@ -77,11 +82,14 @@ class ModeSystem:
     d: int
     h: np.ndarray
     w: np.ndarray
-    _eig: tuple | None = field(default=None, repr=False, compare=False)
+    _derived: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
-        self.h = np.asarray(self.h, dtype=complex)
-        self.w = np.asarray(self.w, dtype=float)
+        for name, dtype in (("h", complex), ("w", float)):
+            value = np.array(getattr(self, name), dtype=dtype)
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
         if self.d < 1:
             raise RangeError(f"need at least one mode, got d={self.d}")
         if self.h.shape != (self.d, self.d):
@@ -135,10 +143,20 @@ class ModeSystem:
         return self.pair_operator() @ (np.eye(self.d * self.d) - self.swap_operator())
 
     def _eigensystem(self):
-        if self._eig is None:
-            vals, vecs = np.linalg.eigh(self.h)
-            self._eig = (vals, vecs)
-        return self._eig
+        if "eig" not in self._derived:
+            self._derived["eig"] = np.linalg.eigh(self.h)
+        return self._derived["eig"]
+
+    def _sector_rotation(self, m: int):
+        """Minor matrix of the eigenvectors of h on the m-sector, and the
+        subset sums of the eigenvalues that diagonalise it there."""
+        key = ("sector", m)
+        if key not in self._derived:
+            vals, vecs = self._eigensystem()
+            self._derived[key] = (
+                compound_matrix(vecs, m),
+                sector_basis(self.d, m).occupation_onehot() @ vals)
+        return self._derived[key]
 
     def free_propagator(self, t: float) -> np.ndarray:
         """One-particle propagator exp(-i t h), via the cached eigensystem."""

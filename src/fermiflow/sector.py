@@ -20,6 +20,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -361,9 +362,24 @@ def pair_diagonal_sector(wmat: np.ndarray, d: int, n: int) -> np.ndarray:
 # onto the m-particle sector sends |alpha⟩ ⊗ e_i to
 # (1/sqrt(m)) (-1)^(m-1-pos(i)) |alpha ∪ {i}⟩.
 
+class LiftBlock(NamedTuple):
+    """The part of the (m-1) ⊗ 1 → m coisometry that adds one mode.
+
+    ``small`` and ``big`` are the ready ``np.ix_`` index pairs of the
+    ``alpha`` rows of the (m-1)-sector and the ``target`` rows of the
+    m-sector; ``signs`` is the outer product of the coisometry signs.
+    """
+
+    alpha: np.ndarray
+    target: np.ndarray
+    small: tuple
+    big: tuple
+    signs: np.ndarray
+
+
 @lru_cache(maxsize=None)
 def lift_tables(d: int, m: int):
-    """Per-mode index tables for the (m-1) ⊗ 1 → m sector coisometry."""
+    """Per-mode blocks of the (m-1) ⊗ 1 → m sector coisometry, in mode order."""
     if m < 1:
         raise RangeError("lift needs a target sector with at least one particle")
     small = sector_basis(d, m - 1)
@@ -379,11 +395,15 @@ def lift_tables(d: int, m: int):
             alpha[i].append(small.index[mask ^ (1 << i)])
             target[i].append(row)
             sign[i].append(-1.0 if (m - 1 - pos) % 2 else 1.0)
-    return tuple(
-        (np.array(alpha[i], dtype=np.int64),
-         np.array(target[i], dtype=np.int64),
-         np.array(sign[i], dtype=float))
-        for i in range(d))
+    blocks = []
+    for i in range(d):
+        a_idx = np.array(alpha[i], dtype=np.int64)
+        s_idx = np.array(target[i], dtype=np.int64)
+        sg = np.array(sign[i], dtype=float)
+        blocks.append(LiftBlock(a_idx, s_idx, np.ix_(a_idx, a_idx),
+                                np.ix_(s_idx, s_idx),
+                                sg[:, None] * sg[None, :]))
+    return tuple(blocks)
 
 
 def interaction_weights(wmat: np.ndarray, d: int, m: int) -> np.ndarray:
@@ -396,11 +416,8 @@ def project_lift(x: np.ndarray, d: int, m: int) -> np.ndarray:
     """Sector matrix of P_- (X ⊗ 1) P_- given X on the (m-1)-sector."""
     big = sector_basis(d, m)
     out = np.zeros((big.dim, big.dim), dtype=complex)
-    for a_idx, s_idx, sg in lift_tables(d, m):
-        if len(s_idx) == 0:
-            continue
-        block = (sg[:, None] * sg[None, :]) * x[np.ix_(a_idx, a_idx)]
-        out[np.ix_(s_idx, s_idx)] += block
+    for block in lift_tables(d, m):
+        out[block.big] += block.signs * x[block.small]
     out /= m
     return out
 
@@ -414,13 +431,10 @@ def project_lift_pair_commutator(x: np.ndarray, wbar: np.ndarray,
     """
     big = sector_basis(d, m)
     out = np.zeros((big.dim, big.dim), dtype=complex)
-    for i, (a_idx, s_idx, sg) in enumerate(lift_tables(d, m)):
-        if len(s_idx) == 0:
-            continue
-        wcol = wbar[a_idx, i]
+    for i, block in enumerate(lift_tables(d, m)):
+        wcol = wbar[block.alpha, i]
         diff = wcol[:, None] - wcol[None, :]
-        block = (sg[:, None] * sg[None, :]) * diff * x[np.ix_(a_idx, a_idx)]
-        out[np.ix_(s_idx, s_idx)] += block
+        out[block.big] += block.signs * diff * x[block.small]
     out /= m
     return out
 
@@ -434,12 +448,9 @@ def contract_pair_commutator(rho: np.ndarray, wbar: np.ndarray,
     """
     small = sector_basis(d, m - 1)
     out = np.zeros((small.dim, small.dim), dtype=complex)
-    for i, (a_idx, s_idx, sg) in enumerate(lift_tables(d, m)):
-        if len(s_idx) == 0:
-            continue
-        wcol = wbar[a_idx, i]
+    for i, block in enumerate(lift_tables(d, m)):
+        wcol = wbar[block.alpha, i]
         diff = wcol[:, None] - wcol[None, :]
-        block = (sg[:, None] * sg[None, :]) * diff * rho[np.ix_(s_idx, s_idx)]
-        out[np.ix_(a_idx, a_idx)] += block
+        out[block.small] += block.signs * diff * rho[block.big]
     out /= m
     return out

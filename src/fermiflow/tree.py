@@ -19,7 +19,6 @@ yields every order at once.
 from __future__ import annotations
 
 import warnings as _warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import comb, factorial, pi
 
@@ -30,7 +29,7 @@ from .exact import build_hamiltonian, heisenberg_evolve, second_quantize
 from .hf import (DensityMatrix, HFConfig, OrbitalSet, evolve_hf_density,
                  quasi_free_marginal)
 from .modes import ModeSystem
-from .sector import (PSectorOperator, compound_matrix, interaction_weights,
+from .sector import (PSectorOperator, interaction_weights,
                      pair_diagonal_sector, project_lift_pair_commutator,
                      sector_basis, slater)
 
@@ -108,27 +107,13 @@ def _zero_sector_matrix(d: int, m: int) -> np.ndarray:
     return np.zeros((dim, dim), dtype=complex)
 
 
-def _sector_rotation_data(system: ModeSystem, m: int):
-    """Minor matrix of the one-body eigenvectors and subset eigenvalue sums."""
-    cache = getattr(system, "_sector_rotations", None)
-    if cache is None:
-        cache = {}
-        system._sector_rotations = cache
-    if m not in cache:
-        vals, vecs = np.linalg.eigh(system.h)
-        vm = compound_matrix(vecs, m)
-        lam = sector_basis(system.d, m).occupation_onehot() @ vals
-        cache[m] = (vm, lam)
-    return cache[m]
-
-
 def sector_propagator(system: ModeSystem, m: int, t: float) -> np.ndarray:
     """Free m-particle sector propagator, the minor matrix of exp(-i t h).
 
     Minor matrices are multiplicative, so the propagator diagonalizes in
     the minor basis of the one-body eigenvectors with subset-sum phases.
     """
-    vm, lam = _sector_rotation_data(system, m)
+    vm, lam = system._sector_rotation(m)
     return (vm * np.exp(-1j * t * lam)[None, :]) @ vm.conj().T
 
 
@@ -226,8 +211,8 @@ def _integrate_orders(a: PSectorOperator, K: int, t: float, nodes: int,
     """Simplex integrals of the loop-free operators for every order <= K.
 
     One nested sweep: the node tree over t >= s_1 >= ... >= s_K shares
-    each prefix operator between all orders. Level-one branches run on a
-    thread pool and are reduced in node order, so sums are reproducible.
+    each prefix operator between all orders. Each level-one branch sums
+    into its own totals, which are added up in node order.
     """
     if K < 0:
         raise RangeError("truncation order must be non-negative")
@@ -262,10 +247,10 @@ def _integrate_orders(a: PSectorOperator, K: int, t: float, nodes: int,
             descend(2, s1, y, w1, local)
         return local
 
-    with ThreadPoolExecutor(max_workers=min(nodes, 8)) as pool:
-        for local in pool.map(branch, range(nodes)):
-            for k in range(1, K + 1):
-                totals[k] = totals[k] + local[k]
+    for idx in range(nodes):
+        local = branch(idx)
+        for k in range(1, K + 1):
+            totals[k] = totals[k] + local[k]
     for k, mat in enumerate(totals):
         if not np.all(np.isfinite(mat)):
             raise NumericError(f"non-finite quadrature total at order {k}")

@@ -1,6 +1,7 @@
 """Config validation, experiment runners, report formats, and the CLI."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ import scipy.linalg as sla
 
 from fermiflow.cli import main
 from fermiflow.errors import ConfigError
-from fermiflow.experiments import (ExperimentConfig, _random_hermitian,
-                                   ground_mode_projector, load_config, run)
+from fermiflow.experiments import (EXPERIMENTS, ExperimentConfig,
+                                   _random_hermitian, ground_mode_projector,
+                                   load_config, run)
 from fermiflow.hf import OrbitalSet
 from fermiflow.modes import ModeSystem
 
@@ -274,3 +276,34 @@ def test_cli_divergence_exit(tmp_path, capsys):
     with np.errstate(all="ignore"):
         assert main(["run", path]) == 3
     assert "numeric failure" in capsys.readouterr().err
+
+
+def test_cli_gram_drift_exits_as_divergence(tmp_path, capsys):
+    raw = count_time_config("conservation", [{"N": 3, "t": 200}],
+                            integrator={"dt": 0.5})
+    path = write_config(tmp_path, raw)
+    assert main(["run", path]) == 3
+    assert "Gram drift" in capsys.readouterr().err
+
+
+def test_no_experiment_starts_a_thread(monkeypatch):
+    def refuse(thread):
+        raise AssertionError(f"thread {thread.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    configs = [
+        base_config(sweep=[{"p": 1, "k": 1, "l": 0}, {"p": 1, "k": 2, "l": 1}]),
+        count_time_config("convergence", [{"N": 2, "t": 0.1},
+                                          {"N": 3, "t": 0.1}]),
+        count_time_config("tree-truncation", [{"N": 2, "t": 0.1},
+                                              {"N": 3, "t": 0.1}],
+                          quadrature={"nodes_per_level": 2, "k_max": 2}),
+        count_time_config("egorov", [{"N": 2, "t": 0.1}, {"N": 3, "t": 0.1}],
+                          quadrature={"nodes_per_level": 2, "k_max": 1}),
+        count_time_config("conservation", [{"N": 2, "t": 0.1},
+                                           {"N": 3, "t": 0.1}]),
+    ]
+    assert sorted(raw["experiment"] for raw in configs) == sorted(EXPERIMENTS)
+    for raw in configs:
+        report = run(ExperimentConfig.from_dict(raw), override_time_guard=True)
+        assert report.rows

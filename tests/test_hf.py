@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from fermiflow.errors import RangeError, ValidationError
+from fermiflow.errors import DivergenceError, RangeError, ValidationError
 from fermiflow.hf import (DensityMatrix, HFConfig, KappaFactor, OrbitalSet,
                           energy_functional, evolve_hf_density,
                           evolve_hf_orbitals, evolve_kappa, hf_energy,
@@ -334,6 +334,13 @@ class TestFlows:
                                     HFConfig(dt=1e-3))
         assert np.max(np.abs(traj_b.final().matrix
                              - traj_a.final().matrix)) < 1e-10
+
+    def test_gram_drift_is_divergence_not_bad_input(self):
+        system = ModeSystem.chain(6)
+        orbs = OrbitalSet.ground_state(system, 3)
+        with pytest.raises(DivergenceError,
+                           match=r"Gram drift 5\.45e-06 at t=200\.0"):
+            evolve_hf_orbitals(orbs, system, [0, 200], HFConfig(dt=0.5))
 
     def test_csv_shape(self):
         traj = evolve_hf_orbitals(self.orbs, self.sys, [0.0, 0.1],

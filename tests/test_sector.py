@@ -349,8 +349,8 @@ def test_contract_is_adjoint_of_lift_commutator():
 def test_lift_tables_cover_each_big_state_m_times():
     d, m = 6, 3
     counts = np.zeros(sector_basis(d, m).dim)
-    for _, s_idx, _ in lift_tables(d, m):
-        counts[s_idx] += 1
+    for block in lift_tables(d, m):
+        counts[block.target] += 1
     np.testing.assert_array_equal(counts, m)
 
 

@@ -9,6 +9,7 @@ series from the exact Heisenberg flow and pin the leading power of the
 coupling and of the inverse particle number.
 """
 
+import dataclasses
 from functools import reduce
 from math import comb
 
@@ -132,6 +133,22 @@ def test_sector_propagator_is_compressed_kronecker_power():
     got = sector_propagator(system, 2, t)
     want = compress(dense_u(system, 2, t), 4, 2)
     np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+def test_mode_system_is_immutable_and_its_cache_is_fresh():
+    system = ModeSystem.chain(5, coupling=1.0)
+    cached = [sector_propagator(system, 2, 0.3) for _ in range(2)]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        system.h = np.eye(5)
+    with pytest.raises(ValueError):
+        system.h[0, 0] = 7.0
+    with pytest.raises(ValueError):
+        system.w[0] = 7.0
+    fresh = ModeSystem(5, system.h, system.w)
+    np.testing.assert_array_equal(cached[1], cached[0])
+    np.testing.assert_array_equal(sector_propagator(fresh, 2, 0.3), cached[0])
+    np.testing.assert_array_equal(fresh.free_propagator(0.3),
+                                  system.free_propagator(0.3))
 
 
 def test_free_evolution_matches_dense_conjugation():
