@@ -26,8 +26,8 @@ from .modes import ModeSystem
 from .sector import (PSectorOperator, embedding_isometry,
                      contract_pair_commutator, interaction_weights,
                      trace_norm)
-from .tree import (KERNEL_PLAIN, QuadratureSpec, _geometric_tail,
-                   _integrate_orders, check_time_guard, sector_propagator)
+from .tree import (QuadratureSpec, _coarse_and_fine, _geometric_tail,
+                   check_time_guard, sector_propagator)
 
 
 def _block_shape(d: int, p: int, q: int) -> tuple:
@@ -348,10 +348,7 @@ def superflow_observable(a: PSectorOperator, system: ModeSystem, t: float,
     if K > quad.k_max:
         raise RangeError(f"order {K} exceeds the configured maximum {quad.k_max}")
     warn = check_time_guard(system, t, override_time_guard)
-    coarse = _integrate_orders(a, K, t, quad.nodes_per_level, system,
-                               KERNEL_PLAIN)
-    fine = _integrate_orders(a, K, t, 2 * quad.nodes_per_level, system,
-                             KERNEL_PLAIN)
+    coarse, fine = _coarse_and_fine(a, K, t, quad, system)
     blocks = {(a.p + k, a.p + k): fine[k] for k in range(K + 1)}
     quad_error = float(sum(np.linalg.norm(c - f, 2)
                            for c, f in zip(coarse, fine)))

@@ -9,9 +9,11 @@ and exchange (elementwise convolution kernel) terms; here wmat is the
 Toeplitz kernel w(|i - j|) and the convolutions are zero padded, never
 periodic. The orbital flow moves a frame of columns, the density flow moves
 the one-particle density matrix gamma, and the factorized flow moves a root
-kappa with gamma = kappa kappa†. Time stepping is classic fixed-step RK4 in
-the interaction picture, so the stiff free rotation is handled exactly and
-a zero potential propagates exactly.
+kappa with gamma = kappa kappa†; the normalized orbital frame is such a
+root, so its flow is the kappa flow. Each flow runs its lab-frame
+right-hand side through one interaction-picture stream of fixed-step RK4,
+so the stiff free rotation is exact and a zero potential propagates
+exactly.
 """
 
 from __future__ import annotations
@@ -113,7 +115,7 @@ class OrbitalSet:
     @classmethod
     def ground_state(cls, system: ModeSystem, n: int) -> "OrbitalSet":
         """The n lowest one-body eigenvectors (deterministic reference frame)."""
-        _, vecs = np.linalg.eigh(system.h)
+        _, vecs = system._eigensystem()
         return cls(vecs[:, :n], scale=ORTHONORMAL)
 
 
@@ -177,9 +179,10 @@ def hf_rhs_orbitals(orbitals: OrbitalSet, system: ModeSystem) -> np.ndarray:
     density; the exchange term convolves it with the pointwise product
     phi_i(m') conj(phi_j(m')) before recombining with phi_j. Both carry
     the same 1/N suppression through the trace-one density matrix.
+    This is the kappa flow of the normalized frame, in the frame's scale.
     """
-    v = mean_field_potential(orbitals.density(), system.wmat)
-    return -1j * ((system.h + v) @ orbitals.matrix)
+    factor = np.sqrt(orbitals.n) if orbitals.scale == ORTHONORMAL else 1.0
+    return factor * hf_rhs_kappa(orbitals.as_normalized(), system)
 
 
 def hf_rhs_density(gamma: np.ndarray | DensityMatrix,
@@ -265,13 +268,19 @@ def marginal_relation_check(orbitals: OrbitalSet, p: int) -> MarginalRelationRep
 # Interaction-picture RK4 driver and trajectories
 # ---------------------------------------------------------------------------
 
-def _rk4_stream(y0, t_grid, derivative, dt):
-    """Fixed-step RK4 between consecutive grid points; yields (t, y)."""
+def _time_grid(t_grid) -> np.ndarray:
+    """The grid as a float array, checked to be 1d and strictly increasing."""
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 1:
         raise ShapeError("t_grid must be a non-empty 1d array")
     if len(t_grid) > 1 and np.min(np.diff(t_grid)) <= 0:
         raise RangeError("t_grid must be strictly increasing")
+    return t_grid
+
+
+def _rk4_stream(y0, t_grid, derivative, dt):
+    """Fixed-step RK4 between consecutive grid points; yields (t, y)."""
+    t_grid = _time_grid(t_grid)
     y = y0
     yield t_grid[0], y
     for t0, t1 in zip(t_grid[:-1], t_grid[1:]):
@@ -290,9 +299,34 @@ def _rk4_stream(y0, t_grid, derivative, dt):
         yield t1, y
 
 
+def _interaction_stream(x0, system: ModeSystem, t_grid, rhs, dt: float,
+                        both_sides: bool = False):
+    """Lab-frame states (t, x) of the flow dx/dt = rhs(x, system).
+
+    RK4 moves y = u† x, or u† x u when ``both_sides``, with u = exp(-i t h).
+    The derivative of u cancels the free term of ``rhs``, which leaves
+    ``rhs`` on the bare system (h = 0) conjugated by u: exactly the
+    mean-field part, and exactly zero for a zero potential.
+    """
+    bare = ModeSystem(system.d, np.zeros_like(system.h), system.w)
+
+    def rotate(u, x):
+        return u @ x @ u.conj().T if both_sides else u @ x
+
+    def derivative(t, y):
+        u = system.free_propagator(t)
+        return rotate(u.conj().T, rhs(rotate(u, y), bare))
+
+    t_grid = _time_grid(np.atleast_1d(t_grid))
+    y0 = rotate(system.free_propagator(t_grid[0]).conj().T, x0)
+    for t, y in _rk4_stream(y0, t_grid, derivative, dt):
+        yield t, rotate(system.free_propagator(t), y)
+
+
 @dataclass
 class Trajectory:
-    """Common container: recorded times, states, and diagnostics."""
+    """Recorded times, states and conservation diagnostics of one flow;
+    ``gram_drift`` is the Gram drift of a frame, else the spectrum drift."""
 
     times: np.ndarray
     states: list
@@ -301,6 +335,9 @@ class Trajectory:
     trace: np.ndarray
     min_eigenvalue: np.ndarray
     config: HFConfig
+
+    def final(self):
+        return self.states[-1]
 
     def expected_gram_drift(self, t: float) -> float:
         """A priori fourth-order drift allowance for the fixed-step scheme."""
@@ -323,138 +360,73 @@ class OrbitalTrajectory(Trajectory):
     def orbitals(self, i: int) -> OrbitalSet:
         return self.states[i]
 
-    def final(self) -> OrbitalSet:
-        return self.states[-1]
 
-
-@dataclass
-class DensityTrajectory(Trajectory):
-    def gamma(self, i: int) -> np.ndarray:
-        return self.states[i]
-
-    def final(self) -> np.ndarray:
-        return self.states[-1]
-
-
-@dataclass
-class KappaTrajectory(Trajectory):
-    def kappa(self, i: int) -> np.ndarray:
-        return self.states[i]
-
-    def final(self) -> np.ndarray:
-        return self.states[-1]
+def _record(cls, stream, system: ModeSystem, config: HFConfig, density,
+            drift=None) -> Trajectory:
+    """Trajectory of a state stream, measured through ``density(state)``;
+    the drift column is ``drift(t, state)`` or else the spectrum drift."""
+    times, states, rows, spec0 = [], [], [], None
+    for t, state in stream:
+        dens = density(state)
+        spec = np.linalg.eigvalsh(dens)
+        spec0 = spec if spec0 is None else spec0
+        moved = (drift(t, state) if drift is not None
+                 else float(np.max(np.abs(spec - spec0))))
+        times.append(t)
+        states.append(state)
+        rows.append((energy_functional(dens, system), moved,
+                     float(np.real(np.trace(dens))), float(spec.min())))
+    energy, moved, trace, mineig = (np.array(col) for col in zip(*rows))
+    return cls(np.array(times), states, energy, moved, trace, mineig, config)
 
 
 def evolve_hf_orbitals(orbitals: OrbitalSet, system: ModeSystem, t_grid,
                        config: HFConfig | None = None) -> OrbitalTrajectory:
     """Integrate the orbital flow, recording conservation diagnostics.
 
-    Interaction picture: the frame is stored with the free rotation
-    removed, so the integrator only sees the mean-field potential and a
-    zero potential is propagated exactly. The flow preserves the Gram
-    matrix; a recorded frame whose Gram matrix has drifted by more than
-    the frame tolerance raises :class:`DivergenceError`.
+    This is the kappa flow (:func:`hf_rhs_kappa`) of the normalized frame,
+    rescaled to the input's scale when recorded. The flow preserves the
+    Gram matrix; a recorded frame whose Gram matrix has drifted by more
+    than the frame tolerance raises :class:`DivergenceError`.
     """
     config = config or HFConfig()
-    scale = orbitals.scale
+    factor = np.sqrt(orbitals.n) if orbitals.scale == ORTHONORMAL else 1.0
     g0 = gram(orbitals.matrix)
-    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    u0 = system.free_propagator(t_grid[0])
-    y0 = u0.conj().T @ orbitals.matrix
 
-    def derivative(t, phi_tilde):
-        u = system.free_propagator(t)
-        phi = u @ phi_tilde
-        dens = phi @ phi.conj().T
-        if scale == ORTHONORMAL:
-            dens = dens / orbitals.n
-        v = mean_field_potential(dens, system.wmat)
-        return -1j * (u.conj().T @ (v @ phi))
-
-    times, states = [], []
-    energy, gdrift, trace, mineig = [], [], [], []
-    for t, y in _rk4_stream(y0, t_grid, derivative, config.dt):
-        u = system.free_propagator(t)
-        phi = u @ y
-        drift = float(np.max(np.abs(gram(phi) - g0)))
+    def gram_drift(t, psi):
+        drift = float(np.max(np.abs(gram(factor * psi) - g0)))
         if drift > _GRAM_TOL:
             raise DivergenceError(
                 f"orbital Gram drift {drift:.2e} at t={t} exceeds "
                 f"{_GRAM_TOL:.0e}; reduce the step size dt={config.dt}")
-        orbs = OrbitalSet(phi, scale=scale)
-        times.append(t)
-        states.append(orbs)
-        dens = orbs.density()
-        energy.append(energy_functional(dens, system))
-        gdrift.append(drift)
-        trace.append(float(np.real(np.trace(dens))))
-        mineig.append(float(np.linalg.eigvalsh(dens).min()))
-    return OrbitalTrajectory(np.array(times), states, np.array(energy),
-                             np.array(gdrift), np.array(trace),
-                             np.array(mineig), config)
+        return drift
 
-
-def _density_diagnostics(system, times, gammas, config, cls, spectra_of=None):
-    spectra_of = spectra_of or (lambda g: g)
-    energy, sdrift, trace, mineig = [], [], [], []
-    spec0 = np.linalg.eigvalsh(spectra_of(gammas[0]))
-    for g in gammas:
-        dens = spectra_of(g)
-        energy.append(energy_functional(dens, system))
-        spec = np.linalg.eigvalsh(dens)
-        sdrift.append(float(np.max(np.abs(spec - spec0))))
-        trace.append(float(np.real(np.trace(dens))))
-        mineig.append(float(spec.min()))
-    return cls(np.asarray(times), list(gammas), np.array(energy),
-               np.array(sdrift), np.array(trace), np.array(mineig), config)
+    stream = _interaction_stream(orbitals.as_normalized(), system, t_grid,
+                                 hf_rhs_kappa, config.dt)
+    traj = _record(OrbitalTrajectory, stream, system, config,
+                   lambda psi: psi @ psi.conj().T, gram_drift)
+    traj.states = [OrbitalSet(factor * psi, scale=orbitals.scale)
+                   for psi in traj.states]
+    return traj
 
 
 def evolve_hf_density(gamma0: np.ndarray | DensityMatrix, system: ModeSystem,
-                      t_grid, config: HFConfig | None = None) -> DensityTrajectory:
-    """Integrate the density-matrix flow i dgamma/dt = [h + V(gamma), gamma].
-
-    The gram_drift diagnostic column holds the spectrum drift, which is the
-    conserved analogue of frame orthonormality for this formulation.
-    """
+                      t_grid, config: HFConfig | None = None) -> Trajectory:
+    """Integrate the density-matrix flow i dgamma/dt = [h + V(gamma), gamma]
+    (:func:`hf_rhs_density`); the drift column is the spectrum drift."""
     config = config or HFConfig()
     g0 = gamma0.mat if isinstance(gamma0, DensityMatrix) else np.asarray(gamma0)
-    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    u0 = system.free_propagator(t_grid[0])
-    y0 = u0.conj().T @ g0 @ u0
-
-    def derivative(t, gt):
-        u = system.free_propagator(t)
-        g = u @ gt @ u.conj().T
-        v = mean_field_potential(g, system.wmat)
-        vt = u.conj().T @ v @ u
-        return -1j * (vt @ gt - gt @ vt)
-
-    times, states = [], []
-    for t, y in _rk4_stream(y0, t_grid, derivative, config.dt):
-        u = system.free_propagator(t)
-        states.append(u @ y @ u.conj().T)
-        times.append(t)
-    return _density_diagnostics(system, times, states, config, DensityTrajectory)
+    stream = _interaction_stream(g0, system, t_grid, hf_rhs_density,
+                                 config.dt, both_sides=True)
+    return _record(Trajectory, stream, system, config, lambda g: g)
 
 
 def evolve_kappa(kappa0: KappaFactor | np.ndarray, system: ModeSystem, t_grid,
-                 config: HFConfig | None = None) -> KappaTrajectory:
-    """Integrate the factorized flow i dkappa/dt = (h + V(kappa kappa†)) kappa."""
+                 config: HFConfig | None = None) -> Trajectory:
+    """Integrate the factorized flow i dkappa/dt = (h + V(kappa kappa†)) kappa
+    (:func:`hf_rhs_kappa`); the drift column is the spectrum drift."""
     config = config or HFConfig()
     k0 = kappa0.mat if isinstance(kappa0, KappaFactor) else np.asarray(kappa0)
-    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    y0 = system.free_propagator(t_grid[0]).conj().T @ k0
-
-    def derivative(t, kt):
-        u = system.free_propagator(t)
-        k = u @ kt
-        v = mean_field_potential(k @ k.conj().T, system.wmat)
-        return -1j * (u.conj().T @ (v @ k))
-
-    times, states = [], []
-    for t, y in _rk4_stream(y0, t_grid, derivative, config.dt):
-        u = system.free_propagator(t)
-        states.append(u @ y)
-        times.append(t)
-    return _density_diagnostics(system, times, states, config, KappaTrajectory,
-                                spectra_of=lambda k: k @ k.conj().T)
+    stream = _interaction_stream(k0, system, t_grid, hf_rhs_kappa, config.dt)
+    return _record(Trajectory, stream, system, config,
+                   lambda k: k @ k.conj().T)

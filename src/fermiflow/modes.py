@@ -66,7 +66,8 @@ class ModeSystem:
 
     The system is immutable: ``h`` and ``w`` are read-only copies of the
     inputs, so the data derived from them and kept in ``_derived`` (the
-    eigensystem of h and the per-sector rotations) can never go stale.
+    pair kernel ``wmat``, the eigensystem of h and the per-sector
+    rotations) can never go stale.
 
     Parameters
     ----------
@@ -117,9 +118,13 @@ class ModeSystem:
 
     @property
     def wmat(self) -> np.ndarray:
-        """Toeplitz convolution kernel wmat[i, j] = w(|i - j|)."""
-        idx = np.abs(np.subtract.outer(np.arange(self.d), np.arange(self.d)))
-        return self.w[idx]
+        """Toeplitz convolution kernel wmat[i, j] = w(|i - j|), read-only."""
+        def build():
+            idx = np.abs(np.subtract.outer(np.arange(self.d), np.arange(self.d)))
+            wmat = self.w[idx]
+            wmat.setflags(write=False)
+            return wmat
+        return self._derive("wmat", build)
 
     @property
     def kappa(self) -> float:
@@ -142,21 +147,24 @@ class ModeSystem:
         """The exchange-corrected pair operator W(1 - E)."""
         return self.pair_operator() @ (np.eye(self.d * self.d) - self.swap_operator())
 
+    def _derive(self, key, build):
+        """The cached value of ``build()`` under ``key``, built on first use."""
+        if key not in self._derived:
+            self._derived[key] = build()
+        return self._derived[key]
+
     def _eigensystem(self):
-        if "eig" not in self._derived:
-            self._derived["eig"] = np.linalg.eigh(self.h)
-        return self._derived["eig"]
+        """Eigenvalues and eigenvectors of h, as ``np.linalg.eigh`` gives them."""
+        return self._derive("eig", lambda: np.linalg.eigh(self.h))
 
     def _sector_rotation(self, m: int):
         """Minor matrix of the eigenvectors of h on the m-sector, and the
         subset sums of the eigenvalues that diagonalise it there."""
-        key = ("sector", m)
-        if key not in self._derived:
+        def build():
             vals, vecs = self._eigensystem()
-            self._derived[key] = (
-                compound_matrix(vecs, m),
-                sector_basis(self.d, m).occupation_onehot() @ vals)
-        return self._derived[key]
+            return (compound_matrix(vecs, m),
+                    sector_basis(self.d, m).occupation_onehot() @ vals)
+        return self._derive(("sector", m), build)
 
     def free_propagator(self, t: float) -> np.ndarray:
         """One-particle propagator exp(-i t h), via the cached eigensystem."""

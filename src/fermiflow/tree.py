@@ -211,8 +211,8 @@ def _integrate_orders(a: PSectorOperator, K: int, t: float, nodes: int,
     """Simplex integrals of the loop-free operators for every order <= K.
 
     One nested sweep: the node tree over t >= s_1 >= ... >= s_K shares
-    each prefix operator between all orders. Each level-one branch sums
-    into its own totals, which are added up in node order.
+    each prefix operator between all orders, and every node adds its
+    weighted operator straight into the total of its order.
     """
     if K < 0:
         raise RangeError("truncation order must be non-negative")
@@ -227,34 +227,27 @@ def _integrate_orders(a: PSectorOperator, K: int, t: float, nodes: int,
     if K == 0 or t == 0.0:
         return totals
 
-    def descend(level, upper, x_prev, weight, sink):
-        ss = upper * x01
-        wws = (upper * weight) * w01
-        for idx in range(nodes):
-            y = _attach_insertion(x_prev, a.p + level, system, ss[idx], factor)
-            sink[level] = sink[level] + wws[idx] * y
+    def descend(level, upper, x_prev, weight):
+        for s, w in zip(upper * x01, (upper * weight) * w01):
+            y = _attach_insertion(x_prev, a.p + level, system, s, factor)
+            totals[level] = totals[level] + w * y
             if level < K:
-                descend(level + 1, ss[idx], y, wws[idx], sink)
+                descend(level + 1, s, y, w)
 
-    def branch(idx):
-        local = [None] + [_zero_sector_matrix(a.d, a.p + k)
-                          for k in range(1, K + 1)]
-        s1 = t * x01[idx]
-        w1 = t * w01[idx]
-        y = _attach_insertion(base, a.p + 1, system, s1, factor)
-        local[1] = local[1] + w1 * y
-        if K > 1:
-            descend(2, s1, y, w1, local)
-        return local
-
-    for idx in range(nodes):
-        local = branch(idx)
-        for k in range(1, K + 1):
-            totals[k] = totals[k] + local[k]
+    descend(1, t, base, 1.0)
     for k, mat in enumerate(totals):
         if not np.all(np.isfinite(mat)):
             raise NumericError(f"non-finite quadrature total at order {k}")
     return totals
+
+
+def _coarse_and_fine(a: PSectorOperator, K: int, t: float,
+                     quad: QuadratureSpec, system: ModeSystem,
+                     kernel: str = KERNEL_PLAIN) -> tuple:
+    """Sweeps at the configured node count and at twice it; results use
+    the fine one, and the gap between them is the quadrature error."""
+    return tuple(_integrate_orders(a, K, t, nodes, system, kernel)
+                 for nodes in (quad.nodes_per_level, 2 * quad.nodes_per_level))
 
 
 def integrate_tree_term(a: PSectorOperator, k: int, t: float,
@@ -268,8 +261,7 @@ def integrate_tree_term(a: PSectorOperator, k: int, t: float,
     """
     if k > quad.k_max:
         raise RangeError(f"order {k} exceeds the configured maximum {quad.k_max}")
-    coarse = _integrate_orders(a, k, t, quad.nodes_per_level, system, kernel)
-    fine = _integrate_orders(a, k, t, 2 * quad.nodes_per_level, system, kernel)
+    coarse, fine = _coarse_and_fine(a, k, t, quad, system, kernel)
     op = PSectorOperator(a.d, a.p + k, fine[k])
     if not return_error:
         return op
@@ -362,10 +354,7 @@ def tree_series(a: PSectorOperator, gamma, t: float, quad: QuadratureSpec,
     g = gamma.mat if isinstance(gamma, DensityMatrix) else np.asarray(gamma)
     warn = check_time_guard(system, t, override_time_guard)
     K = quad.k_max
-    coarse = _integrate_orders(a, K, t, quad.nodes_per_level, system,
-                               KERNEL_PLAIN)
-    fine = _integrate_orders(a, K, t, 2 * quad.nodes_per_level, system,
-                             KERNEL_PLAIN)
+    coarse, fine = _coarse_and_fine(a, K, t, quad, system)
     terms = np.array([_pair_with_density(fine[k], g, a.p + k)
                       for k in range(K + 1)])
     terms_coarse = np.array([_pair_with_density(coarse[k], g, a.p + k)
@@ -422,10 +411,7 @@ def loop_remainder(a: PSectorOperator, orbitals: OrbitalSet,
     lifted_obs = second_quantize(a, n)
     heis = heisenberg_evolve(lifted_obs, ham, t)
 
-    coarse = _integrate_orders(a, K, t, quad.nodes_per_level, system,
-                               KERNEL_PLAIN)
-    fine = _integrate_orders(a, K, t, 2 * quad.nodes_per_level, system,
-                             KERNEL_PLAIN)
+    coarse, fine = _coarse_and_fine(a, K, t, quad, system)
     dim = sector_basis(system.d, n).dim
     series_sum = np.zeros((dim, dim), dtype=complex)
     term_norms = []

@@ -307,3 +307,14 @@ def test_no_experiment_starts_a_thread(monkeypatch):
     for raw in configs:
         report = run(ExperimentConfig.from_dict(raw), override_time_guard=True)
         assert report.rows
+
+
+def test_one_eigendecomposition_per_system(monkeypatch):
+    eigh, calls = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda mat: calls.append(mat.shape) or eigh(mat))
+    system = ModeSystem.chain(6)
+    OrbitalSet.ground_state(system, 3)
+    ground_mode_projector(system)
+    system.free_propagator(0.3)
+    assert calls == [(6, 6)]

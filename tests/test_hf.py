@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from fermiflow.errors import DivergenceError, RangeError, ValidationError
+from fermiflow import hf
+from fermiflow.errors import (DivergenceError, RangeError, ShapeError,
+                             ValidationError)
 from fermiflow.hf import (DensityMatrix, HFConfig, KappaFactor, OrbitalSet,
                           energy_functional, evolve_hf_density,
                           evolve_hf_orbitals, evolve_kappa, hf_energy,
@@ -243,16 +245,15 @@ class TestMarginalRelation:
         assert abs(gap - report.exact_relation_gap) < 1e-12
 
 
-def density_flow_flat(system):
-    """Plain-picture density ODE for an independent reference integrator."""
-    d = system.d
+def flat_flow(rhs, system, shape):
+    """Plain-picture ODE of one flow for an independent reference integrator."""
 
-    def rhs(t, y):
-        g = (y[:d * d] + 1j * y[d * d:]).reshape(d, d)
-        dg = hf_rhs_density(g, system)
-        return np.concatenate([dg.real.ravel(), dg.imag.ravel()])
+    def flat(t, y):
+        x = (y[:y.size // 2] + 1j * y[y.size // 2:]).reshape(shape)
+        dx = rhs(x, system)
+        return np.concatenate([dx.real.ravel(), dx.imag.ravel()])
 
-    return rhs
+    return flat
 
 
 class TestFlows:
@@ -274,17 +275,49 @@ class TestFlows:
         assert np.max(np.abs(g_o - g_g)) < 1e-9
         assert np.max(np.abs(g_o - g_k)) < 1e-9
 
-    def test_against_reference_integrator(self):
-        t = 0.4
-        sol = solve_ivp(density_flow_flat(self.sys), (0.0, t),
-                        np.concatenate([self.orbs.density().real.ravel(),
-                                        self.orbs.density().imag.ravel()]),
+    @pytest.mark.parametrize("flow", ["orbitals", "density", "kappa"])
+    def test_against_reference_integrator(self, flow):
+        # the orbital oracle is the literal per-orbital loop
+        t, cfg = 0.4, HFConfig(dt=1e-3)
+        gamma0 = self.orbs.density()
+        kappa0 = KappaFactor.from_density(gamma0).mat
+        start, rhs, final = {
+            "orbitals": (self.orbs.as_normalized(), orbital_rhs_loop,
+                         lambda: evolve_hf_orbitals(self.orbs, self.sys,
+                                                    [0.0, t], cfg)
+                         .final().as_normalized()),
+            "density": (gamma0, hf_rhs_density,
+                        lambda: evolve_hf_density(gamma0, self.sys,
+                                                  [0.0, t], cfg).final()),
+            "kappa": (kappa0, hf_rhs_kappa,
+                      lambda: evolve_kappa(kappa0, self.sys,
+                                           [0.0, t], cfg).final()),
+        }[flow]
+        sol = solve_ivp(flat_flow(rhs, self.sys, start.shape), (0.0, t),
+                        np.concatenate([start.real.ravel(),
+                                        start.imag.ravel()]),
                         rtol=1e-11, atol=1e-13, dense_output=False)
-        d = self.sys.d
-        ref = (sol.y[:d * d, -1] + 1j * sol.y[d * d:, -1]).reshape(d, d)
-        traj = evolve_hf_density(self.orbs.density(), self.sys, [0.0, t],
-                                 HFConfig(dt=1e-3))
-        assert np.max(np.abs(traj.final() - ref)) < 1e-8
+        ref = (sol.y[:start.size, -1]
+               + 1j * sol.y[start.size:, -1]).reshape(start.shape)
+        assert np.max(np.abs(final() - ref)) < 1e-8
+
+    def test_each_flow_runs_its_tested_right_hand_side(self, monkeypatch):
+        # four evaluations per RK4 step: 2 intervals of 4 steps each
+        calls = {}
+        for name in ("hf_rhs_density", "hf_rhs_kappa"):
+            def counted(x, system, name=name, rhs=getattr(hf, name)):
+                calls[name] = calls.get(name, 0) + 1
+                return rhs(x, system)
+            monkeypatch.setattr(hf, name, counted)
+        gamma0 = self.orbs.density()
+        for evolve, start, name in (
+                (evolve_hf_orbitals, self.orbs, "hf_rhs_kappa"),
+                (evolve_hf_density, gamma0, "hf_rhs_density"),
+                (evolve_kappa, KappaFactor.from_density(gamma0),
+                 "hf_rhs_kappa")):
+            calls.clear()
+            evolve(start, self.sys, [0.0, 0.25, 0.5], HFConfig(dt=0.0625))
+            assert calls == {name: 4 * 8}
 
     def test_conservation_over_unit_time(self):
         t_grid = np.linspace(0.0, 1.0, 11)
@@ -381,6 +414,15 @@ class TestValidation:
         g = random_density(np.random.default_rng(62), 5)
         k = KappaFactor.from_density(g)
         assert np.max(np.abs(k.density() - g)) < 1e-12
+
+    def test_bad_time_grid_is_bad_input(self):
+        sys = ModeSystem.chain(4)
+        orbs = OrbitalSet.ground_state(sys, 2)
+        for grid in ([], [[0.0, 0.1]]):
+            with pytest.raises(ShapeError):
+                evolve_hf_orbitals(orbs, sys, grid)
+            with pytest.raises(ShapeError):
+                evolve_hf_density(orbs.density(), sys, grid)
 
     def test_bad_dt(self):
         with pytest.raises(RangeError):

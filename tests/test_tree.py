@@ -151,6 +151,13 @@ def test_mode_system_is_immutable_and_its_cache_is_fresh():
                                   system.free_propagator(0.3))
 
 
+def test_wmat_is_built_once_and_read_only():
+    system = ModeSystem.chain(5, coupling=1.0)
+    assert system.wmat is system.wmat
+    with pytest.raises(ValueError):
+        system.wmat[0, 1] = 7.0
+
+
 def test_free_evolution_matches_dense_conjugation():
     rng = np.random.default_rng(5)
     system = ModeSystem.chain(4, coupling=1.0)
