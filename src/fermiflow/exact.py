@@ -17,7 +17,7 @@ import numpy as np
 from .errors import RangeError, ValidationError
 from .modes import ModeSystem
 from .sector import (PSectorOperator, SectorState, one_body_sector,
-                     pair_diagonal_sector, project_lift, sector_basis)
+                     project_lift, sector_basis)
 
 
 @dataclass
@@ -46,7 +46,7 @@ def build_hamiltonian(system: ModeSystem, n: int) -> ManyBodyHamiltonian:
     if not 1 <= n <= system.d:
         raise RangeError(f"particle number n={n} outside [1, {system.d}]")
     mat = one_body_sector(system.h, system.d, n)
-    mat += np.diag(pair_diagonal_sector(system.wmat, system.d, n)) / n
+    mat += np.diag(system._pair_diagonal(n)) / n
     if np.max(np.abs(mat - mat.conj().T)) > 1e-12:
         raise ValidationError("assembled Hamiltonian lost hermiticity")
     return ManyBodyHamiltonian(system=system, n=n, mat=mat)

@@ -4,7 +4,7 @@ A single JSON document selects one of five canonical experiments, the
 mode system, a sweep, and numeric settings. Validation is strict: unknown
 keys are rejected so a typo cannot silently fall back to a default. Every
 data row ends with a hash of the semantic config, and all randomness comes
-from one seeded generator drawn before dispatch, so re-running a config
+from one seeded generator drawn in sweep order, so re-running a config
 reproduces each row byte for byte. Volatile facts (timestamps, wall
 times) live only in the report metadata, never in rows.
 """
@@ -15,7 +15,6 @@ import hashlib
 import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from math import comb
 from time import perf_counter
 
 import numpy as np
@@ -27,14 +26,17 @@ from .hf import (HFConfig, KappaFactor, OrbitalSet, evolve_hf_density,
                  evolve_hf_orbitals, evolve_kappa, quasi_free_marginal)
 from .modes import ModeSystem
 from .sector import PSectorOperator, trace_norm
-from .tree import (QuadratureSpec, TheoryConstants, count_elementary_terms,
-                   hf_vs_tree_gap, tree_series)
+from .tree import (QuadratureSpec, TheoryConstants, _term_count_bounds,
+                   count_elementary_terms, hf_vs_tree_gap, tree_series)
 
 REPORT_VERSION = "0.1.0"
 EXPERIMENTS = ("convergence", "tree-truncation", "egorov", "conservation",
                "graph-count")
 FORMATS = ("csv", "json")
-ORBITAL_PRESETS = ("ground", "random")
+ORBITAL_PRESETS = {
+    "ground": lambda rng, system, n: OrbitalSet.ground_state(system, n),
+    "random": lambda rng, system, n: OrbitalSet.random(rng, system.d, n),
+}
 HASH_LENGTH = 16
 CONSERVATION_SAMPLES = 6
 
@@ -62,19 +64,20 @@ def _as_number(value, where: str) -> float:
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """Mode-system preset: hopping chain with a soft-Coulomb pair kernel."""
+    """Mode system of the sweep: hopping chain with a soft-Coulomb pair
+    kernel on d modes, or on 2N modes for an entry of N when d is unset."""
 
     d: int | None
     coupling: float
-    h_preset: str = "chain"
-    w_preset: str = "soft-coulomb"
 
-    def build(self, d: int) -> ModeSystem:
-        return ModeSystem.chain(d, self.coupling)
+    def build(self, n: int) -> ModeSystem:
+        """The mode system of a sweep entry with n particles."""
+        return ModeSystem.chain(self.d if self.d is not None else 2 * n,
+                                self.coupling)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SystemSpec":
-        _require_keys(raw, {"d", "coupling", "h", "w"}, {"coupling"}, "system")
+        _require_keys(raw, {"d", "coupling"}, {"coupling"}, "system")
         d = raw.get("d")
         if d is not None:
             d = _as_int(d, "system.d")
@@ -83,13 +86,7 @@ class SystemSpec:
         coupling = _as_number(raw["coupling"], "system.coupling")
         if coupling < 0:
             raise ConfigError("system.coupling must be non-negative")
-        h_preset = raw.get("h", "chain")
-        w_preset = raw.get("w", "soft-coulomb")
-        if h_preset != "chain":
-            raise ConfigError(f"unknown one-body preset '{h_preset}'")
-        if w_preset != "soft-coulomb":
-            raise ConfigError(f"unknown pair preset '{w_preset}'")
-        return cls(d=d, coupling=coupling, h_preset=h_preset, w_preset=w_preset)
+        return cls(d=d, coupling=coupling)
 
 
 def _validate_count_time_entry(entry: dict, index: int, experiment: str,
@@ -208,8 +205,11 @@ class ExperimentConfig:
         """Semantic content only; output routing does not change results."""
         return {
             "experiment": self.experiment,
+            # the one-body and pair kernels are fixed; their names stay in
+            # the payload so that every config hash, and with it the tag
+            # of every earlier report, keeps its value
             "system": {"d": self.system.d, "coupling": self.system.coupling,
-                       "h": self.system.h_preset, "w": self.system.w_preset},
+                       "h": "chain", "w": "soft-coulomb"},
             "sweep": list(self.sweep),
             "integrator": {"dt": self.integrator.dt},
             "quadrature": {"nodes_per_level": self.quadrature.nodes_per_level,
@@ -316,164 +316,114 @@ def _fit_slope(counts, values) -> float:
     return float(np.polyfit(np.log(ns), np.log(vs), 1)[0])
 
 
-def _entry_dimension(cfg: ExperimentConfig, n: int) -> int:
-    d = cfg.system.d if cfg.system.d is not None else 2 * n
-    if n > d:
-        raise ConfigError(f"sweep count {n} exceeds the mode count {d}")
-    return d
-
-
-def _prepare_orbitals(cfg: ExperimentConfig, rng: np.random.Generator,
-                      system: ModeSystem, n: int) -> OrbitalSet:
-    if cfg.orbitals == "ground":
-        return OrbitalSet.ground_state(system, n)
-    return OrbitalSet.random(rng, system.d, n)
-
-
-def _timed_map(work, payloads):
-    """Evaluate rows one after another in sweep order, timing each one."""
-    results, seconds = [], []
-    for payload in payloads:
+def _sweep(cfg: ExperimentConfig, rows_of):
+    """The rows ``rows_of(entry, rng)`` of every sweep entry in order, all
+    drawing from the config's one seeded generator, and each entry's
+    wall time."""
+    rng = np.random.default_rng(cfg.seed)
+    rows, seconds = [], []
+    for entry in cfg.sweep:
         start = perf_counter()
-        results.append(work(payload))
+        rows.extend(rows_of(entry, rng))
         seconds.append(round(perf_counter() - start, 3))
-    return results, seconds
+    return rows, seconds
 
 
-def _base_metadata(cfg: ExperimentConfig, seconds) -> dict:
-    return {
-        "config": json.dumps(cfg.hash_payload(), sort_keys=True,
-                             separators=(",", ":")),
-        "config_hash": cfg.config_hash,
-        "generated_utc": datetime.now(timezone.utc).isoformat(),
-        "wall_time_s": json.dumps(seconds),
-    }
+def _report(cfg: ExperimentConfig, columns, rows, seconds,
+            **metadata) -> ExperimentReport:
+    """The report of ``rows``, each ending with the config hash, with the
+    provenance of the run added to ``metadata``."""
+    tag = cfg.config_hash
+    metadata.update(
+        config=json.dumps(cfg.hash_payload(), sort_keys=True,
+                          separators=(",", ":")),
+        config_hash=tag,
+        generated_utc=datetime.now(timezone.utc).isoformat(),
+        wall_time_s=json.dumps(seconds))
+    return ExperimentReport(experiment=cfg.experiment,
+                            columns=columns + ("config_hash",),
+                            rows=[row + (tag,) for row in rows],
+                            metadata=metadata)
 
 
 def run_convergence(cfg: ExperimentConfig,
                     override_time_guard: bool = False) -> ExperimentReport:
     """Trace-norm gap between exact and mean-field marginals over a sweep."""
-    rng = np.random.default_rng(cfg.seed)
-    payloads = []
-    for entry in cfg.sweep:
-        d = _entry_dimension(cfg, entry["N"])
-        system = cfg.system.build(d)
-        payloads.append((entry, system,
-                         _prepare_orbitals(cfg, rng, system, entry["N"])))
 
-    def work(payload):
-        entry, system, orbitals = payload
+    def rows_of(entry, rng):
         n, t, p = entry["N"], entry["t"], entry["p"]
+        system = cfg.system.build(n)
+        orbitals = ORBITAL_PRESETS[cfg.orbitals](rng, system, n)
         exact = evolved_marginal(orbitals.as_orthonormal(), system, t, p)
         flow = evolve_hf_orbitals(orbitals, system, np.array([0.0, t]),
                                   cfg.integrator)
         fitted = quasi_free_marginal(flow.final().density(), p)
-        gap = trace_norm(exact.mat - fitted.mat)
-        return n, p, t, gap, p * p / n
+        return [(n, p, t, trace_norm(exact.mat - fitted.mat), p * p / n)]
 
-    results, seconds = _timed_map(work, payloads)
-    slope = _fit_slope([r[0] for r in results], [r[3] for r in results])
-    rows = [(n, p, t, gap, bound, slope, cfg.config_hash)
-            for n, p, t, gap, bound in results]
-    return ExperimentReport(
-        experiment=cfg.experiment,
-        columns=("N", "p", "t", "trace_norm_gap", "marginal_bound",
-                 "fitted_slope", "config_hash"),
-        rows=rows, metadata=_base_metadata(cfg, seconds))
+    rows, seconds = _sweep(cfg, rows_of)
+    slope = _fit_slope([r[0] for r in rows], [r[3] for r in rows])
+    return _report(cfg, ("N", "p", "t", "trace_norm_gap", "marginal_bound",
+                         "fitted_slope"),
+                   [row + (slope,) for row in rows], seconds)
 
 
 def run_tree_truncation(cfg: ExperimentConfig,
                         override_time_guard: bool = False) -> ExperimentReport:
     """Partial sums of the loop-free series against the mean-field pairing."""
-    rng = np.random.default_rng(cfg.seed)
-    payloads = []
-    for entry in cfg.sweep:
-        d = _entry_dimension(cfg, entry["N"])
-        system = cfg.system.build(d)
-        payloads.append((entry, system,
-                         _prepare_orbitals(cfg, rng, system, entry["N"]),
-                         _random_hermitian(rng, d)))
 
-    def work(payload):
-        entry, system, orbitals, amat = payload
+    def rows_of(entry, rng):
         n, t = entry["N"], entry["t"]
-        a = PSectorOperator(system.d, 1, amat)
-        gamma = orbitals.density()
+        system = cfg.system.build(n)
+        gamma = ORBITAL_PRESETS[cfg.orbitals](rng, system, n).density()
+        a = PSectorOperator(system.d, 1, _random_hermitian(rng, system.d))
         series = tree_series(a, gamma, t, cfg.quadrature, system,
                              override_time_guard=override_time_guard)
         gap = hf_vs_tree_gap(a, gamma, system, t, cfg.quadrature,
                              override_time_guard=override_time_guard,
                              hf_dt=cfg.integrator.dt)
-        rows = []
-        for order, partial in enumerate(series.partial_sums):
-            rows.append((n, t, order, float(partial.real),
-                         float(abs(partial - gap.hf_value)),
-                         float(series.quad_errors[order]), cfg.config_hash))
-        return rows
+        return [(n, t, order, float(partial.real),
+                 float(abs(partial - gap.hf_value)),
+                 float(series.quad_errors[order]))
+                for order, partial in enumerate(series.partial_sums)]
 
-    results, seconds = _timed_map(work, payloads)
-    rows = [row for chunk in results for row in chunk]
-    return ExperimentReport(
-        experiment=cfg.experiment,
-        columns=("N", "t", "K", "partial_sum", "hf_gap", "quad_error",
-                 "config_hash"),
-        rows=rows, metadata=_base_metadata(cfg, seconds))
+    rows, seconds = _sweep(cfg, rows_of)
+    return _report(cfg, ("N", "t", "K", "partial_sum", "hf_gap",
+                         "quad_error"), rows, seconds)
 
 
 def run_egorov(cfg: ExperimentConfig,
                override_time_guard: bool = False) -> ExperimentReport:
     """Quantisation-vs-flow gap for the ground-mode projector over a sweep."""
-    payloads = []
-    for entry in cfg.sweep:
-        payloads.append((entry, _entry_dimension(cfg, entry["N"])))
 
-    def work(payload):
-        entry, d = payload
-        system = cfg.system.build(d)
+    def rows_of(entry, rng):
         n, t = entry["N"], entry["t"]
+        system = cfg.system.build(n)
         report = egorov_check(ground_mode_projector(system), system, t, n,
                               cfg.quadrature,
                               override_time_guard=override_time_guard)
-        return n, t, report.norm_difference, report.tree_tail_estimate, \
-            report.quad_error
+        return [(n, t, report.norm_difference, report.tree_tail_estimate,
+                 report.quad_error)]
 
-    results, seconds = _timed_map(work, payloads)
-    slope = _fit_slope([r[0] for r in results], [r[2] for r in results])
-    rows = [(n, t, diff, slope, tail, quad, cfg.config_hash)
-            for n, t, diff, tail, quad in results]
-    metadata = _base_metadata(cfg, seconds)
-    kappa = cfg.system.build(_entry_dimension(cfg, cfg.sweep[0]["N"])).kappa
-    if kappa > 0:
-        metadata["t_report"] = repr(TheoryConstants(kappa).t_report)
-        metadata["kappa"] = repr(kappa)
-    return ExperimentReport(
-        experiment=cfg.experiment,
-        columns=("N", "t", "norm_difference", "slope_fit",
-                 "tree_tail_estimate", "quad_error", "config_hash"),
-        rows=rows, metadata=metadata)
-
-
-def _density_of(formulation: str, state):
-    if formulation == "orbital":
-        return state.density()
-    if formulation == "kappa":
-        return state @ state.conj().T
-    return state
+    rows, seconds = _sweep(cfg, rows_of)
+    slope = _fit_slope([r[0] for r in rows], [r[2] for r in rows])
+    kappa = cfg.system.build(cfg.sweep[0]["N"]).kappa
+    metadata = ({"t_report": repr(TheoryConstants(kappa).t_report),
+                 "kappa": repr(kappa)} if kappa > 0 else {})
+    return _report(cfg, ("N", "t", "norm_difference", "slope_fit",
+                         "tree_tail_estimate", "quad_error"),
+                   [(n, t, diff, slope, tail, quad)
+                    for n, t, diff, tail, quad in rows], seconds, **metadata)
 
 
 def run_conservation(cfg: ExperimentConfig,
                      override_time_guard: bool = False) -> ExperimentReport:
     """Invariant drifts along all three mean-field formulations."""
-    rng = np.random.default_rng(cfg.seed)
-    payloads = []
-    for entry in cfg.sweep:
-        d = _entry_dimension(cfg, entry["N"])
-        system = cfg.system.build(d)
-        payloads.append((entry, system,
-                         _prepare_orbitals(cfg, rng, system, entry["N"])))
+    cross = []
 
-    def work(payload):
-        entry, system, orbitals = payload
+    def rows_of(entry, rng):
+        n = entry["N"]
+        system = cfg.system.build(n)
+        orbitals = ORBITAL_PRESETS[cfg.orbitals](rng, system, n)
         grid = np.linspace(0.0, entry["t"], CONSERVATION_SAMPLES)
         gamma0 = orbitals.density()
         flows = {
@@ -484,54 +434,36 @@ def run_conservation(cfg: ExperimentConfig,
             "kappa": evolve_kappa(KappaFactor.from_density(gamma0), system,
                                   grid, cfg.integrator),
         }
-        rows = []
-        for name, traj in flows.items():
-            spectra = [np.linalg.eigvalsh(_density_of(name, s))
-                       for s in traj.states]
-            for i, t in enumerate(traj.times):
-                gram = (float(traj.gram_drift[i]) if name == "orbital"
-                        else float("nan"))
-                rows.append((
-                    name, float(t),
-                    float(abs(traj.energy[i] - traj.energy[0])), gram,
-                    float(abs(traj.trace[i] - traj.trace[0])),
-                    float(np.max(np.abs(spectra[i] - spectra[0]))),
-                    cfg.config_hash))
-        cross = trace_norm(_density_of("kappa", flows["kappa"].states[-1])
-                           - flows["density"].states[-1])
-        return rows, cross
+        kappa = flows["kappa"].final()
+        cross.append(repr(trace_norm(kappa @ kappa.conj().T
+                                     - flows["density"].final())))
+        return [(name, float(t), float(abs(traj.energy[i] - traj.energy[0])),
+                 float(traj.gram_drift[i]),
+                 float(abs(traj.trace[i] - traj.trace[0])),
+                 float(traj.spectrum_drift[i]))
+                for name, traj in flows.items()
+                for i, t in enumerate(traj.times)]
 
-    results, seconds = _timed_map(work, payloads)
-    rows = [row for chunk, _ in results for row in chunk]
-    metadata = _base_metadata(cfg, seconds)
-    metadata["kappa_vs_density_trace_gap"] = json.dumps(
-        [repr(cross) for _, cross in results])
-    return ExperimentReport(
-        experiment=cfg.experiment,
-        columns=("formulation", "t", "energy_drift", "gram_drift",
-                 "trace_drift", "spectrum_drift", "config_hash"),
-        rows=rows, metadata=metadata)
+    rows, seconds = _sweep(cfg, rows_of)
+    return _report(cfg, ("formulation", "t", "energy_drift", "gram_drift",
+                         "trace_drift", "spectrum_drift"), rows, seconds,
+                   kappa_vs_density_trace_gap=json.dumps(cross))
 
 
 def run_graph_count(cfg: ExperimentConfig,
                     override_time_guard: bool = False) -> ExperimentReport:
     """Exhaustive expansion sizes against their combinatorial ceilings."""
 
-    def work(entry):
+    def rows_of(entry, rng):
         p, k, l = entry["p"], entry["k"], entry["l"]
         count = count_elementary_terms(p, k, l)
-        bound = 2 ** k * comb(k, l) * comb(2 * p + 3 * k, k) \
-            * (p + k - l) ** l
-        aux = 4 ** p * 32 ** k
+        bound, aux = _term_count_bounds(p, k, l)
         satisfied = count <= bound and (l != 0 or count <= aux)
-        return p, k, l, count, bound, aux, satisfied, cfg.config_hash
+        return [(p, k, l, count, bound, aux, satisfied)]
 
-    results, seconds = _timed_map(work, list(cfg.sweep))
-    return ExperimentReport(
-        experiment=cfg.experiment,
-        columns=("p", "k", "l", "count", "bound", "aux_bound", "satisfied",
-                 "config_hash"),
-        rows=list(results), metadata=_base_metadata(cfg, seconds))
+    rows, seconds = _sweep(cfg, rows_of)
+    return _report(cfg, ("p", "k", "l", "count", "bound", "aux_bound",
+                         "satisfied"), rows, seconds)
 
 
 _RUNNERS = {

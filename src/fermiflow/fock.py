@@ -25,7 +25,7 @@ from .errors import CapacityError, NumericError, RangeError, ValidationError
 from .exact import build_hamiltonian, second_quantize
 from .graded import GradedObservable, graded_poisson, superflow_observable
 from .modes import ModeSystem
-from .sector import PSectorOperator, pair_diagonal_sector, sector_basis
+from .sector import PSectorOperator, sector_basis
 from .tree import QuadratureSpec, check_time_guard
 
 MAX_FOCK_MODES = 14
@@ -140,7 +140,7 @@ def grassmann_hamiltonian(system: ModeSystem) -> GradedObservable:
     Scaled so that N times its quantisation, restricted to the N-particle
     subspace, is exactly the mean-field Hamiltonian of that sector.
     """
-    pair = 0.5 * np.diag(pair_diagonal_sector(system.wmat, system.d, 2))
+    pair = 0.5 * np.diag(system._pair_diagonal(2))
     return GradedObservable(system.d, {(1, 1): system.h.astype(complex),
                                        (2, 2): pair.astype(complex)})
 

@@ -24,8 +24,7 @@ from .errors import (RangeError, ShapeError, UnsupportedError,
 from .hf import HFConfig, _rk4_stream, quasi_free_marginal
 from .modes import ModeSystem
 from .sector import (PSectorOperator, embedding_isometry,
-                     contract_pair_commutator, interaction_weights,
-                     trace_norm)
+                     contract_pair_commutator, trace_norm)
 from .tree import (QuadratureSpec, _coarse_and_fine, _geometric_tail,
                    check_time_guard, sector_propagator)
 
@@ -282,9 +281,6 @@ def hierarchy_evolve(rho: GradedState, system: ModeSystem, t_grid,
         return [y[offsets[p]:offsets[p + 1]].reshape(shapes[p])
                 for p in levels]
 
-    wbar = {p: interaction_weights(system.wmat, d, p + 1)
-            for p in levels[:-1] if p + 1 >= 2}
-
     def rotations(tau):
         return [sector_propagator(system, p, tau) if p >= 1 else None
                 for p in levels]
@@ -299,7 +295,8 @@ def hierarchy_evolve(rho: GradedState, system: ModeSystem, t_grid,
             src = sigma[p + 1]
             fp1 = f[p + 1]
             rho_lab = fp1 @ src @ fp1.conj().T
-            coll = contract_pair_commutator(rho_lab, wbar[p], d, p + 1)
+            coll = contract_pair_commutator(
+                rho_lab, system._pair_weights(p + 1), d, p + 1)
             if p >= 1:
                 coll = f[p].conj().T @ coll @ f[p]
             out[p] = -1j * coll
@@ -353,12 +350,8 @@ def superflow_observable(a: PSectorOperator, system: ModeSystem, t: float,
     quad_error = float(sum(np.linalg.norm(c - f, 2)
                            for c, f in zip(coarse, fine)))
     norms = [float(np.linalg.norm(fine[k], 2)) for k in range(K + 1)]
-    if a.p + K >= system.d or system.kappa == 0.0 or t == 0.0:
-        tail, tail_warn = 0.0, []
-    elif K >= 1:
-        tail, tail_warn = _geometric_tail(norms[K - 1:K + 1])
-    else:
-        tail, tail_warn = float("inf"), []
+    tail, tail_warn = _geometric_tail(
+        norms, a.p + K >= system.d or system.kappa == 0.0 or t == 0.0)
     return SuperflowReport(observable=GradedObservable(a.d, blocks), t=t,
                            k_max=K, tail_estimate=tail,
                            quad_error=quad_error, warnings=warn + tail_warn)

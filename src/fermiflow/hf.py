@@ -326,12 +326,14 @@ def _interaction_stream(x0, system: ModeSystem, t_grid, rhs, dt: float,
 @dataclass
 class Trajectory:
     """Recorded times, states and conservation diagnostics of one flow;
-    ``gram_drift`` is the Gram drift of a frame, else the spectrum drift."""
+    ``gram_drift`` is the Gram drift of a frame and NaN for other states,
+    ``spectrum_drift`` that of the density's spectrum from the start."""
 
     times: np.ndarray
     states: list
     energy: np.ndarray
     gram_drift: np.ndarray
+    spectrum_drift: np.ndarray
     trace: np.ndarray
     min_eigenvalue: np.ndarray
     config: HFConfig
@@ -345,11 +347,12 @@ class Trajectory:
 
     def csv_rows(self):
         for i, t in enumerate(self.times):
-            yield (t, self.energy[i], self.gram_drift[i], self.trace[i],
+            yield (t, self.energy[i], self.gram_drift[i],
+                   self.spectrum_drift[i], self.trace[i],
                    self.min_eigenvalue[i])
 
     def to_csv(self) -> str:
-        lines = ["t,energy,gram_drift,trace,min_eigenvalue"]
+        lines = ["t,energy,gram_drift,spectrum_drift,trace,min_eigenvalue"]
         for row in self.csv_rows():
             lines.append(",".join("%.17g" % v for v in row))
         return "\n".join(lines) + "\n"
@@ -362,22 +365,22 @@ class OrbitalTrajectory(Trajectory):
 
 
 def _record(cls, stream, system: ModeSystem, config: HFConfig, density,
-            drift=None) -> Trajectory:
+            gram_drift=None) -> Trajectory:
     """Trajectory of a state stream, measured through ``density(state)``;
-    the drift column is ``drift(t, state)`` or else the spectrum drift."""
+    the Gram drift column is ``gram_drift(t, state)``, NaN without it."""
     times, states, rows, spec0 = [], [], [], None
     for t, state in stream:
         dens = density(state)
         spec = np.linalg.eigvalsh(dens)
         spec0 = spec if spec0 is None else spec0
-        moved = (drift(t, state) if drift is not None
-                 else float(np.max(np.abs(spec - spec0))))
         times.append(t)
         states.append(state)
-        rows.append((energy_functional(dens, system), moved,
+        rows.append((energy_functional(dens, system),
+                     gram_drift(t, state) if gram_drift else float("nan"),
+                     float(np.max(np.abs(spec - spec0))),
                      float(np.real(np.trace(dens))), float(spec.min())))
-    energy, moved, trace, mineig = (np.array(col) for col in zip(*rows))
-    return cls(np.array(times), states, energy, moved, trace, mineig, config)
+    columns = (np.array(col) for col in zip(*rows))
+    return cls(np.array(times), states, *columns, config)
 
 
 def evolve_hf_orbitals(orbitals: OrbitalSet, system: ModeSystem, t_grid,
@@ -413,7 +416,7 @@ def evolve_hf_orbitals(orbitals: OrbitalSet, system: ModeSystem, t_grid,
 def evolve_hf_density(gamma0: np.ndarray | DensityMatrix, system: ModeSystem,
                       t_grid, config: HFConfig | None = None) -> Trajectory:
     """Integrate the density-matrix flow i dgamma/dt = [h + V(gamma), gamma]
-    (:func:`hf_rhs_density`); the drift column is the spectrum drift."""
+    (:func:`hf_rhs_density`)."""
     config = config or HFConfig()
     g0 = gamma0.mat if isinstance(gamma0, DensityMatrix) else np.asarray(gamma0)
     stream = _interaction_stream(g0, system, t_grid, hf_rhs_density,
@@ -424,7 +427,7 @@ def evolve_hf_density(gamma0: np.ndarray | DensityMatrix, system: ModeSystem,
 def evolve_kappa(kappa0: KappaFactor | np.ndarray, system: ModeSystem, t_grid,
                  config: HFConfig | None = None) -> Trajectory:
     """Integrate the factorized flow i dkappa/dt = (h + V(kappa kappa†)) kappa
-    (:func:`hf_rhs_kappa`); the drift column is the spectrum drift."""
+    (:func:`hf_rhs_kappa`)."""
     config = config or HFConfig()
     k0 = kappa0.mat if isinstance(kappa0, KappaFactor) else np.asarray(kappa0)
     stream = _interaction_stream(k0, system, t_grid, hf_rhs_kappa, config.dt)

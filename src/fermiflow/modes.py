@@ -14,9 +14,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import RangeError, ShapeError, ValidationError
-from .sector import compound_matrix, sector_basis
+from .sector import (compound_matrix, interaction_weights,
+                     pair_diagonal_sector, sector_basis)
 
 HERMITICITY_TOL = 1e-12
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 def hopping_hamiltonian(d: int) -> np.ndarray:
@@ -33,31 +39,9 @@ def hopping_hamiltonian(d: int) -> np.ndarray:
     return h / np.linalg.norm(h, 2)
 
 
-def well_hamiltonian(d: int, depth: float = 1.0, center: int | None = None) -> np.ndarray:
-    """Hopping term plus an attractive soft well pinned at ``center``."""
-    if center is None:
-        center = (d - 1) // 2
-    h = hopping_hamiltonian(d)
-    sites = np.arange(d)
-    h = h - depth * np.diag(1.0 / (np.abs(sites - center) + 1.0))
-    return h / np.linalg.norm(h, 2)
-
-
 def soft_coulomb(d: int, g: float = 1.0) -> np.ndarray:
     """Soft Coulomb profile g / (|m| + 1) on offsets m = 0 .. d-1."""
     return g / (np.arange(d) + 1.0)
-
-
-def gaussian_potential(d: int, g: float = 1.0, width: float = 2.0) -> np.ndarray:
-    return g * np.exp(-((np.arange(d) / width) ** 2))
-
-
-def zero_potential(d: int) -> np.ndarray:
-    return np.zeros(d)
-
-
-H_PRESETS = {"hopping": hopping_hamiltonian, "well": well_hamiltonian}
-W_PRESETS = {"soft-coulomb": soft_coulomb, "gaussian": gaussian_potential, "zero": zero_potential}
 
 
 @dataclass(frozen=True)
@@ -66,8 +50,8 @@ class ModeSystem:
 
     The system is immutable: ``h`` and ``w`` are read-only copies of the
     inputs, so the data derived from them and kept in ``_derived`` (the
-    pair kernel ``wmat``, the eigensystem of h and the per-sector
-    rotations) can never go stale.
+    pair kernel ``wmat``, the per-sector pair weights and diagonals, the
+    eigensystem of h and the per-sector rotations) can never go stale.
 
     Parameters
     ----------
@@ -103,33 +87,34 @@ class ModeSystem:
             raise ValidationError("non-finite entries in system operators")
 
     @classmethod
-    def chain(cls, d: int, coupling: float = 1.0, h_preset: str = "hopping",
-              w_preset: str = "soft-coulomb") -> "ModeSystem":
+    def chain(cls, d: int, coupling: float = 1.0) -> "ModeSystem":
         """Standard test bench: unit-norm hopping plus soft Coulomb."""
-        try:
-            h = H_PRESETS[h_preset](d)
-        except KeyError:
-            raise ValidationError(f"unknown h preset {h_preset!r}") from None
-        try:
-            w = W_PRESETS[w_preset](d)
-        except KeyError:
-            raise ValidationError(f"unknown w preset {w_preset!r}") from None
-        return cls(d=d, h=h, w=coupling * w)
+        return cls(d=d, h=hopping_hamiltonian(d), w=coupling * soft_coulomb(d))
 
     @property
     def wmat(self) -> np.ndarray:
         """Toeplitz convolution kernel wmat[i, j] = w(|i - j|), read-only."""
         def build():
             idx = np.abs(np.subtract.outer(np.arange(self.d), np.arange(self.d)))
-            wmat = self.w[idx]
-            wmat.setflags(write=False)
-            return wmat
+            return _read_only(self.w[idx])
         return self._derive("wmat", build)
 
     @property
     def kappa(self) -> float:
         """Operator norm of the two-mode pair operator (max |w|)."""
         return float(np.max(np.abs(self.w)))
+
+    def _pair_weights(self, m: int) -> np.ndarray:
+        """Read-only pair weights of the (m-1) ⊗ 1 → m lift, as
+        :func:`~fermiflow.sector.interaction_weights` gives them."""
+        return self._derive(("pair_weights", m), lambda: _read_only(
+            interaction_weights(self.wmat, self.d, m)))
+
+    def _pair_diagonal(self, m: int) -> np.ndarray:
+        """Read-only diagonal of the pair sum on the m-sector, as
+        :func:`~fermiflow.sector.pair_diagonal_sector` gives it."""
+        return self._derive(("pair_diagonal", m), lambda: _read_only(
+            pair_diagonal_sector(self.wmat, self.d, m)))
 
     def pair_operator(self) -> np.ndarray:
         """Dense two-mode pair operator: diagonal with entries w(i - j)."""

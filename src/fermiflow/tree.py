@@ -29,8 +29,7 @@ from .exact import build_hamiltonian, heisenberg_evolve, second_quantize
 from .hf import (DensityMatrix, HFConfig, OrbitalSet, evolve_hf_density,
                  quasi_free_marginal)
 from .modes import ModeSystem
-from .sector import (PSectorOperator, interaction_weights,
-                     pair_diagonal_sector, project_lift_pair_commutator,
+from .sector import (PSectorOperator, project_lift_pair_commutator,
                      sector_basis, slater)
 
 KERNEL_PLAIN = "plain"
@@ -133,12 +132,11 @@ def _attach_insertion(x: np.ndarray, m: int, system: ModeSystem, s: float,
     The insertion kernel is evaluated in the free Heisenberg picture at
     time s: rotate the operand forward, commute, rotate back.
     """
-    d = system.d
     f_small = sector_propagator(system, m - 1, s)
     f_big = sector_propagator(system, m, s)
     z = f_small @ x @ f_small.conj().T
-    wbar = interaction_weights(system.wmat, d, m)
-    lifted = project_lift_pair_commutator(z, wbar, d, m)
+    lifted = project_lift_pair_commutator(z, system._pair_weights(m),
+                                          system.d, m)
     return (1j * factor) * (f_big.conj().T @ lifted @ f_big)
 
 
@@ -147,7 +145,7 @@ def _loop_insertion(x: np.ndarray, m: int, system: ModeSystem, s: float,
     """i P_- [sum_{i<j} K_{ij}(s), X] P_- for X already on the m-sector."""
     f = sector_propagator(system, m, s)
     z = f @ x @ f.conj().T
-    diag = pair_diagonal_sector(system.wmat, system.d, m)
+    diag = system._pair_diagonal(m)
     comm = diag[:, None] * z - z * diag[None, :]
     return (1j * factor) * (f.conj().T @ comm @ f)
 
@@ -327,18 +325,19 @@ class TreeSeries:
                 for k, v in enumerate(vals)]
 
 
-def _geometric_tail(norms) -> tuple:
-    """Tail estimate by extrapolating the last ratio; inf if not shrinking."""
-    warnings = []
+def _geometric_tail(norms, vanishing: bool) -> tuple:
+    """Tail past the per-order ``norms`` and its warnings: zero if those
+    orders are ``vanishing``, else the last ratio extrapolated geometrically,
+    or inf with a warning when there are too few terms or they do not shrink."""
+    if vanishing:
+        return 0.0, []
     if len(norms) < 2 or norms[-2] == 0.0:
         return float("inf"), ["too few terms for a tail estimate"]
     ratio = norms[-1] / norms[-2]
     if ratio >= 1.0:
-        warnings.append(
-            f"series terms not decreasing (last ratio {ratio:.3f})")
-        return float("inf"), warnings
-    tail = norms[-1] * ratio / (1.0 - ratio)
-    return tail, warnings
+        return float("inf"), [
+            f"series terms not decreasing (last ratio {ratio:.3f})"]
+    return norms[-1] * ratio / (1.0 - ratio), []
 
 
 def tree_series(a: PSectorOperator, gamma, t: float, quad: QuadratureSpec,
@@ -361,13 +360,10 @@ def tree_series(a: PSectorOperator, gamma, t: float, quad: QuadratureSpec,
                              for k in range(K + 1)])
     quad_errors = np.abs(terms - terms_coarse)
     terms_exchange = terms * (2.0 ** np.arange(K + 1))
-    if a.p + K >= system.d or system.kappa == 0.0 or t == 0.0:
-        # orders past K need more than d particles, a coupling, and time
-        tail, tail_warn = 0.0, []
-    elif K >= 1:
-        tail, tail_warn = _geometric_tail(np.abs(terms[K - 1:K + 1]))
-    else:
-        tail, tail_warn = float("inf"), []
+    # orders past K need more than d particles, a coupling, and time
+    tail, tail_warn = _geometric_tail(
+        np.abs(terms),
+        a.p + K >= system.d or system.kappa == 0.0 or t == 0.0)
     series = TreeSeries(p=a.p, t=t, terms=terms, terms_exchange=terms_exchange,
                         quad_errors=quad_errors, tail_estimate=tail,
                         warnings=warn + tail_warn)
@@ -428,11 +424,9 @@ def loop_remainder(a: PSectorOperator, orbitals: OrbitalSet,
     norm = float(np.linalg.norm(residual, 2))
     state = slater(orbitals.as_orthonormal())
     expectation = complex(state.coeffs.conj() @ residual @ state.coeffs)
-    if a.p + K >= n or system.kappa == 0.0 or t == 0.0:
-        # orders past K carry more than n particles, so they quantize to zero
-        tail, tail_warn = 0.0, []
-    else:
-        tail, tail_warn = _geometric_tail(term_norms[max(0, K - 1):K + 1])
+    # orders past K carry more than n particles, so they quantize to zero
+    tail, tail_warn = _geometric_tail(
+        term_norms, a.p + K >= n or system.kappa == 0.0 or t == 0.0)
     warn = warn + tail_warn
     if np.isfinite(tail) and tail > norm and norm > 0:
         warn.append(
@@ -512,11 +506,18 @@ def count_elementary_terms(p: int, k: int, l: int) -> int:
         return memo[key]
 
     count = rec(k, l)
-    bound = 2 ** k * comb(k, l) * comb(2 * p + 3 * k, k) * (p + k - l) ** l
+    bound, coarse = _term_count_bounds(p, k, l)
     if count > bound:
         raise ValidationError(
             f"term count {count} exceeds the combinatorial bound {bound}")
-    if l == 0 and count > 4 ** p * 32 ** k:
+    if l == 0 and count > coarse:
         raise ValidationError(
-            f"loop-free count {count} exceeds the coarse bound {4 ** p * 32 ** k}")
+            f"loop-free count {count} exceeds the coarse bound {coarse}")
     return count
+
+
+def _term_count_bounds(p: int, k: int, l: int) -> tuple:
+    """The combinatorial bound on the order-(k, l) term count, and the
+    coarse bound that holds for the loop-free (l = 0) counts."""
+    return (2 ** k * comb(k, l) * comb(2 * p + 3 * k, k) * (p + k - l) ** l,
+            4 ** p * 32 ** k)

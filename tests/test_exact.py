@@ -91,7 +91,7 @@ def test_free_system_evolves_orbitals_independently():
     # With w = 0 the Slater state of freely evolved orbitals is the evolution.
     rng = np.random.default_rng(41)
     d, n, t = 6, 3, 0.9
-    sys = ModeSystem.chain(d, w_preset="zero")
+    sys = ModeSystem.chain(d, 0.0)
     phi = haar_frame(rng, d, n)
     ham = build_hamiltonian(sys, n)
     got = evolve_exact(slater(phi), ham, t)

@@ -1,6 +1,8 @@
 """Config validation, experiment runners, report formats, and the CLI."""
 
+import importlib.util
 import json
+import os
 import threading
 
 import numpy as np
@@ -14,6 +16,22 @@ from fermiflow.experiments import (EXPERIMENTS, ExperimentConfig,
                                    load_config, run)
 from fermiflow.hf import OrbitalSet
 from fermiflow.modes import ModeSystem
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench")
+
+
+def perfbench_module(name):
+    """A module of the benchmark, imported from its file as it stands."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", os.path.join(PERFBENCH, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = perfbench_module("workloads")
+reference = perfbench_module("reference")
 
 
 def base_config(**overrides):
@@ -37,6 +55,7 @@ def test_unknown_keys_rejected_at_every_level():
     bad = [
         base_config(bogus=1),
         base_config(system={"coupling": 1.0, "shape": "ring"}),
+        base_config(system={"coupling": 1.0, "h": "chain"}),
         base_config(sweep=[{"p": 1, "k": 1, "l": 0, "m": 2}]),
         base_config(integrator={"dt": 1e-3, "order": 4}),
         base_config(quadrature={"nodes_per_level": 4, "depth": 2}),
@@ -195,6 +214,26 @@ def test_conservation_rows_and_cross_check():
             assert np.isnan(row[3])
     cross = json.loads(report.metadata["kappa_vs_density_trace_gap"])
     assert float(cross[0]) < 1e-7
+
+
+def test_conservation_reads_the_spectra_its_flows_recorded(monkeypatch):
+    eigvalsh, calls = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda mat: calls.append(mat.shape) or eigvalsh(mat))
+    report = run(ExperimentConfig.from_dict(workloads.config("conservation", 1)))
+    # one spectrum per recorded state: 2 entries x 3 flows x 6 samples
+    assert len(calls) == len(report.rows) == 36
+
+
+@pytest.mark.parametrize("name", workloads.NAMES)
+def test_workload_rows_match_the_benchmark_reference(name):
+    ref = reference.load(name)
+    cfg = ExperimentConfig.from_dict(workloads.config(name, ref["seed"]))
+    assert cfg.config_hash == ref["config_hash"]
+    text = run(cfg, override_time_guard=True).to_csv()
+    rows = [ln for ln in text.splitlines() if not ln.startswith("#")]
+    assert reference.check(rows, ref, seed=ref["seed"],
+                           config_hash=cfg.config_hash) == []
 
 
 def test_rows_are_reproducible():

@@ -331,13 +331,13 @@ class TestFlows:
     def test_density_flow_preserves_spectrum(self):
         traj = evolve_hf_density(self.orbs.density(), self.sys,
                                  np.linspace(0.0, 1.0, 5), HFConfig(dt=1e-3))
-        assert np.max(traj.gram_drift) < 1e-8   # spectrum drift column
+        assert np.max(traj.spectrum_drift) < 1e-8
         assert np.max(np.abs(traj.energy - traj.energy[0])) < 1e-8
 
     def test_kappa_flow_matches_density_spectrum(self):
         traj = evolve_kappa(KappaFactor.from_density(self.orbs.density()),
                             self.sys, np.linspace(0.0, 1.0, 5), HFConfig(dt=1e-3))
-        assert np.max(traj.gram_drift) < 1e-8
+        assert np.max(traj.spectrum_drift) < 1e-8
         assert np.max(np.abs(traj.trace - 1.0)) < 1e-8
 
     def test_zero_coupling_is_exact_free_motion(self):
@@ -380,9 +380,10 @@ class TestFlows:
                                   HFConfig(dt=1e-2))
         text = traj.to_csv()
         lines = text.strip().split("\n")
-        assert lines[0] == "t,energy,gram_drift,trace,min_eigenvalue"
+        assert lines[0] == ("t,energy,gram_drift,spectrum_drift,trace,"
+                            "min_eigenvalue")
         assert len(lines) == 3
-        assert len(lines[1].split(",")) == 5
+        assert len(lines[1].split(",")) == 6
 
 
 class TestValidation:

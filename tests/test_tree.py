@@ -19,10 +19,12 @@ import pytest
 from fermiflow.errors import RangeError, ShapeError, ValidationError
 from fermiflow.exact import (build_hamiltonian, heisenberg_evolve,
                              heisenberg_observable, second_quantize)
+from fermiflow.graded import superflow_observable
 from fermiflow.hf import OrbitalSet
 from fermiflow.modes import ModeSystem
 from fermiflow.sector import (PSectorOperator, antisym_projector_dense,
-                              embedding_isometry, slater)
+                              embedding_isometry, interaction_weights,
+                              pair_diagonal_sector, slater)
 from fermiflow.tree import (KERNEL_EXCHANGE, KERNEL_PLAIN, G_recursive,
                             QuadratureSpec, TheoryConstants, TreeOperator,
                             check_time_guard, count_elementary_terms,
@@ -156,6 +158,18 @@ def test_wmat_is_built_once_and_read_only():
     assert system.wmat is system.wmat
     with pytest.raises(ValueError):
         system.wmat[0, 1] = 7.0
+
+
+@pytest.mark.parametrize("name, definition",
+                         [("_pair_weights", interaction_weights),
+                          ("_pair_diagonal", pair_diagonal_sector)])
+def test_pair_tables_are_built_once_and_read_only(name, definition):
+    system = ModeSystem.chain(5, coupling=1.0)
+    table = getattr(system, name)(3)
+    assert getattr(system, name)(3) is table
+    np.testing.assert_array_equal(table, definition(system.wmat, 5, 3))
+    with pytest.raises(ValueError):
+        table[0] = 7.0
 
 
 def test_free_evolution_matches_dense_conjugation():
@@ -455,6 +469,25 @@ def test_series_truncation_at_mode_capacity_has_zero_tail():
     series = tree_series(a, gamma, 0.2, QuadratureSpec(4, 3), system,
                          override_time_guard=True)
     assert series.tail_estimate == 0.0
+
+
+def test_every_truncated_series_has_one_tail_rule_at_order_zero():
+    # K = 0 leaves a single per-order norm: too few to extrapolate from
+    system = ModeSystem.chain(4, coupling=1.0)
+    rng = np.random.default_rng(29)
+    a = PSectorOperator(4, 1, random_hermitian(rng, 4))
+    orbitals = OrbitalSet.ground_state(system, 2)
+    quad = QuadratureSpec(4, 0)
+    with pytest.warns(RuntimeWarning, match="too few terms"):
+        series = tree_series(a, orbitals.density(), 0.1, quad, system,
+                             override_time_guard=True)
+    remainder = loop_remainder(a, orbitals, system, 0.1, quad,
+                               override_time_guard=True)
+    flow = superflow_observable(a, system, 0.1, quad,
+                                override_time_guard=True)
+    for report in (series, remainder, flow):
+        assert report.tail_estimate == float("inf")
+        assert "too few terms for a tail estimate" in report.warnings
 
 
 def test_loop_remainder_report():
