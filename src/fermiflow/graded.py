@@ -25,8 +25,8 @@ from .hf import HFConfig, _rk4_stream, quasi_free_marginal
 from .modes import ModeSystem
 from .sector import (PSectorOperator, embedding_isometry,
                      contract_pair_commutator, trace_norm)
-from .tree import (QuadratureSpec, _coarse_and_fine, _geometric_tail,
-                   check_time_guard, sector_propagator)
+from .tree import (QuadratureSpec, _series, _spectral_norm,
+                   sector_propagator)
 
 
 def _block_shape(d: int, p: int, q: int) -> tuple:
@@ -341,17 +341,11 @@ def superflow_observable(a: PSectorOperator, system: ModeSystem, t: float,
     Block p + k is the integrated order-k loop-free operator; the output
     stays gauge invariant because every block keeps equal leg counts.
     """
-    K = quad.k_max if K is None else K
-    if K > quad.k_max:
-        raise RangeError(f"order {K} exceeds the configured maximum {quad.k_max}")
-    warn = check_time_guard(system, t, override_time_guard)
-    coarse, fine = _coarse_and_fine(a, K, t, quad, system)
-    blocks = {(a.p + k, a.p + k): fine[k] for k in range(K + 1)}
-    quad_error = float(sum(np.linalg.norm(c - f, 2)
-                           for c, f in zip(coarse, fine)))
-    norms = [float(np.linalg.norm(fine[k], 2)) for k in range(K + 1)]
-    tail, tail_warn = _geometric_tail(
-        norms, a.p + K >= system.d or system.kappa == 0.0 or t == 0.0)
-    return SuperflowReport(observable=GradedObservable(a.d, blocks), t=t,
-                           k_max=K, tail_estimate=tail,
-                           quad_error=quad_error, warnings=warn + tail_warn)
+    blocks, _, quad_errors, tail, warn = _series(
+        a, t, quad, system, K, override_time_guard, system.d,
+        lambda m, x: x, _spectral_norm)
+    return SuperflowReport(
+        observable=GradedObservable(
+            a.d, {(a.p + k, a.p + k): x for k, x in enumerate(blocks)}),
+        t=t, k_max=len(blocks) - 1, tail_estimate=tail,
+        quad_error=float(sum(quad_errors)), warnings=warn)

@@ -152,11 +152,6 @@ class PSectorOperator:
         """Operator (spectral) norm."""
         return float(np.linalg.norm(self.mat, 2))
 
-    def to_full(self) -> np.ndarray:
-        """Dense representative on the full d**p space (small systems only)."""
-        iso = embedding_isometry(self.d, self.p)
-        return np.asarray((iso @ self.mat) @ iso.conj().T.todense())
-
 
 def trace_norm(x) -> float:
     """Sum of singular values of a matrix or sector operator."""

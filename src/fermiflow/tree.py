@@ -20,17 +20,16 @@ from __future__ import annotations
 
 import warnings as _warnings
 from dataclasses import dataclass, field
-from math import comb, factorial, pi
+from math import comb, pi
 
 import numpy as np
 
 from .errors import NumericError, RangeError, ShapeError, ValidationError
-from .exact import build_hamiltonian, heisenberg_evolve, second_quantize
+from .exact import heisenberg_observable, second_quantize
 from .hf import (DensityMatrix, HFConfig, OrbitalSet, evolve_hf_density,
                  quasi_free_marginal)
 from .modes import ModeSystem
-from .sector import (PSectorOperator, project_lift_pair_commutator,
-                     sector_basis, slater)
+from .sector import PSectorOperator, project_lift_pair_commutator, slater
 
 KERNEL_PLAIN = "plain"
 KERNEL_EXCHANGE = "exchange"
@@ -150,13 +149,6 @@ def _loop_insertion(x: np.ndarray, m: int, system: ModeSystem, s: float,
     return (1j * factor) * (f.conj().T @ comm @ f)
 
 
-def _kernel_factor(kernel: str) -> float:
-    try:
-        return _KERNEL_FACTORS[kernel]
-    except KeyError:
-        raise ValidationError(f"unknown insertion kernel {kernel!r}") from None
-
-
 def G_recursive(a: PSectorOperator, k: int, l: int, t: float, times,
                 system: ModeSystem, kernel: str = KERNEL_PLAIN) -> TreeOperator:
     """Build the order-(k, l) expansion operator at fixed insertion times.
@@ -165,7 +157,10 @@ def G_recursive(a: PSectorOperator, k: int, l: int, t: float, times,
     the (j-1, l) operator and the loop commutator to the (j-1, l-1) one;
     the base case is the freely evolved observable at time t.
     """
-    factor = _kernel_factor(kernel)
+    try:
+        factor = _KERNEL_FACTORS[kernel]
+    except KeyError:
+        raise ValidationError(f"unknown insertion kernel {kernel!r}") from None
     if k < 0:
         raise RangeError("expansion order must be non-negative")
     times = tuple(float(s) for s in times)
@@ -205,7 +200,7 @@ def _gl_nodes(n: int):
 
 
 def _integrate_orders(a: PSectorOperator, K: int, t: float, nodes: int,
-                      system: ModeSystem, kernel: str) -> list:
+                      system: ModeSystem) -> list:
     """Simplex integrals of the loop-free operators for every order <= K.
 
     One nested sweep: the node tree over t >= s_1 >= ... >= s_K shares
@@ -217,7 +212,6 @@ def _integrate_orders(a: PSectorOperator, K: int, t: float, nodes: int,
     if a.p + K > system.d:
         raise RangeError(
             f"order {K} would need {a.p + K} particles in {system.d} modes")
-    factor = _kernel_factor(kernel)
     x01, w01 = _gl_nodes(nodes)
     base = free_evolve_op(a, system, t).mat
     totals = [base if k == 0 else _zero_sector_matrix(a.d, a.p + k)
@@ -227,7 +221,7 @@ def _integrate_orders(a: PSectorOperator, K: int, t: float, nodes: int,
 
     def descend(level, upper, x_prev, weight):
         for s, w in zip(upper * x01, (upper * weight) * w01):
-            y = _attach_insertion(x_prev, a.p + level, system, s, factor)
+            y = _attach_insertion(x_prev, a.p + level, system, s, 1.0)
             totals[level] = totals[level] + w * y
             if level < K:
                 descend(level + 1, s, y, w)
@@ -240,17 +234,20 @@ def _integrate_orders(a: PSectorOperator, K: int, t: float, nodes: int,
 
 
 def _coarse_and_fine(a: PSectorOperator, K: int, t: float,
-                     quad: QuadratureSpec, system: ModeSystem,
-                     kernel: str = KERNEL_PLAIN) -> tuple:
-    """Sweeps at the configured node count and at twice it; results use
-    the fine one, and the gap between them is the quadrature error."""
-    return tuple(_integrate_orders(a, K, t, nodes, system, kernel)
+                     quad: QuadratureSpec, system: ModeSystem) -> tuple:
+    """Plain-kernel sweeps at the configured node count and at twice it;
+    results use the fine one, and the gap between them is the quadrature
+    error."""
+    return tuple(_integrate_orders(a, K, t, nodes, system)
                  for nodes in (quad.nodes_per_level, 2 * quad.nodes_per_level))
+
+
+def _spectral_norm(x: np.ndarray) -> float:
+    return float(np.linalg.norm(x, 2))
 
 
 def integrate_tree_term(a: PSectorOperator, k: int, t: float,
                         quad: QuadratureSpec, system: ModeSystem,
-                        kernel: str = KERNEL_PLAIN,
                         return_error: bool = False):
     """Ordered-time integral of the order-k loop-free operator.
 
@@ -259,12 +256,11 @@ def integrate_tree_term(a: PSectorOperator, k: int, t: float,
     """
     if k > quad.k_max:
         raise RangeError(f"order {k} exceeds the configured maximum {quad.k_max}")
-    coarse, fine = _coarse_and_fine(a, k, t, quad, system, kernel)
+    coarse, fine = _coarse_and_fine(a, k, t, quad, system)
     op = PSectorOperator(a.d, a.p + k, fine[k])
     if not return_error:
         return op
-    err = float(np.linalg.norm(coarse[k] - fine[k], 2)) if fine[k].size else 0.0
-    return op, err
+    return op, _spectral_norm(coarse[k] - fine[k])
 
 
 def check_time_guard(system: ModeSystem, t: float, override: bool) -> list:
@@ -283,13 +279,6 @@ def check_time_guard(system: ModeSystem, t: float, override: bool) -> list:
             f"time {t} exceeds the reported convergence radius "
             f"{constants.t_report:.3e}; pass override_time_guard=True to proceed")
     return [f"time {t} beyond reported radius {constants.t_report:.3e} (override)"]
-
-
-def _pair_with_density(mat: np.ndarray, gamma: np.ndarray, m: int) -> complex:
-    """tr(X · scaled antisymmetrized gamma tensor power) on the m-sector."""
-    if mat.size == 0:
-        return 0.0 + 0.0j
-    return complex(np.trace(mat @ quasi_free_marginal(gamma, m).mat))
 
 
 @dataclass
@@ -340,6 +329,35 @@ def _geometric_tail(norms, vanishing: bool) -> tuple:
     return norms[-1] * ratio / (1.0 - ratio), []
 
 
+def _series(a: PSectorOperator, t: float, quad: QuadratureSpec,
+            system: ModeSystem, K: int | None, override_time_guard: bool,
+            capacity: int, read, size) -> tuple:
+    """The loop-free series of ``a`` up to order K, read order by order.
+
+    ``read(m, x)`` turns the order-k operator x on m = p + k particles
+    into a value and ``size`` measures a value. Returns the fine sweep's
+    values, their sizes, each order's quadrature error (the size of the
+    coarse reading minus the fine one), the tail past K and the warnings
+    of the time guard and of the tail rule, whose warnings are also raised
+    as ``RuntimeWarning``. The tail vanishes when orders past K would hold
+    more than ``capacity`` particles, without a coupling, or at t = 0.
+    """
+    K = quad.k_max if K is None else K
+    if K > quad.k_max:
+        raise RangeError(f"order {K} exceeds the configured maximum {quad.k_max}")
+    warn = check_time_guard(system, t, override_time_guard)
+    coarse, fine = _coarse_and_fine(a, K, t, quad, system)
+    values = [read(a.p + k, x) for k, x in enumerate(fine)]
+    sizes = [size(v) for v in values]
+    errors = [size(read(a.p + k, x) - v)
+              for k, (x, v) in enumerate(zip(coarse, values))]
+    tail, tail_warn = _geometric_tail(
+        sizes, a.p + K >= capacity or system.kappa == 0.0 or t == 0.0)
+    for message in tail_warn:
+        _warnings.warn(message, RuntimeWarning, stacklevel=3)
+    return values, sizes, errors, tail, warn + tail_warn
+
+
 def tree_series(a: PSectorOperator, gamma, t: float, quad: QuadratureSpec,
                 system: ModeSystem,
                 override_time_guard: bool = False) -> TreeSeries:
@@ -351,25 +369,15 @@ def tree_series(a: PSectorOperator, gamma, t: float, quad: QuadratureSpec,
     so its order-k term is 2^k times the plain one; both are reported.
     """
     g = gamma.mat if isinstance(gamma, DensityMatrix) else np.asarray(gamma)
-    warn = check_time_guard(system, t, override_time_guard)
-    K = quad.k_max
-    coarse, fine = _coarse_and_fine(a, K, t, quad, system)
-    terms = np.array([_pair_with_density(fine[k], g, a.p + k)
-                      for k in range(K + 1)])
-    terms_coarse = np.array([_pair_with_density(coarse[k], g, a.p + k)
-                             for k in range(K + 1)])
-    quad_errors = np.abs(terms - terms_coarse)
-    terms_exchange = terms * (2.0 ** np.arange(K + 1))
-    # orders past K need more than d particles, a coupling, and time
-    tail, tail_warn = _geometric_tail(
-        np.abs(terms),
-        a.p + K >= system.d or system.kappa == 0.0 or t == 0.0)
-    series = TreeSeries(p=a.p, t=t, terms=terms, terms_exchange=terms_exchange,
-                        quad_errors=quad_errors, tail_estimate=tail,
-                        warnings=warn + tail_warn)
-    for message in tail_warn:
-        _warnings.warn(message, RuntimeWarning, stacklevel=2)
-    return series
+    terms, _, quad_errors, tail, warn = _series(
+        a, t, quad, system, None, override_time_guard, system.d,
+        lambda m, x: complex(np.trace(x @ quasi_free_marginal(g, m).mat)),
+        np.abs)
+    terms = np.array(terms)
+    return TreeSeries(p=a.p, t=t, terms=terms,
+                      terms_exchange=terms * (2.0 ** np.arange(terms.size)),
+                      quad_errors=np.array(quad_errors), tail_estimate=tail,
+                      warnings=warn)
 
 
 @dataclass
@@ -398,43 +406,22 @@ def loop_remainder(a: PSectorOperator, orbitals: OrbitalSet,
     lifted term norms geometrically; if it fails to sit below the residual
     the result carries a diagnostic warning.
     """
-    K = quad.k_max if K is None else K
-    if K > quad.k_max:
-        raise RangeError(f"order {K} exceeds the configured maximum {quad.k_max}")
-    warn = check_time_guard(system, t, override_time_guard)
     n = orbitals.n
-    ham = build_hamiltonian(system, n)
-    lifted_obs = second_quantize(a, n)
-    heis = heisenberg_evolve(lifted_obs, ham, t)
-
-    coarse, fine = _coarse_and_fine(a, K, t, quad, system)
-    dim = sector_basis(system.d, n).dim
-    series_sum = np.zeros((dim, dim), dtype=complex)
-    term_norms = []
-    quad_error = 0.0
-    for k in range(K + 1):
-        lifted = second_quantize(PSectorOperator(a.d, a.p + k, fine[k]), n)
-        lifted_coarse = second_quantize(
-            PSectorOperator(a.d, a.p + k, coarse[k]), n)
-        series_sum += lifted.mat
-        term_norms.append(float(np.linalg.norm(lifted.mat, 2)))
-        quad_error += float(np.linalg.norm(lifted.mat - lifted_coarse.mat, 2))
-
-    residual = heis.mat - series_sum
-    norm = float(np.linalg.norm(residual, 2))
+    terms, term_norms, quad_errors, tail, warn = _series(
+        a, t, quad, system, K, override_time_guard, n,
+        lambda m, x: second_quantize(PSectorOperator(a.d, m, x), n).mat,
+        _spectral_norm)
+    residual = heisenberg_observable(a, system, n, t).mat - sum(terms)
+    norm = _spectral_norm(residual)
     state = slater(orbitals.as_orthonormal())
     expectation = complex(state.coeffs.conj() @ residual @ state.coeffs)
-    # orders past K carry more than n particles, so they quantize to zero
-    tail, tail_warn = _geometric_tail(
-        term_norms, a.p + K >= n or system.kappa == 0.0 or t == 0.0)
-    warn = warn + tail_warn
     if np.isfinite(tail) and tail > norm and norm > 0:
         warn.append(
             f"series tail estimate {tail:.3e} not below residual {norm:.3e}")
     return LoopRemainder(n=n, p=a.p, t=t, norm=norm,
                          slater_expectation=expectation,
                          term_norms=np.array(term_norms), tail_estimate=tail,
-                         quad_error=quad_error, warnings=warn)
+                         quad_error=sum(quad_errors), warnings=warn)
 
 
 @dataclass
@@ -453,8 +440,7 @@ class GapReport:
 
 
 def hf_vs_tree_gap(a: PSectorOperator, gamma, system: ModeSystem, t: float,
-                   quad: QuadratureSpec, K: int | None = None,
-                   override_time_guard: bool = False,
+                   quad: QuadratureSpec, override_time_guard: bool = False,
                    hf_dt: float = 1e-3) -> GapReport:
     """Gap between the evolved mean-field pairing and the truncated series.
 
@@ -463,9 +449,8 @@ def hf_vs_tree_gap(a: PSectorOperator, gamma, system: ModeSystem, t: float,
     side sums the integrated loop-free terms against the initial density.
     """
     g = gamma.mat if isinstance(gamma, DensityMatrix) else np.asarray(gamma)
-    K = quad.k_max if K is None else K
-    series = tree_series(a, g, t, QuadratureSpec(quad.nodes_per_level, K),
-                         system, override_time_guard=override_time_guard)
+    series = tree_series(a, g, t, quad, system,
+                         override_time_guard=override_time_guard)
     gamma_t = evolve_hf_density(g, system, [0.0, t],
                                 HFConfig(dt=hf_dt)).final()
     a_t = free_evolve_op(a, system, t)

@@ -19,7 +19,7 @@ import pytest
 from fermiflow.errors import RangeError, ShapeError, ValidationError
 from fermiflow.exact import (build_hamiltonian, heisenberg_evolve,
                              heisenberg_observable, second_quantize)
-from fermiflow.graded import superflow_observable
+from fermiflow.graded import state_from_density, superflow_observable
 from fermiflow.hf import OrbitalSet
 from fermiflow.modes import ModeSystem
 from fermiflow.sector import (PSectorOperator, antisym_projector_dense,
@@ -481,13 +481,36 @@ def test_every_truncated_series_has_one_tail_rule_at_order_zero():
     with pytest.warns(RuntimeWarning, match="too few terms"):
         series = tree_series(a, orbitals.density(), 0.1, quad, system,
                              override_time_guard=True)
-    remainder = loop_remainder(a, orbitals, system, 0.1, quad,
-                               override_time_guard=True)
-    flow = superflow_observable(a, system, 0.1, quad,
-                                override_time_guard=True)
+    with pytest.warns(RuntimeWarning, match="too few terms"):
+        remainder = loop_remainder(a, orbitals, system, 0.1, quad,
+                                   override_time_guard=True)
+    with pytest.warns(RuntimeWarning, match="too few terms"):
+        flow = superflow_observable(a, system, 0.1, quad,
+                                    override_time_guard=True)
     for report in (series, remainder, flow):
         assert report.tail_estimate == float("inf")
         assert "too few terms for a tail estimate" in report.warnings
+
+
+
+@pytest.mark.parametrize("d, n", [(5, 2), (6, 3)])
+def test_one_series_three_readings(d, n):
+    # the paired, the quantised and the graded reading of one sweep agree
+    system = ModeSystem.chain(d, coupling=1.0)
+    a = PSectorOperator(d, 1, random_hermitian(np.random.default_rng(d), d))
+    orbitals = OrbitalSet.ground_state(system, n)
+    gamma = orbitals.density()
+    t, quad = 0.2, QuadratureSpec(4, 3)
+    flow = superflow_observable(a, system, t, quad, override_time_guard=True)
+    series = tree_series(a, gamma, t, quad, system, override_time_guard=True)
+    paired = state_from_density(gamma).pair(flow.observable)
+    assert abs(series.total - paired) < 1e-12
+    remainder = loop_remainder(a, orbitals, system, t, quad,
+                               override_time_guard=True)
+    quantised = sum(second_quantize(PSectorOperator(d, p, mat), n).mat
+                    for (p, _), mat in flow.observable.blocks.items())
+    residual = heisenberg_observable(a, system, n, t).mat - quantised
+    assert abs(remainder.norm - np.linalg.norm(residual, 2)) < 1e-12
 
 
 def test_loop_remainder_report():
