@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import RangeError, ValidationError
 from .modes import ModeSystem
-from .sector import (PSectorOperator, SectorState, one_body_sector,
-                     project_lift, sector_basis)
+from .sector import (PSectorOperator, SectorState, marginal, one_body_sector,
+                     project_lift, sector_basis, slater)
 
 
 @dataclass
@@ -101,8 +101,6 @@ def heisenberg_observable(a: PSectorOperator, system: ModeSystem, n: int,
 def evolved_marginal(phi: np.ndarray, system: ModeSystem, t: float,
                      p: int):
     """Reduced p-particle density of an exactly propagated Slater state."""
-    from .sector import marginal, slater
-
     state = slater(phi)
     hamiltonian = build_hamiltonian(system, state.n)
     return marginal(evolve_exact(state, hamiltonian, t), p)

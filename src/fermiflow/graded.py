@@ -334,7 +334,7 @@ class SuperflowReport:
 
 
 def superflow_observable(a: PSectorOperator, system: ModeSystem, t: float,
-                         quad: QuadratureSpec, K: int | None = None,
+                         quad: QuadratureSpec,
                          override_time_guard: bool = False) -> SuperflowReport:
     """Push a sector observable through the truncated graded flow.
 
@@ -342,7 +342,7 @@ def superflow_observable(a: PSectorOperator, system: ModeSystem, t: float,
     stays gauge invariant because every block keeps equal leg counts.
     """
     blocks, _, quad_errors, tail, warn = _series(
-        a, t, quad, system, K, override_time_guard, system.d,
+        a, t, quad, system, override_time_guard, system.d,
         lambda m, x: x, _spectral_norm)
     return SuperflowReport(
         observable=GradedObservable(

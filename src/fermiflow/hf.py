@@ -19,6 +19,7 @@ exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, factorial
 
 import numpy as np
@@ -166,10 +167,9 @@ class KappaFactor:
 def mean_field_potential(a: np.ndarray, wmat: np.ndarray,
                          exchange: bool = True) -> np.ndarray:
     """Direct-minus-exchange potential V(A); A need not be Hermitian."""
-    direct = np.diag(wmat @ np.diag(a)).astype(complex)
-    if not exchange:
-        return direct
-    return direct - wmat * a
+    out = -(wmat * a) if exchange else np.zeros(a.shape, dtype=complex)
+    out.flat[::len(a) + 1] += wmat @ a.diagonal()
+    return out
 
 
 def hf_rhs_orbitals(orbitals: OrbitalSet, system: ModeSystem) -> np.ndarray:
@@ -310,17 +310,25 @@ def _interaction_stream(x0, system: ModeSystem, t_grid, rhs, dt: float,
     """
     bare = ModeSystem(system.d, np.zeros_like(system.h), system.w)
 
-    def rotate(u, x):
-        return u @ x @ u.conj().T if both_sides else u @ x
+    # An RK4 step evaluates at t, t + h/2 twice and t + h, which is the next
+    # step's t, so three remembered times build u twice per step.
+    @lru_cache(maxsize=3)
+    def frame(t):
+        u = system.free_propagator(t)
+        return u, u.conj().T
+
+    def rotate(u, uh, x):
+        return u @ x @ uh if both_sides else u @ x
 
     def derivative(t, y):
-        u = system.free_propagator(t)
-        return rotate(u.conj().T, rhs(rotate(u, y), bare))
+        u, uh = frame(t)
+        return rotate(uh, u, rhs(rotate(u, uh, y), bare))
 
     t_grid = _time_grid(np.atleast_1d(t_grid))
-    y0 = rotate(system.free_propagator(t_grid[0]).conj().T, x0)
+    u0, uh0 = frame(t_grid[0])
+    y0 = rotate(uh0, u0, x0)
     for t, y in _rk4_stream(y0, t_grid, derivative, dt):
-        yield t, rotate(system.free_propagator(t), y)
+        yield t, rotate(*frame(t), y)
 
 
 @dataclass

@@ -330,9 +330,10 @@ def _geometric_tail(norms, vanishing: bool) -> tuple:
 
 
 def _series(a: PSectorOperator, t: float, quad: QuadratureSpec,
-            system: ModeSystem, K: int | None, override_time_guard: bool,
+            system: ModeSystem, override_time_guard: bool,
             capacity: int, read, size) -> tuple:
-    """The loop-free series of ``a`` up to order K, read order by order.
+    """The loop-free series of ``a`` up to order K = ``quad.k_max``, read
+    order by order.
 
     ``read(m, x)`` turns the order-k operator x on m = p + k particles
     into a value and ``size`` measures a value. Returns the fine sweep's
@@ -342,9 +343,7 @@ def _series(a: PSectorOperator, t: float, quad: QuadratureSpec,
     as ``RuntimeWarning``. The tail vanishes when orders past K would hold
     more than ``capacity`` particles, without a coupling, or at t = 0.
     """
-    K = quad.k_max if K is None else K
-    if K > quad.k_max:
-        raise RangeError(f"order {K} exceeds the configured maximum {quad.k_max}")
+    K = quad.k_max
     warn = check_time_guard(system, t, override_time_guard)
     coarse, fine = _coarse_and_fine(a, K, t, quad, system)
     values = [read(a.p + k, x) for k, x in enumerate(fine)]
@@ -370,7 +369,7 @@ def tree_series(a: PSectorOperator, gamma, t: float, quad: QuadratureSpec,
     """
     g = gamma.mat if isinstance(gamma, DensityMatrix) else np.asarray(gamma)
     terms, _, quad_errors, tail, warn = _series(
-        a, t, quad, system, None, override_time_guard, system.d,
+        a, t, quad, system, override_time_guard, system.d,
         lambda m, x: complex(np.trace(x @ quasi_free_marginal(g, m).mat)),
         np.abs)
     terms = np.array(terms)
@@ -397,7 +396,6 @@ class LoopRemainder:
 
 def loop_remainder(a: PSectorOperator, orbitals: OrbitalSet,
                    system: ModeSystem, t: float, quad: QuadratureSpec,
-                   K: int | None = None,
                    override_time_guard: bool = False) -> LoopRemainder:
     """Exact Heisenberg flow minus the lifted loop-free series, on N particles.
 
@@ -408,7 +406,7 @@ def loop_remainder(a: PSectorOperator, orbitals: OrbitalSet,
     """
     n = orbitals.n
     terms, term_norms, quad_errors, tail, warn = _series(
-        a, t, quad, system, K, override_time_guard, n,
+        a, t, quad, system, override_time_guard, n,
         lambda m, x: second_quantize(PSectorOperator(a.d, m, x), n).mat,
         _spectral_norm)
     residual = heisenberg_observable(a, system, n, t).mat - sum(terms)

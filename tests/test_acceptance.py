@@ -144,7 +144,7 @@ def test_loop_remainder_decay(capsys):
         system = ModeSystem.chain(2 * n, 1.0)
         rep = loop_remainder(ground_mode_projector(system),
                              OrbitalSet.ground_state(system, n),
-                             system, 0.3, quad, K=3, override_time_guard=True)
+                             system, 0.3, quad, override_time_guard=True)
         norms.append(rep.norm)
         margins.append(rep.norm - 5.0 * rep.tail_estimate)
     slope = np.polyfit(np.log(SWEEP_N), np.log(norms), 1)[0]

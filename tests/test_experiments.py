@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from fermiflow import sector
 from fermiflow.cli import main
 from fermiflow.errors import ConfigError
 from fermiflow.experiments import (EXPERIMENTS, ExperimentConfig,
@@ -145,6 +146,20 @@ def test_convergence_rows_decrease():
     assert slope < -0.5
     assert report.rows[0][4] == pytest.approx(0.5)
     assert report.rows[1][4] == pytest.approx(1.0 / 3.0)
+
+
+def test_marginals_never_expand_the_full_tensor(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the d**n coefficient tensor was built")
+
+    monkeypatch.setattr(sector, "embedding_isometry", refuse)
+    monkeypatch.setattr(sector.SectorState, "to_full_tensor", refuse)
+    orbitals = OrbitalSet.random(np.random.default_rng(5), 8, 4)
+    got = sector.marginal(orbitals.to_state(), 2)
+    assert got.trace() == pytest.approx(1.0)
+    report = run(ExperimentConfig.from_dict(count_time_config(
+        "convergence", [{"N": 3, "t": 0.1, "p": 2}])))
+    assert 0 < report.rows[0][3] <= report.rows[0][4]
 
 
 def test_convergence_free_system_is_exact():

@@ -309,14 +309,6 @@ def test_superflow_free_system_rotates_only():
     assert rep.tail_estimate == 0.0
 
 
-def test_superflow_order_cap():
-    a = PSectorOperator(3, 1, np.eye(3, dtype=complex))
-    quad = QuadratureSpec(nodes_per_level=4, k_max=2)
-    with pytest.raises(RangeError):
-        superflow_observable(a, ModeSystem.chain(3, 0.5), 0.1, quad, K=3,
-                             override_time_guard=True)
-
-
 def test_superflow_respects_time_guard():
     a = PSectorOperator(3, 1, np.eye(3, dtype=complex))
     quad = QuadratureSpec(nodes_per_level=4, k_max=1)

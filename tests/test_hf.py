@@ -244,6 +244,13 @@ class TestMarginalRelation:
         gap = trace_norm(quasi.mat - report.prefactor * contr.mat)
         assert abs(gap - report.exact_relation_gap) < 1e-12
 
+    def test_seven_particles_beyond_the_full_tensor(self):
+        # 14**7 coefficients exceed MAX_FULL_TENSOR; the sector contraction
+        # never forms them
+        orbs = OrbitalSet.random(np.random.default_rng(44), 14, 7)
+        for p in (1, 2):
+            assert marginal_relation_check(orbs, p).exact_relation_gap <= 1e-12
+
 
 def flat_flow(rhs, system, shape):
     """Plain-picture ODE of one flow for an independent reference integrator."""
@@ -318,6 +325,25 @@ class TestFlows:
             calls.clear()
             evolve(start, self.sys, [0.0, 0.25, 0.5], HFConfig(dt=0.0625))
             assert calls == {name: 4 * 8}
+
+    def test_one_free_propagator_per_distinct_stage_time(self, monkeypatch):
+        # k2 and k3 share t + h/2, and k4's t + h is the next step's k1
+        builds = []
+        free_propagator = ModeSystem.free_propagator
+
+        def counted(system, t):
+            builds.append(t)
+            return free_propagator(system, t)
+
+        monkeypatch.setattr(ModeSystem, "free_propagator", counted)
+        grid, steps = [0.0, 0.25, 0.5], 8
+        gamma0 = self.orbs.density()
+        for evolve, start in ((evolve_hf_orbitals, self.orbs),
+                              (evolve_hf_density, gamma0),
+                              (evolve_kappa, KappaFactor.from_density(gamma0))):
+            builds.clear()
+            evolve(start, self.sys, grid, HFConfig(dt=0.0625))
+            assert len(builds) <= 2 * steps + len(grid)
 
     def test_conservation_over_unit_time(self):
         t_grid = np.linspace(0.0, 1.0, 11)

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 from fermiflow.errors import RangeError, ShapeError, ValidationError
 from fermiflow.modes import ModeSystem
-from fermiflow.sector import (PSectorOperator, antisymmetrize,
-                              antisym_projector_dense, compound_matrix,
+from fermiflow.sector import (PSectorOperator, SectorState, _one_body_tables,
+                              antisymmetrize, antisym_projector_dense,
+                              compound_matrix,
                               contract_pair_commutator, embedding_isometry,
                               gram, interaction_weights, lift_tables, marginal,
                               one_body_sector, pair_diagonal_sector,
@@ -178,24 +179,27 @@ def test_gram_and_trace_norm():
 
 
 def dense_partial_trace(psi_full, d, n, p):
-    """Oracle: contract the last n-p tensor slots of |psi><psi| directly."""
+    """Oracle: contract the last n-p tensor slots of |psi><psi| directly,
+    compressed onto the p-sector by the embedding isometry."""
     m = psi_full.reshape(d ** p, d ** (n - p))
+    m = embedding_isometry(d, p).conj().T @ m
     return m @ m.conj().T
 
 
-def test_marginal_matches_dense_partial_trace():
-    rng = np.random.default_rng(21)
-    d, n = 5, 3
-    phi = haar_frame(rng, d, n)
-    state = slater(phi)
-    iso_full = state.to_full_tensor()
-    for p in (1, 2, 3):
-        got = marginal(state, p)
-        want_full = dense_partial_trace(iso_full, d, n, p)
-        iso = embedding_isometry(d, p)
-        want = np.asarray(iso.conj().T @ (iso.conj().T @ want_full.conj().T).conj().T)
-        np.testing.assert_allclose(got.mat, want, atol=1e-12)
-        np.testing.assert_allclose(got.trace(), 1.0, atol=1e-12)
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_marginal_matches_dense_partial_trace(data):
+    d = data.draw(st.integers(min_value=1, max_value=7), label="d")
+    n = data.draw(st.integers(min_value=1, max_value=d), label="n")
+    p = data.draw(st.integers(min_value=1, max_value=n), label="p")
+    rng = np.random.default_rng(data.draw(st.integers(0, 10_000), label="seed"))
+    basis = sector_basis(d, n)
+    coeffs = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+    state = SectorState(basis, coeffs / np.linalg.norm(coeffs))
+    got = marginal(state, p)
+    want = dense_partial_trace(state.to_full_tensor(), d, n, p)
+    np.testing.assert_allclose(got.mat, want, rtol=0, atol=1e-13)
+    assert abs(got.trace() - 1.0) < 1e-13
 
 
 def test_marginal_of_canonical_slater_is_diagonal():
@@ -248,6 +252,41 @@ def test_compound_of_propagator_is_free_sector_propagator():
         np.testing.assert_allclose(got, want, atol=1e-12)
         np.testing.assert_allclose(got @ got.conj().T,
                                    np.eye(got.shape[0]), atol=1e-12)
+
+
+def one_body_tables_loop(d, n):
+    """Oracle: the entries of sum a[k,l] c†_k c_l by nested loops over basis
+    states, occupied l and free k, with the signs counted bit by bit."""
+    basis = sector_basis(d, n)
+    rows, cols, kk, ll, signs = [], [], [], [], []
+    for col, mask in enumerate(basis.masks.tolist()):
+        for l in range(d):
+            if not mask >> l & 1:
+                continue
+            sign_l = (-1) ** bin(mask & ((1 << l) - 1)).count("1")
+            removed = mask ^ (1 << l)
+            for k in range(d):
+                if removed >> k & 1:
+                    continue
+                sign_k = (-1) ** bin(removed & ((1 << k) - 1)).count("1")
+                rows.append(basis.index[removed | (1 << k)])
+                cols.append(col)
+                kk.append(k)
+                ll.append(l)
+                signs.append(sign_l * sign_k)
+    return (np.array(rows), np.array(cols), np.array(kk), np.array(ll),
+            np.array(signs, dtype=float))
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 6, 7])
+def test_one_body_tables_match_nested_loop(d):
+    # equal entry by entry, so the np.add.at accumulation order is unchanged
+    for n in range(d + 1):
+        got = _one_body_tables(d, n)
+        want = one_body_tables_loop(d, n)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
 
 
 def test_one_body_sector_matches_first_quantized_oracle():

@@ -542,14 +542,6 @@ def test_loop_remainder_shrinks_with_more_particles():
     assert norms[1] < norms[0]
 
 
-def test_loop_remainder_order_guard():
-    system = ModeSystem.chain(4, coupling=1.0)
-    a = PSectorOperator(4, 1, np.eye(4, dtype=complex))
-    with pytest.raises(RangeError):
-        loop_remainder(a, OrbitalSet.ground_state(system, 2), system, 0.1,
-                       QuadratureSpec(4, 2), K=3, override_time_guard=True)
-
-
 def test_gap_report_small_at_short_time():
     d, n, t = 6, 3, 0.1
     system = ModeSystem.chain(d, coupling=1.0)
