@@ -22,9 +22,9 @@ from .sector import (PSectorOperator, SectorState, marginal, one_body_sector,
 
 @dataclass
 class ManyBodyHamiltonian:
-    """Sector Hamiltonian with a cached eigendecomposition."""
+    """Sector Hamiltonian on n of d modes with a cached eigendecomposition."""
 
-    system: ModeSystem
+    d: int
     n: int
     mat: np.ndarray
     _eig: tuple | None = field(default=None, repr=False, compare=False)
@@ -42,20 +42,25 @@ class ManyBodyHamiltonian:
 
 
 def build_hamiltonian(system: ModeSystem, n: int) -> ManyBodyHamiltonian:
-    """Assemble sum_i h_i + (1/n) sum_{i<j} w(x_i - x_j) on the n-sector."""
+    """Assemble sum_i h_i + (1/n) sum_{i<j} w(x_i - x_j) on the n-sector,
+    once per system: the result is cached there, with ``mat`` read-only."""
     if not 1 <= n <= system.d:
         raise RangeError(f"particle number n={n} outside [1, {system.d}]")
-    mat = one_body_sector(system.h, system.d, n)
-    mat += np.diag(system._pair_diagonal(n)) / n
-    if np.max(np.abs(mat - mat.conj().T)) > 1e-12:
-        raise ValidationError("assembled Hamiltonian lost hermiticity")
-    return ManyBodyHamiltonian(system=system, n=n, mat=mat)
+
+    def build():
+        mat = one_body_sector(system.h, system.d, n)
+        mat += np.diag(system._pair_diagonal(n)) / n
+        if np.max(np.abs(mat - mat.conj().T)) > 1e-12:
+            raise ValidationError("assembled Hamiltonian lost hermiticity")
+        mat.setflags(write=False)
+        return ManyBodyHamiltonian(d=system.d, n=n, mat=mat)
+    return system._derive(("hamiltonian", n), build)
 
 
 def evolve_exact(state: SectorState, hamiltonian: ManyBodyHamiltonian,
                  t: float) -> SectorState:
     """Propagate a sector state to time t."""
-    if state.basis.n != hamiltonian.n or state.basis.d != hamiltonian.system.d:
+    if state.basis.n != hamiltonian.n or state.basis.d != hamiltonian.d:
         raise ValidationError("state and Hamiltonian live on different sectors")
     coeffs = hamiltonian.propagator(t) @ state.coeffs
     return SectorState(basis=state.basis, coeffs=coeffs)

@@ -317,14 +317,20 @@ def _fit_slope(counts, values) -> float:
 
 
 def _sweep(cfg: ExperimentConfig, rows_of):
-    """The rows ``rows_of(entry, rng)`` of every sweep entry in order, all
-    drawing from the config's one seeded generator, and each entry's
-    wall time."""
+    """The rows ``rows_of(entry, rng, system)`` of every sweep entry in
+    order, all drawing from the config's one seeded generator, and each
+    entry's wall time. ``system`` is the mode system of the entry's N, or
+    None without one; entries with the same mode count share one system,
+    and with it its caches."""
     rng = np.random.default_rng(cfg.seed)
+    systems: dict = {}
     rows, seconds = [], []
     for entry in cfg.sweep:
         start = perf_counter()
-        rows.extend(rows_of(entry, rng))
+        system = cfg.system.build(entry["N"]) if "N" in entry else None
+        if system is not None:
+            system = systems.setdefault(system.d, system)
+        rows.extend(rows_of(entry, rng, system))
         seconds.append(round(perf_counter() - start, 3))
     return rows, seconds
 
@@ -350,9 +356,8 @@ def run_convergence(cfg: ExperimentConfig,
                     override_time_guard: bool = False) -> ExperimentReport:
     """Trace-norm gap between exact and mean-field marginals over a sweep."""
 
-    def rows_of(entry, rng):
+    def rows_of(entry, rng, system):
         n, t, p = entry["N"], entry["t"], entry["p"]
-        system = cfg.system.build(n)
         orbitals = ORBITAL_PRESETS[cfg.orbitals](rng, system, n)
         exact = evolved_marginal(orbitals.as_orthonormal(), system, t, p)
         flow = evolve_hf_orbitals(orbitals, system, np.array([0.0, t]),
@@ -371,9 +376,8 @@ def run_tree_truncation(cfg: ExperimentConfig,
                         override_time_guard: bool = False) -> ExperimentReport:
     """Partial sums of the loop-free series against the mean-field pairing."""
 
-    def rows_of(entry, rng):
+    def rows_of(entry, rng, system):
         n, t = entry["N"], entry["t"]
-        system = cfg.system.build(n)
         gamma = ORBITAL_PRESETS[cfg.orbitals](rng, system, n).density()
         a = PSectorOperator(system.d, 1, _random_hermitian(rng, system.d))
         series = tree_series(a, gamma, t, cfg.quadrature, system,
@@ -395,9 +399,8 @@ def run_egorov(cfg: ExperimentConfig,
                override_time_guard: bool = False) -> ExperimentReport:
     """Quantisation-vs-flow gap for the ground-mode projector over a sweep."""
 
-    def rows_of(entry, rng):
+    def rows_of(entry, rng, system):
         n, t = entry["N"], entry["t"]
-        system = cfg.system.build(n)
         report = egorov_check(ground_mode_projector(system), system, t, n,
                               cfg.quadrature,
                               override_time_guard=override_time_guard)
@@ -420,9 +423,8 @@ def run_conservation(cfg: ExperimentConfig,
     """Invariant drifts along all three mean-field formulations."""
     cross = []
 
-    def rows_of(entry, rng):
+    def rows_of(entry, rng, system):
         n = entry["N"]
-        system = cfg.system.build(n)
         orbitals = ORBITAL_PRESETS[cfg.orbitals](rng, system, n)
         grid = np.linspace(0.0, entry["t"], CONSERVATION_SAMPLES)
         gamma0 = orbitals.density()
@@ -454,7 +456,7 @@ def run_graph_count(cfg: ExperimentConfig,
                     override_time_guard: bool = False) -> ExperimentReport:
     """Exhaustive expansion sizes against their combinatorial ceilings."""
 
-    def rows_of(entry, rng):
+    def rows_of(entry, rng, system):
         p, k, l = entry["p"], entry["k"], entry["l"]
         count = count_elementary_terms(p, k, l)
         bound, aux = _term_count_bounds(p, k, l)

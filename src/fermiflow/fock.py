@@ -219,7 +219,7 @@ def egorov_check(a: PSectorOperator, system: ModeSystem, t: float, n: int,
 
     lifted = ctx.restrict(quantise(GradedObservable.from_sector_op(a), ctx), n)
     lhs = heisenberg_evolve(PSectorOperator(system.d, n, lifted),
-                            ManyBodyHamiltonian(system, n, ham_sector), t).mat
+                            ManyBodyHamiltonian(system.d, n, ham_sector), t).mat
 
     flow = superflow_observable(a, system, t, quad, override_time_guard=True)
     rhs = np.zeros_like(lhs)

@@ -9,7 +9,9 @@ every sign and normalization tied to the antisymmetrizer itself.
 States are the dual family: block sequences paired through plain traces.
 A one-particle density generates the quasi-free state whose hierarchy
 closes at the density's rank, so its evolution is a finite upper-triangular
-linear system driven from the top level down.
+linear system driven from the top level down, run as one block-diagonal
+sector operator through the interaction-picture stream of the mean-field
+flows.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .errors import (RangeError, ShapeError, UnsupportedError,
                      ValidationError)
-from .hf import HFConfig, _rk4_stream, quasi_free_marginal
+from .hf import HFConfig, _interaction_stream, quasi_free_marginal
 from .modes import ModeSystem
 from .sector import (PSectorOperator, embedding_isometry,
                      contract_pair_commutator, trace_norm)
@@ -155,8 +157,10 @@ class GradedState:
 def state_from_density(gamma, p_max: int | None = None) -> GradedState:
     """Quasi-free state of a one-particle density: blocks are its p-minors.
 
-    Blocks above the density's rank vanish identically, so the sequence is
-    finite; p_max only trims it further.
+    Blocks above the density's rank vanish identically, so by default the
+    sequence stops at the rank. ``p_max``, capped at d, sets the top level
+    instead: below the rank it trims the sequence, above it the extra
+    blocks are (numerically) zero.
     """
     g = np.asarray(getattr(gamma, "mat", gamma), dtype=complex)
     d = g.shape[0]
@@ -252,71 +256,54 @@ class HierarchyTrajectory:
         return self.states[-1]
 
 
+def hierarchy_collision(sigma: list, system: ModeSystem) -> list:
+    """Collision terms -i tr_{p+1}[W, sigma[p+1]] of the levels sigma[0..top];
+    zero on level 0, where one particle has no pair, and on the free top."""
+    out = [np.zeros_like(s) for s in sigma]
+    for p in range(1, len(sigma) - 1):
+        out[p] = -1j * contract_pair_commutator(
+            sigma[p + 1], system._pair_weights(p + 1), system.d, p + 1)
+    return out
+
+
 def hierarchy_evolve(rho: GradedState, system: ModeSystem, t_grid,
                      config: HFConfig | None = None) -> HierarchyTrajectory:
     """Integrate the state hierarchy driven from the top level down.
 
     Each gauge block obeys a von Neumann equation sourced by the traced
     pair commutator of the block one level above; the top level is free.
-    Integration runs in the interaction picture, where the free part is
-    removed exactly and the top block is constant.
+    The blocks run as one block-diagonal operator through the
+    interaction-picture stream, rotated by the block-diagonal sector
+    propagator.
     """
     if not rho.is_gauge_invariant():
         raise UnsupportedError("hierarchy flow needs a gauge-invariant state")
     config = HFConfig() if config is None else config
     d = system.d
-    levels = sorted(p for (p, q) in rho.blocks)
-    if not levels:
+    if not rho.blocks:
         raise ValidationError("state has no blocks to evolve")
-    top = levels[-1]
-    levels = list(range(0, top + 1))
-    shapes = [(comb(d, p), comb(d, p)) for p in levels]
-    sizes = [s[0] * s[1] for s in shapes]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    levels = range(max(p for (p, q) in rho.blocks) + 1)
+    edges = np.cumsum([0] + [comb(d, p) for p in levels])
+    sectors = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
 
-    def pack(blocks):
-        return np.concatenate([blocks[p].reshape(-1) for p in levels])
+    def diagonal(blocks):
+        out = np.zeros((edges[-1], edges[-1]), dtype=complex)
+        for s, block in zip(sectors, blocks):
+            out[s, s] = block
+        return out
 
-    def unpack(y):
-        return [y[offsets[p]:offsets[p + 1]].reshape(shapes[p])
-                for p in levels]
-
-    def rotations(tau):
-        return [sector_propagator(system, p, tau) if p >= 1 else None
-                for p in levels]
-
-    def derivative(tau, y):
-        sigma = unpack(y)
-        f = rotations(tau)
-        out = [np.zeros_like(s) for s in sigma]
-        for p in levels[:-1]:
-            if p + 1 < 2:
-                continue  # one particle has no pair to trade with
-            src = sigma[p + 1]
-            fp1 = f[p + 1]
-            rho_lab = fp1 @ src @ fp1.conj().T
-            coll = contract_pair_commutator(
-                rho_lab, system._pair_weights(p + 1), d, p + 1)
-            if p >= 1:
-                coll = f[p].conj().T @ coll @ f[p]
-            out[p] = -1j * coll
-        return pack(out)
-
-    t_grid = np.asarray(t_grid, dtype=float)
-    f0 = rotations(t_grid[0])
-    start = []
-    for p in levels:
-        blk = rho.block(p, p)
-        start.append(blk if p == 0 else f0[p].conj().T @ blk @ f0[p])
-
+    stream = _interaction_stream(
+        diagonal(rho.block(p, p) for p in levels),
+        lambda t: diagonal(sector_propagator(system, p, t) for p in levels),
+        t_grid,
+        lambda x: diagonal(hierarchy_collision([x[s, s] for s in sectors],
+                                               system)),
+        config.dt, both_sides=True)
     times, states = [], []
-    for tau, y in _rk4_stream(pack(start), t_grid, derivative, config.dt):
-        f = rotations(tau)
-        blocks = {}
-        for p, sigma in zip(levels, unpack(y)):
-            blocks[(p, p)] = sigma if p == 0 else f[p] @ sigma @ f[p].conj().T
-        times.append(tau)
-        states.append(GradedState(d, blocks))
+    for t, x in stream:
+        times.append(t)
+        states.append(GradedState(d, {(p, p): x[s, s]
+                                      for p, s in enumerate(sectors)}))
     return HierarchyTrajectory(times=np.array(times), states=states,
                                config=config)
 

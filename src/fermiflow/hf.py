@@ -11,9 +11,10 @@ periodic. The orbital flow moves a frame of columns, the density flow moves
 the one-particle density matrix gamma, and the factorized flow moves a root
 kappa with gamma = kappa kappa†; the normalized orbital frame is such a
 root, so its flow is the kappa flow. Each flow runs its lab-frame
-right-hand side through one interaction-picture stream of fixed-step RK4,
-so the stiff free rotation is exact and a zero potential propagates
-exactly.
+right-hand side, on the bare system (h = 0), through one
+interaction-picture stream of fixed-step RK4, so the stiff free rotation
+is exact and a zero potential propagates exactly; given its free
+propagator, the stream also runs the hierarchy of :mod:`fermiflow.graded`.
 """
 
 from __future__ import annotations
@@ -136,6 +137,8 @@ class DensityMatrix:
         eigs = np.linalg.eigvalsh(self.mat)
         if eigs.min() < -1e-10:
             raise ValidationError(f"density matrix not PSD (min eig {eigs.min():.2e})")
+        if eigs.sum() > 1.0 + 1e-10:
+            raise ValidationError(f"density matrix trace {eigs.sum():.6g} exceeds 1")
 
     @property
     def d(self) -> int:
@@ -268,19 +271,8 @@ def marginal_relation_check(orbitals: OrbitalSet, p: int) -> MarginalRelationRep
 # Interaction-picture RK4 driver and trajectories
 # ---------------------------------------------------------------------------
 
-def _time_grid(t_grid) -> np.ndarray:
-    """The grid as a float array, checked to be 1d and strictly increasing."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or len(t_grid) < 1:
-        raise ShapeError("t_grid must be a non-empty 1d array")
-    if len(t_grid) > 1 and np.min(np.diff(t_grid)) <= 0:
-        raise RangeError("t_grid must be strictly increasing")
-    return t_grid
-
-
 def _rk4_stream(y0, t_grid, derivative, dt):
-    """Fixed-step RK4 between consecutive grid points; yields (t, y)."""
-    t_grid = _time_grid(t_grid)
+    """Fixed-step RK4 between consecutive points of a checked grid."""
     y = y0
     yield t_grid[0], y
     for t0, t1 in zip(t_grid[:-1], t_grid[1:]):
@@ -299,22 +291,21 @@ def _rk4_stream(y0, t_grid, derivative, dt):
         yield t1, y
 
 
-def _interaction_stream(x0, system: ModeSystem, t_grid, rhs, dt: float,
+def _interaction_stream(x0, propagator, t_grid, rhs, dt: float,
                         both_sides: bool = False):
-    """Lab-frame states (t, x) of the flow dx/dt = rhs(x, system).
+    """Lab-frame states (t, x) of dx/dt = -i[H0, x] + rhs(x), or of
+    dx/dt = -i H0 x + rhs(x) unless ``both_sides``, where
+    ``propagator(t)`` is the free propagator u = exp(-i t H0).
 
-    RK4 moves y = u† x, or u† x u when ``both_sides``, with u = exp(-i t h).
-    The derivative of u cancels the free term of ``rhs``, which leaves
-    ``rhs`` on the bare system (h = 0) conjugated by u: exactly the
-    mean-field part, and exactly zero for a zero potential.
+    RK4 moves y = u† x, or u† x u when ``both_sides``. The derivative of u
+    cancels the free term, which leaves ``rhs`` conjugated by u: the free
+    rotation is exact, and a zero ``rhs`` propagates exactly.
     """
-    bare = ModeSystem(system.d, np.zeros_like(system.h), system.w)
-
     # An RK4 step evaluates at t, t + h/2 twice and t + h, which is the next
     # step's t, so three remembered times build u twice per step.
     @lru_cache(maxsize=3)
     def frame(t):
-        u = system.free_propagator(t)
+        u = propagator(t)
         return u, u.conj().T
 
     def rotate(u, uh, x):
@@ -322,13 +313,26 @@ def _interaction_stream(x0, system: ModeSystem, t_grid, rhs, dt: float,
 
     def derivative(t, y):
         u, uh = frame(t)
-        return rotate(uh, u, rhs(rotate(u, uh, y), bare))
+        return rotate(uh, u, rhs(rotate(u, uh, y)))
 
-    t_grid = _time_grid(np.atleast_1d(t_grid))
+    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    if t_grid.ndim != 1 or len(t_grid) < 1:
+        raise ShapeError("t_grid must be a non-empty 1d array")
+    if len(t_grid) > 1 and np.min(np.diff(t_grid)) <= 0:
+        raise RangeError("t_grid must be strictly increasing")
     u0, uh0 = frame(t_grid[0])
     y0 = rotate(uh0, u0, x0)
     for t, y in _rk4_stream(y0, t_grid, derivative, dt):
         yield t, rotate(*frame(t), y)
+
+
+def _hf_stream(x0, system: ModeSystem, t_grid, rhs, dt: float,
+               both_sides: bool = False):
+    """Lab-frame states (t, x) of the mean-field flow dx/dt = rhs(x, system):
+    the stream carries exp(-i t h), and ``rhs`` runs on the bare system."""
+    bare = ModeSystem(system.d, np.zeros_like(system.h), system.w)
+    return _interaction_stream(x0, system.free_propagator, t_grid,
+                               lambda x: rhs(x, bare), dt, both_sides)
 
 
 @dataclass
@@ -412,8 +416,8 @@ def evolve_hf_orbitals(orbitals: OrbitalSet, system: ModeSystem, t_grid,
                 f"{_GRAM_TOL:.0e}; reduce the step size dt={config.dt}")
         return drift
 
-    stream = _interaction_stream(orbitals.as_normalized(), system, t_grid,
-                                 hf_rhs_kappa, config.dt)
+    stream = _hf_stream(orbitals.as_normalized(), system, t_grid,
+                        hf_rhs_kappa, config.dt)
     traj = _record(OrbitalTrajectory, stream, system, config,
                    lambda psi: psi @ psi.conj().T, gram_drift)
     traj.states = [OrbitalSet(factor * psi, scale=orbitals.scale)
@@ -427,8 +431,8 @@ def evolve_hf_density(gamma0: np.ndarray | DensityMatrix, system: ModeSystem,
     (:func:`hf_rhs_density`)."""
     config = config or HFConfig()
     g0 = gamma0.mat if isinstance(gamma0, DensityMatrix) else np.asarray(gamma0)
-    stream = _interaction_stream(g0, system, t_grid, hf_rhs_density,
-                                 config.dt, both_sides=True)
+    stream = _hf_stream(g0, system, t_grid, hf_rhs_density, config.dt,
+                        both_sides=True)
     return _record(Trajectory, stream, system, config, lambda g: g)
 
 
@@ -438,6 +442,6 @@ def evolve_kappa(kappa0: KappaFactor | np.ndarray, system: ModeSystem, t_grid,
     (:func:`hf_rhs_kappa`)."""
     config = config or HFConfig()
     k0 = kappa0.mat if isinstance(kappa0, KappaFactor) else np.asarray(kappa0)
-    stream = _interaction_stream(k0, system, t_grid, hf_rhs_kappa, config.dt)
+    stream = _hf_stream(k0, system, t_grid, hf_rhs_kappa, config.dt)
     return _record(Trajectory, stream, system, config,
                    lambda k: k @ k.conj().T)

@@ -51,7 +51,8 @@ class ModeSystem:
     The system is immutable: ``h`` and ``w`` are read-only copies of the
     inputs, so the data derived from them and kept in ``_derived`` (the
     pair kernel ``wmat``, the per-sector pair weights and diagonals, the
-    eigensystem of h and the per-sector rotations) can never go stale.
+    eigensystem of h, the per-sector rotations and the sector Hamiltonians
+    of :func:`~fermiflow.exact.build_hamiltonian`) can never go stale.
 
     Parameters
     ----------

@@ -375,27 +375,16 @@ class LiftBlock(NamedTuple):
 
 @lru_cache(maxsize=None)
 def lift_tables(d: int, m: int):
-    """Per-mode blocks of the (m-1) ⊗ 1 → m sector coisometry, in mode order."""
+    """Per-mode blocks of the (m-1) ⊗ 1 → m sector coisometry, in mode order:
+    the (m-1, 1)-subset pairs of the marginal table grouped by the added
+    mode, whose sign is (-1)^(m-1-pos(i))."""
     if m < 1:
         raise RangeError("lift needs a target sector with at least one particle")
-    small = sector_basis(d, m - 1)
-    big = sector_basis(d, m)
-    alpha = [[] for _ in range(d)]
-    target = [[] for _ in range(d)]
-    sign = [[] for _ in range(d)]
-    for row, mask in enumerate(big.masks):
-        mask = int(mask)
-        occ = big.occ[row]
-        for pos in range(m):
-            i = int(occ[pos])
-            alpha[i].append(small.index[mask ^ (1 << i)])
-            target[i].append(row)
-            sign[i].append(-1.0 if (m - 1 - pos) % 2 else 1.0)
+    rows, modes, union, signs = _marginal_table(d, m, m - 1)
     blocks = []
     for i in range(d):
-        a_idx = np.array(alpha[i], dtype=np.int64)
-        s_idx = np.array(target[i], dtype=np.int64)
-        sg = np.array(sign[i], dtype=float)
+        pick = modes == i
+        a_idx, s_idx, sg = rows[pick], union[pick], signs[pick]
         blocks.append(LiftBlock(a_idx, s_idx, np.ix_(a_idx, a_idx),
                                 np.ix_(s_idx, s_idx),
                                 sg[:, None] * sg[None, :]))

@@ -40,6 +40,13 @@ KERNEL_EXCHANGE = "exchange"
 _KERNEL_FACTORS = {KERNEL_PLAIN: 1.0, KERNEL_EXCHANGE: 2.0}
 
 
+def _kernel_factor(kernel: str) -> float:
+    try:
+        return _KERNEL_FACTORS[kernel]
+    except KeyError:
+        raise ValidationError(f"unknown insertion kernel {kernel!r}") from None
+
+
 @dataclass
 class QuadratureSpec:
     """Nested Gauss-Legendre settings for ordered-time integrals."""
@@ -157,10 +164,7 @@ def G_recursive(a: PSectorOperator, k: int, l: int, t: float, times,
     the (j-1, l) operator and the loop commutator to the (j-1, l-1) one;
     the base case is the freely evolved observable at time t.
     """
-    try:
-        factor = _KERNEL_FACTORS[kernel]
-    except KeyError:
-        raise ValidationError(f"unknown insertion kernel {kernel!r}") from None
+    factor = _kernel_factor(kernel)
     if k < 0:
         raise RangeError("expansion order must be non-negative")
     times = tuple(float(s) for s in times)
@@ -307,8 +311,8 @@ class TreeSeries:
 
     def term_table(self, kernel: str = KERNEL_PLAIN):
         """Rows (k, term_value_re, term_value_im, quad_error_est)."""
+        scale = _kernel_factor(kernel)
         vals = self.terms if kernel == KERNEL_PLAIN else self.terms_exchange
-        scale = 1.0 if kernel == KERNEL_PLAIN else 2.0
         return [(k, float(v.real), float(v.imag),
                  float(self.quad_errors[k] * scale ** k))
                 for k, v in enumerate(vals)]

@@ -3,6 +3,8 @@
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -361,6 +363,34 @@ def test_no_experiment_starts_a_thread(monkeypatch):
     for raw in configs:
         report = run(ExperimentConfig.from_dict(raw), override_time_guard=True)
         assert report.rows
+
+
+def test_one_sector_eigendecomposition_per_convergence_run(monkeypatch):
+    # the two N=5 rows (p=1, p=2) share one mode system and its Hamiltonian
+    eigh, calls = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda mat: calls.append(mat.shape[0]) or eigh(mat))
+    run(ExperimentConfig.from_dict(workloads.config("convergence", 1)))
+    assert calls.count(252) == 1
+    assert sorted(calls) == [4, 6, 6, 8, 10, 20, 70, 252]
+    # with d fixed, N = 2 and N = 3 share one system and one eigh of h
+    calls.clear()
+    run(ExperimentConfig.from_dict(count_time_config(
+        "convergence", [{"N": 2, "t": 0.1}, {"N": 3, "t": 0.1}],
+        system={"d": 6, "coupling": 1.0})))
+    assert sorted(calls) == [6, 15, 20]
+
+
+def test_import_loads_no_dense_or_sparse_solvers():
+    code = ("import sys, fermiflow; "
+            "print(' '.join(m for m in ('scipy.linalg', 'scipy.sparse.linalg')"
+            " if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(sector.__file__))]
+        + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == ""
 
 
 def test_one_eigendecomposition_per_system(monkeypatch):

@@ -6,18 +6,21 @@ import scipy.linalg as sla
 from math import comb
 
 from fermiflow.errors import RangeError, ShapeError, UnsupportedError, ValidationError
+from fermiflow import graded
 from fermiflow.graded import (
     GradedObservable,
     GradedState,
     graded_poisson,
     graded_product,
+    hierarchy_collision,
     hierarchy_evolve,
     state_from_density,
     superflow_observable,
 )
-from fermiflow.hf import quasi_free_marginal
+from fermiflow.hf import HFConfig, quasi_free_marginal
 from fermiflow.modes import ModeSystem
-from fermiflow.sector import PSectorOperator
+from fermiflow.sector import (PSectorOperator, interaction_weights,
+                              one_body_sector, project_lift_pair_commutator)
 from fermiflow.tree import QuadratureSpec, sector_propagator
 
 
@@ -279,6 +282,52 @@ def test_hierarchy_trajectory_shape():
     assert np.allclose(traj.times, grid)
     start_gap = np.linalg.norm(traj.states[0].block(1, 1) - rho.block(1, 1), 2)
     assert start_gap < 1e-14
+
+
+def test_hierarchy_collision_is_dual_to_the_attached_insertion():
+    """d/dt <sigma_t, a> at t = 0 is <sigma, i[h_p, a] + i P_-[W, a ⊗ 1] P_->."""
+    rng = np.random.default_rng(21)
+    d, top = 5, 3
+    system = ModeSystem.chain(d, 0.7)
+    sigma = [random_block(rng, d, p, p) for p in range(top + 1)]
+    coll = hierarchy_collision(sigma, system)
+    assert not np.any(coll[0]) and not np.any(coll[top])
+    for p in range(1, top):
+        a = random_block(rng, d, p, p)
+        a = a + a.conj().T
+        h_p = one_body_sector(system.h, d, p)
+        lab = -1j * (h_p @ sigma[p] - sigma[p] @ h_p) + coll[p]
+        insertion = project_lift_pair_commutator(
+            a, interaction_weights(system.wmat, d, p + 1), d, p + 1)
+        want = (np.trace(sigma[p] @ (1j * (h_p @ a - a @ h_p)))
+                + np.trace(sigma[p + 1] @ (1j * insertion)))
+        assert abs(np.trace(lab @ a) - want) < 1e-12 * max(1.0, abs(want))
+
+
+def test_hierarchy_runs_its_collision_term(monkeypatch):
+    # four evaluations per RK4 step: 2 intervals of 4 steps each
+    calls = []
+
+    def counted(sigma, system, collision=hierarchy_collision):
+        calls.append(len(sigma))
+        return collision(sigma, system)
+
+    monkeypatch.setattr(graded, "hierarchy_collision", counted)
+    rng = np.random.default_rng(22)
+    rho = state_from_density(projected_density(rng, 4, 2))
+    hierarchy_evolve(rho, ModeSystem.chain(4, 0.5), [0.0, 0.25, 0.5],
+                     HFConfig(dt=0.0625))
+    assert calls == [3] * (4 * 8)
+
+
+def test_hierarchy_bad_time_grid_is_bad_input():
+    rho = state_from_density(projected_density(np.random.default_rng(23), 3, 1))
+    system = ModeSystem.chain(3, 0.5)
+    for grid in ([], [[0.0, 0.1]]):
+        with pytest.raises(ShapeError):
+            hierarchy_evolve(rho, system, grid)
+    with pytest.raises(RangeError):
+        hierarchy_evolve(rho, system, [0.1, 0.0])
 
 
 def test_superflow_zero_time_returns_input():

@@ -433,6 +433,11 @@ class TestValidation:
         with pytest.raises(ValidationError):
             DensityMatrix(np.diag([1.0, -0.5]))
 
+    def test_density_trace_at_most_one(self):
+        with pytest.raises(ValidationError):
+            DensityMatrix(np.eye(3))
+        assert DensityMatrix(np.eye(3) / 3).d == 3
+
     def test_density_must_be_hermitian(self):
         with pytest.raises(ValidationError):
             DensityMatrix(np.array([[1.0, 1.0], [0.0, 1.0]]))

@@ -179,11 +179,27 @@ def test_gram_and_trace_norm():
 
 
 def dense_partial_trace(psi_full, d, n, p):
-    """Oracle: contract the last n-p tensor slots of |psi><psi| directly,
-    compressed onto the p-sector by the embedding isometry."""
+    """Oracle: contract the last n-p tensor slots of |psi><psi| directly.
+
+    Row S of the p-sector reads the full tensor at the ascending index tuple
+    of S, scaled by sqrt(p!): on an antisymmetric tensor this is what the
+    embedding isometry's adjoint sums to, without its p! rounded terms.
+    """
     m = psi_full.reshape(d ** p, d ** (n - p))
-    m = embedding_isometry(d, p).conj().T @ m
+    rows = sector_basis(d, p).occ @ d ** np.arange(p - 1, -1, -1)
+    m = np.sqrt(factorial(p)) * m[rows]
     return m @ m.conj().T
+
+
+def check_marginal_against_dense_partial_trace(d, n, p, seed):
+    rng = np.random.default_rng(seed)
+    basis = sector_basis(d, n)
+    coeffs = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+    state = SectorState(basis, coeffs / np.linalg.norm(coeffs))
+    got = marginal(state, p)
+    want = dense_partial_trace(state.to_full_tensor(), d, n, p)
+    np.testing.assert_allclose(got.mat, want, rtol=0, atol=1e-13)
+    assert abs(got.trace() - 1.0) < 1e-13
 
 
 @settings(max_examples=40, deadline=None)
@@ -192,14 +208,15 @@ def test_marginal_matches_dense_partial_trace(data):
     d = data.draw(st.integers(min_value=1, max_value=7), label="d")
     n = data.draw(st.integers(min_value=1, max_value=d), label="n")
     p = data.draw(st.integers(min_value=1, max_value=n), label="p")
-    rng = np.random.default_rng(data.draw(st.integers(0, 10_000), label="seed"))
-    basis = sector_basis(d, n)
-    coeffs = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
-    state = SectorState(basis, coeffs / np.linalg.norm(coeffs))
-    got = marginal(state, p)
-    want = dense_partial_trace(state.to_full_tensor(), d, n, p)
-    np.testing.assert_allclose(got.mat, want, rtol=0, atol=1e-13)
-    assert abs(got.trace() - 1.0) < 1e-13
+    seed = data.draw(st.integers(0, 10_000), label="seed")
+    check_marginal_against_dense_partial_trace(d, n, p, seed)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_marginal_matches_dense_partial_trace_on_the_full_sector(seed):
+    # d = n = p = 7: an oracle summing 7! isometry terms per entry drifts
+    # past the tolerance here
+    check_marginal_against_dense_partial_trace(7, 7, 7, seed)
 
 
 def test_marginal_of_canonical_slater_is_diagonal():
@@ -383,6 +400,27 @@ def test_contract_is_adjoint_of_lift_commutator():
     lhs = np.trace(lift.conj().T @ rho)
     rhs = np.trace(x.conj().T @ contr)
     np.testing.assert_allclose(lhs, rhs, atol=1e-11)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 8])
+def test_lift_tables_match_nested_loop(d):
+    for m in range(1, d + 1):
+        small, big = sector_basis(d, m - 1), sector_basis(d, m)
+        alpha, target, sign = ([[] for _ in range(d)] for _ in range(3))
+        for row, mask in enumerate(big.masks):
+            for pos, i in enumerate(big.occ[row]):
+                alpha[i].append(small.index[int(mask) ^ (1 << int(i))])
+                target[i].append(row)
+                sign[i].append((-1.0) ** (m - 1 - pos))
+        blocks = lift_tables(d, m)
+        assert len(blocks) == d
+        for i, block in enumerate(blocks):
+            np.testing.assert_array_equal(block.alpha, alpha[i])
+            np.testing.assert_array_equal(block.target, target[i])
+            np.testing.assert_array_equal(block.signs,
+                                          np.outer(sign[i], sign[i]))
+            assert block.signs.dtype == np.float64
+            np.testing.assert_array_equal(block.big[0].ravel(), target[i])
 
 
 def test_lift_tables_cover_each_big_state_m_times():

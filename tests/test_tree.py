@@ -461,6 +461,18 @@ def test_series_report_structure():
     assert series.tail_estimate < abs(series.terms[0])
 
 
+def test_term_table_rejects_unknown_kernel():
+    system = ModeSystem.chain(4, coupling=1.0)
+    a = PSectorOperator(4, 1, random_hermitian(np.random.default_rng(28), 4))
+    gamma = OrbitalSet.ground_state(system, 2).density()
+    series = tree_series(a, gamma, 0.1, QuadratureSpec(3, 2), system,
+                         override_time_guard=True)
+    exchange = series.term_table(KERNEL_EXCHANGE)
+    assert [row[1] for row in exchange] == list(series.terms_exchange.real)
+    with pytest.raises(ValidationError):
+        series.term_table("bogus")
+
+
 def test_series_truncation_at_mode_capacity_has_zero_tail():
     system = ModeSystem.chain(4, coupling=1.0)
     rng = np.random.default_rng(27)
