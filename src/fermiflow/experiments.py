@@ -18,6 +18,7 @@ from datetime import datetime, timezone
 from time import perf_counter
 
 import numpy as np
+from numpy.random import default_rng  # numpy loads it lazily, on first use
 
 from .errors import ConfigError, RangeError
 from .exact import evolved_marginal
@@ -322,7 +323,7 @@ def _sweep(cfg: ExperimentConfig, rows_of):
     entry's wall time. ``system`` is the mode system of the entry's N, or
     None without one; entries with the same mode count share one system,
     and with it its caches."""
-    rng = np.random.default_rng(cfg.seed)
+    rng = default_rng(cfg.seed)
     systems: dict = {}
     rows, seconds = [], []
     for entry in cfg.sweep:

@@ -1,11 +1,14 @@
 """Fock-space quantisation, the deformation relation, and the flow check.
 
-A mode register of d sites carries the 2^d-dimensional Fock space through
-the standard string construction: the annihilator on site j acts after a
-parity string over the sites below it, which makes the anticommutation
-relations exact at the matrix level. Rescaling the fields by 1/sqrt(N)
-turns the anticommutator into (1/N) times the identity, so 1/N plays the
-role of a deformation parameter.
+A mode register of d sites carries the 2^d-dimensional Fock space on the
+occupation bitmasks: site j is bit j. The Jordan-Wigner construction
+(Jordan and Wigner 1928) makes the annihilator on site j clear bit j and
+multiply by the parity (-1)^{popcount} of the sites below it, which makes
+the anticommutation relations exact. Every ladder monomial is therefore
+a signed partial permutation of bitmasks, computed here with integer
+arithmetic. Rescaling the fields by 1/sqrt(N) turns the anticommutator
+into (1/N) times the identity, so 1/N plays the role of a deformation
+parameter.
 
 Quantisation maps each graded block to a normally ordered monomial sum.
 Restricted to the N-particle subspace, a gauge-invariant block reproduces
@@ -19,7 +22,6 @@ from dataclasses import dataclass, field
 from math import factorial, sqrt
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import CapacityError, NumericError, RangeError, ValidationError
 from .exact import (ManyBodyHamiltonian, build_hamiltonian,
@@ -31,17 +33,16 @@ from .tree import QuadratureSpec, check_time_guard
 
 MAX_FOCK_MODES = 14
 MAX_DENSE_FOCK = 4096
-
-_ANNIHILATE = np.array([[0.0, 1.0], [0.0, 0.0]])
-_PARITY = np.diag([1.0, -1.0])
+MAX_KERNEL_ENTRIES = 1 << 20    # monomials x states held at once by quantise
 
 
 class FockContext:
-    """Mode register with string-constructed ladder matrices and a scale N.
+    """Mode register of d sites with the deformation parameter N.
 
     Site j occupies bit j of the Fock index, so the vacuum is index 0 and
     the occupation of a subset equals its bitmask. The rescaled fields are
-    c_j / sqrt(N) with N the deformation parameter.
+    c_j / sqrt(N). ``parity[m]`` is (-1)^popcount(m), the Jordan-Wigner
+    sign of the occupied sites in the mask m.
     """
 
     def __init__(self, d: int, n: int):
@@ -55,84 +56,76 @@ class FockContext:
         self.d = d
         self.n = n
         self.dim = 2 ** d
-        self.lower = []
-        for j in range(d):
-            left = sp.identity(2 ** (d - 1 - j), format="csr")
-            string = sp.identity(1, format="csr")
-            for _ in range(j):
-                string = sp.kron(string, sp.csr_matrix(_PARITY), format="csr")
-            op = sp.kron(left, sp.kron(sp.csr_matrix(_ANNIHILATE), string),
-                         format="csr")
-            self.lower.append(op)
-        self.raise_ = [op.conj().T.tocsr() for op in self.lower]
-        self._monomials: dict = {}
-
-    def creation_product(self, subset: tuple) -> sp.csr_matrix:
-        """c†_{x_p} ... c†_{x_1} for the ascending subset (x_1 < ... < x_p)."""
-        key = ("dag", subset)
-        if key not in self._monomials:
-            op = sp.identity(self.dim, format="csr")
-            for x in subset:
-                op = self.raise_[x] @ op
-            self._monomials[key] = op.tocsr()
-        return self._monomials[key]
-
-    def annihilation_product(self, subset: tuple) -> sp.csr_matrix:
-        """c_{y_1} ... c_{y_q} for the ascending subset (y_1 < ... < y_q)."""
-        key = ("low", subset)
-        if key not in self._monomials:
-            op = sp.identity(self.dim, format="csr")
-            for y in reversed(subset):
-                op = self.lower[y] @ op
-            self._monomials[key] = op.tocsr()
-        return self._monomials[key]
-
-    def sector_isometry(self, n: int) -> sp.csr_matrix:
-        """Columns are the Fock vectors of the ascending-subset Slater basis."""
-        basis = sector_basis(self.d, n)
-        cols, rows, vals = [], [], []
-        vacuum = np.zeros(self.dim)
-        vacuum[0] = 1.0
-        for col in range(basis.dim):
-            vec = self.creation_product(tuple(basis.occ[col])) @ vacuum
-            idx = np.flatnonzero(vec)
-            if len(idx) != 1:
-                raise NumericError("sector embedding lost sharpness")
-            rows.append(idx[0])
-            cols.append(col)
-            vals.append(vec[idx[0]])
-        return sp.csr_matrix((vals, (rows, cols)), shape=(self.dim, basis.dim))
-
-    def restrict(self, op, n: int) -> np.ndarray:
-        """Compress a Fock operator to the n-particle Slater basis."""
-        iso = self.sector_isometry(n)
-        return np.asarray((iso.conj().T @ (op @ iso)).todense())
+        parity = np.ones(1, dtype=np.int8)
+        for _ in range(d):
+            parity = np.concatenate([parity, -parity])
+        self.parity = parity
 
 
-def quantise(a: GradedObservable, ctx: FockContext) -> sp.csr_matrix:
+def _ladder(ctx: FockContext, masks, sign, alive, modes, create: bool):
+    """Apply c_j (``create=False``) or c†_j site by site, in column order.
+
+    ``masks``, ``sign`` and ``alive`` have one row per monomial and one
+    column per state and are updated in place; ``modes`` has one row per
+    monomial and one column per ladder step.
+    """
+    for step in range(modes.shape[1]):
+        bit = np.left_shift(1, modes[:, step])[:, None]
+        alive &= ((masks & bit) == 0) if create else ((masks & bit) != 0)
+        sign *= ctx.parity[masks & (bit - 1)]
+        masks ^= bit
+
+
+def quantise(a: GradedObservable, ctx: FockContext,
+             n: int | None = None) -> np.ndarray:
     """Wick quantisation: each block becomes a normally ordered monomial sum.
 
     Block (p, q) contributes N^{-(p+q)/2} sqrt(p! q!) times the sum over
-    subset pairs of its entries with creation and annihilation strings;
-    the square roots convert minor-basis entries back to integral kernels.
+    subset pairs (S, T) of its entries with c†_{x_p} ... c†_{x_1} c_{y_1}
+    ... c_{y_q} for S = {x_1 < ... < x_p} and T = {y_1 < ... < y_q}; the
+    square roots convert minor-basis entries back to integral kernels.
     The (0, 0) block is a multiple of the identity.
+
+    With ``n=None`` the result is the dense matrix on all of Fock space;
+    otherwise it is the compression onto the n-particle Slater basis
+    c†_{x_n} ... c†_{x_1}|0> of :func:`~fermiflow.sector.sector_basis`.
+    Every such state carries the same sign (-1)^{n(n-1)/2}, so the
+    compression keeps the sector's rows and columns, and blocks with
+    p != q leave the sector and drop out.
     """
     if a.d != ctx.d:
         raise ValidationError("observable and register mode counts differ")
-    total = sp.csr_matrix((ctx.dim, ctx.dim), dtype=complex)
+    if n is None:
+        if ctx.dim > MAX_DENSE_FOCK:
+            raise CapacityError("dense Fock matrices capped at "
+                                f"{MAX_DENSE_FOCK} dimensions")
+        states = np.arange(ctx.dim)
+    else:
+        states = sector_basis(ctx.d, n).masks
+    total = np.zeros((len(states), len(states)), dtype=complex)
+    chunk = max(1, MAX_KERNEL_ENTRIES // len(states))
     for (p, q), mat in a.blocks.items():
+        if n is not None and p != q:
+            continue
         scale = (float(ctx.n) ** (-(p + q) / 2.0)
                  * sqrt(factorial(p) * factorial(q)))
-        rows = sector_basis(ctx.d, p) if p > 0 else None
-        cols = sector_basis(ctx.d, q) if q > 0 else None
-        nz = np.argwhere(np.abs(mat) > 0)
-        for i, j in nz:
-            left = (ctx.creation_product(tuple(rows.occ[i]))
-                    if p > 0 else sp.identity(ctx.dim, format="csr"))
-            right = (ctx.annihilation_product(tuple(cols.occ[j]))
-                     if q > 0 else sp.identity(ctx.dim, format="csr"))
-            total = total + (scale * mat[i, j]) * (left @ right)
-    return total.tocsr()
+        rows, cols = np.nonzero(np.abs(mat) > 0)
+        for lo in range(0, len(rows), chunk):
+            i, j = rows[lo:lo + chunk], cols[lo:lo + chunk]
+            masks = np.repeat(states[None, :], len(i), axis=0)
+            sign = np.ones(masks.shape, dtype=np.int8)
+            alive = np.ones(masks.shape, dtype=bool)
+            _ladder(ctx, masks, sign, alive,
+                    sector_basis(ctx.d, q).occ[j][:, ::-1], create=False)
+            _ladder(ctx, masks, sign, alive, sector_basis(ctx.d, p).occ[i],
+                    create=True)
+            target = masks[alive]
+            if n is not None:
+                target = np.searchsorted(states, target)
+            _, source = np.nonzero(alive)
+            np.add.at(total, (target, source),
+                      ((scale * mat[i, j])[:, None] * sign)[alive])
+    return total
 
 
 def grassmann_hamiltonian(system: ModeSystem) -> GradedObservable:
@@ -165,12 +158,9 @@ def deformation_check(a: GradedObservable, b: GradedObservable,
     """
     if not (a.is_homogeneous() and b.is_homogeneous()):
         raise ValidationError("deformation check needs homogeneous inputs")
-    if 2 ** ctx.d > MAX_DENSE_FOCK:
-        raise CapacityError("dense Fock norms capped at "
-                            f"{MAX_DENSE_FOCK} dimensions")
-    ahat = np.asarray(quantise(a, ctx).todense())
-    bhat = np.asarray(quantise(b, ctx).todense())
-    bracket = np.asarray(quantise(graded_poisson(a, b), ctx).todense())
+    ahat = quantise(a, ctx)
+    bhat = quantise(b, ctx)
+    bracket = quantise(graded_poisson(a, b), ctx)
     target = bracket / (1j * ctx.n)
     comm = ahat @ bhat - bhat @ ahat
     anti = ahat @ bhat + bhat @ ahat
@@ -210,14 +200,13 @@ def egorov_check(a: PSectorOperator, system: ModeSystem, t: float, n: int,
     check_time_guard(system, t, override_time_guard)
     ctx = FockContext(system.d, n)
 
-    ham_fock = quantise(grassmann_hamiltonian(system), ctx)
-    ham_sector = float(n) * ctx.restrict(ham_fock, n)
+    ham_sector = float(n) * quantise(grassmann_hamiltonian(system), ctx, n)
     reference = build_hamiltonian(system, n).mat
     if np.max(np.abs(ham_sector - reference)) > 1e-10:
         raise NumericError("quantised energy observable does not restrict "
                            "to the sector Hamiltonian")
 
-    lifted = ctx.restrict(quantise(GradedObservable.from_sector_op(a), ctx), n)
+    lifted = quantise(GradedObservable.from_sector_op(a), ctx, n)
     lhs = heisenberg_evolve(PSectorOperator(system.d, n, lifted),
                             ManyBodyHamiltonian(system.d, n, ham_sector), t).mat
 

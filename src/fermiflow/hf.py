@@ -329,8 +329,13 @@ def _interaction_stream(x0, propagator, t_grid, rhs, dt: float,
 def _hf_stream(x0, system: ModeSystem, t_grid, rhs, dt: float,
                both_sides: bool = False):
     """Lab-frame states (t, x) of the mean-field flow dx/dt = rhs(x, system):
-    the stream carries exp(-i t h), and ``rhs`` runs on the bare system."""
-    bare = ModeSystem(system.d, np.zeros_like(system.h), system.w)
+    the stream carries exp(-i t h), and ``rhs`` runs on the bare system,
+    built once per system and sharing its read-only ``wmat``."""
+    def build():
+        twin = ModeSystem(system.d, np.zeros_like(system.h), system.w)
+        twin._derive("wmat", lambda: system.wmat)
+        return twin
+    bare = system._derive("bare", build)
     return _interaction_stream(x0, system.free_propagator, t_grid,
                                lambda x: rhs(x, bare), dt, both_sides)
 

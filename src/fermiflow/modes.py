@@ -51,8 +51,9 @@ class ModeSystem:
     The system is immutable: ``h`` and ``w`` are read-only copies of the
     inputs, so the data derived from them and kept in ``_derived`` (the
     pair kernel ``wmat``, the per-sector pair weights and diagonals, the
-    eigensystem of h, the per-sector rotations and the sector Hamiltonians
-    of :func:`~fermiflow.exact.build_hamiltonian`) can never go stale.
+    eigensystem of h, the per-sector rotations, the sector Hamiltonians
+    of :func:`~fermiflow.exact.build_hamiltonian` and the bare h = 0 twin
+    of the mean-field flows) can never go stale.
 
     Parameters
     ----------

@@ -25,7 +25,6 @@ from math import comb, factorial
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import CapacityError, RangeError, ShapeError, ValidationError
 
@@ -191,12 +190,16 @@ def antisymmetrize(tensor: np.ndarray, scaled: bool = False) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def embedding_isometry(d: int, n: int) -> sp.csr_matrix:
+def embedding_isometry(d: int, n: int):
     """Sparse isometry from the n-particle sector into the d**n full space.
 
     Column S holds the coefficients of sqrt(n!) P_- e_{i_1} ⊗ ... ⊗ e_{i_n}
-    for the ascending subset S = {i_1 < ... < i_n}.
+    for the ascending subset S = {i_1 < ... < i_n}. This is an oracle for
+    tests and the full-space graded embeddings; it is the one place that
+    imports ``scipy.sparse``, so the package itself loads numpy only.
     """
+    import scipy.sparse as sp
+
     if d ** max(n, 1) > MAX_FULL_TENSOR:
         raise CapacityError(f"full tensor space d**n = {d}**{n} too large")
     basis = sector_basis(d, n)

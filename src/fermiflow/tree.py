@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from math import comb, pi
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss  # loaded lazily otherwise
 
 from .errors import NumericError, RangeError, ShapeError, ValidationError
 from .exact import heisenberg_observable, second_quantize
@@ -199,7 +200,7 @@ def G_recursive(a: PSectorOperator, k: int, l: int, t: float, times,
 
 
 def _gl_nodes(n: int):
-    xs, ws = np.polynomial.legendre.leggauss(n)
+    xs, ws = leggauss(n)
     return (xs + 1.0) / 2.0, ws / 2.0
 
 

@@ -381,16 +381,40 @@ def test_one_sector_eigendecomposition_per_convergence_run(monkeypatch):
     assert sorted(calls) == [6, 15, 20]
 
 
-def test_import_loads_no_dense_or_sparse_solvers():
-    code = ("import sys, fermiflow; "
-            "print(' '.join(m for m in ('scipy.linalg', 'scipy.sparse.linalg')"
-            " if m in sys.modules))")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+def package_env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.dirname(os.path.dirname(sector.__file__))]
         + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+
+
+def test_import_loads_no_dense_or_sparse_solvers():
+    code = ("import sys, fermiflow; from fermiflow import cli; "
+            "print(' '.join(m for m in sys.modules"
+            " if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=package_env(),
+                         check=True, capture_output=True, text=True).stdout
     assert out.strip() == ""
+
+
+@pytest.mark.parametrize("name", workloads.NAMES)
+def test_cold_run_imports_no_numerical_module(tmp_path, name):
+    # set up as a benchmark child does; anything numpy or scipy imported
+    # later would be charged to the first run call
+    path = workloads.write_config(name, 1, str(tmp_path))
+    out = str(tmp_path / "rows.csv")
+    code = (
+        "import sys, fermiflow\n"
+        "from fermiflow import cli\n"
+        "from fermiflow.experiments import load_config\n"
+        f"load_config({path!r})\n"
+        "before = set(sys.modules)\n"
+        f"cli.main(['run', {path!r}, '--out', {out!r}, "
+        "'--override-time-guard'])\n"
+        "print('new modules:', *sorted(m for m in set(sys.modules) - before\n"
+        "                              if m.split('.')[0] in ('numpy', 'scipy')))\n")
+    result = subprocess.run([sys.executable, "-c", code], env=package_env(),
+                            check=True, capture_output=True, text=True)
+    assert result.stdout.splitlines()[-1] == "new modules:"
 
 
 def test_one_eigendecomposition_per_system(monkeypatch):
@@ -402,3 +426,28 @@ def test_one_eigendecomposition_per_system(monkeypatch):
     ground_mode_projector(system)
     system.free_propagator(0.3)
     assert calls == [(6, 6)]
+
+
+def test_conservation_builds_one_bare_twin_per_system(monkeypatch):
+    # the bare h = 0 system of the mean-field right-hand sides is cached on
+    # its system and shares that system's pair kernel
+    systems, bare, kernels = [], [], []
+    post_init, derive = ModeSystem.__post_init__, ModeSystem._derive
+
+    def counting_init(self):
+        systems.append(self.d)
+        post_init(self)
+
+    def counting_derive(self, key, build):
+        if key == "bare" and key not in self._derived:
+            bare.append(self.d)
+        value = derive(self, key, build)
+        if key == "wmat":
+            kernels.append(value)
+        return value
+
+    monkeypatch.setattr(ModeSystem, "__post_init__", counting_init)
+    monkeypatch.setattr(ModeSystem, "_derive", counting_derive)
+    run(ExperimentConfig.from_dict(workloads.config("conservation", 1)))
+    assert len(systems) == 4 and len(bare) == 2
+    assert len({id(kernel) for kernel in kernels}) == 2

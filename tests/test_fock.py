@@ -1,10 +1,11 @@
-"""Dense Fock representation, mode-operator quantisation, and scaling checks."""
+"""Bit-string Fock quantisation, the string-construction oracle, and
+scaling checks."""
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
-from math import comb
+from math import comb, factorial, sqrt
 
+from fermiflow import exact, fock, sector
 from fermiflow.errors import CapacityError, RangeError, ValidationError
 from fermiflow.exact import build_hamiltonian, heisenberg_observable, second_quantize
 from fermiflow.fock import (
@@ -16,8 +17,11 @@ from fermiflow.fock import (
 )
 from fermiflow.graded import GradedObservable, graded_product, superflow_observable
 from fermiflow.modes import ModeSystem
-from fermiflow.sector import PSectorOperator
+from fermiflow.sector import PSectorOperator, sector_basis
 from fermiflow.tree import QuadratureSpec
+
+ANNIHILATE = np.array([[0.0, 1.0], [0.0, 0.0]])
+PARITY = np.diag([1.0, -1.0])
 
 
 def anticommutator(x, y):
@@ -37,16 +41,76 @@ def field_pair(rng, d):
     return f, g, psi_f, psibar_g
 
 
+def string_lowering(d):
+    """c_j = I ⊗ A ⊗ Z^{⊗j} by dense Kronecker strings; site j is bit j."""
+    ops = []
+    for j in range(d):
+        op = np.kron(np.eye(2 ** (d - 1 - j)), ANNIHILATE)
+        for _ in range(j):
+            op = np.kron(op, PARITY)
+        ops.append(op)
+    return ops
+
+
+def string_quantise(a, n):
+    """Sum of scaled c†_{x_p} ... c†_{x_1} c_{y_1} ... c_{y_q} strings."""
+    low = string_lowering(a.d)
+    eye = np.eye(2 ** a.d)
+    total = np.zeros((2 ** a.d, 2 ** a.d), dtype=complex)
+    for (p, q), mat in a.blocks.items():
+        scale = float(n) ** (-(p + q) / 2.0) * sqrt(factorial(p) * factorial(q))
+        for i, j in np.argwhere(np.abs(mat) > 0):
+            left, right = eye, eye
+            for x in sector_basis(a.d, p).occ[i]:
+                left = low[x].T @ left
+            for y in reversed(sector_basis(a.d, q).occ[j]):
+                right = low[y] @ right
+            total = total + (scale * mat[i, j]) * (left @ right)
+    return total
+
+
+def string_slater_isometry(d, n):
+    """Columns c†_{x_n} ... c†_{x_1}|0> of the ascending-subset basis."""
+    low = string_lowering(d)
+    columns = []
+    for occ in sector_basis(d, n).occ:
+        vec = np.eye(2 ** d)[:, 0]
+        for x in occ:
+            vec = low[x].T @ vec
+        columns.append(vec)
+    return np.stack(columns, axis=1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_bit_kernel_matches_the_string_construction(d):
+    rng = np.random.default_rng(d)
+    ctx = FockContext(d, 3)
+    shapes = [(p, q) for p in range(min(d, 2) + 1) for q in range(min(d, 2) + 1)]
+    every = GradedObservable(d, {pq: random_block(rng, d, *pq) for pq in shapes})
+    singles = [GradedObservable(d, {pq: random_block(rng, d, *pq)})
+               for pq in shapes]
+    isometries = [string_slater_isometry(d, n) for n in range(d + 1)]
+    for a in singles + [every]:
+        full = string_quantise(a, ctx.n)
+        assert np.array_equal(quantise(a, ctx), full)
+        for n, iso in enumerate(isometries):
+            assert np.array_equal(quantise(a, ctx, n), iso.T @ full @ iso)
+
+
 def test_mode_operators_satisfy_car():
     d = 4
-    ctx = FockContext(d, 2)
+    ctx = FockContext(d, 1)
+    unit = np.eye(d, dtype=complex)
+    lower = [quantise(GradedObservable(d, {(0, 1): unit[None, x]}), ctx)
+             for x in range(d)]
+    raise_ = [quantise(GradedObservable(d, {(1, 0): unit[:, x, None]}), ctx)
+              for x in range(d)]
     eye = np.eye(2 ** d)
     for x in range(d):
         for y in range(d):
-            mixed = anticommutator(ctx.lower[x], ctx.raise_[y]).toarray()
             want = eye if x == y else 0.0 * eye
-            assert np.array_equal(mixed, want)
-            assert anticommutator(ctx.lower[x], ctx.lower[y]).nnz == 0
+            assert np.array_equal(anticommutator(lower[x], raise_[y]), want)
+            assert np.array_equal(anticommutator(lower[x], lower[y]), 0.0 * eye)
 
 
 def test_rescaled_fields_anticommute_to_inverse_count():
@@ -54,8 +118,8 @@ def test_rescaled_fields_anticommute_to_inverse_count():
     d, n = 4, 3
     ctx = FockContext(d, n)
     f, g, psi_f, psibar_g = field_pair(rng, d)
-    hat_f = quantise(psi_f, ctx).toarray()
-    hat_g = quantise(psibar_g, ctx).toarray()
+    hat_f = quantise(psi_f, ctx)
+    hat_g = quantise(psibar_g, ctx)
     want = (np.vdot(f, g) / n) * np.eye(2 ** d)
     assert np.linalg.norm(anticommutator(hat_f, hat_g) - want, 2) < 1e-13
 
@@ -70,14 +134,12 @@ def test_context_capacity_and_range():
 
 
 def test_sector_isometry_orthonormal():
-    ctx = FockContext(5, 2)
-    iso = ctx.sector_isometry(2)
-    dim = comb(5, 2)
-    assert iso.shape == (2 ** 5, dim)
-    gram = (iso.conj().T @ iso).toarray()
-    assert np.linalg.norm(gram - np.eye(dim), 2) < 1e-14
-    assert np.array_equal(ctx.restrict(sp.identity(2 ** 5, format="csr"), 2),
-                          np.eye(dim))
+    d = 5
+    ctx = FockContext(d, 2)
+    unit = GradedObservable(d, {(0, 0): np.ones((1, 1), dtype=complex)})
+    assert np.array_equal(quantise(unit, ctx), np.eye(2 ** d))
+    for n in range(d + 1):
+        assert np.array_equal(quantise(unit, ctx, n), np.eye(comb(d, n)))
 
 
 def test_number_block_quantises_to_scaled_counter():
@@ -85,8 +147,8 @@ def test_number_block_quantises_to_scaled_counter():
     ctx = FockContext(d, n)
     block = np.zeros((d, d), dtype=complex)
     block[1, 1] = 1.0
-    got = quantise(GradedObservable(d, {(1, 1): block}), ctx).toarray()
-    want = (ctx.raise_[1] @ ctx.lower[1]).toarray() / n
+    got = quantise(GradedObservable(d, {(1, 1): block}), ctx)
+    want = np.diag((np.arange(2 ** d) >> 1) & 1) / n
     assert np.array_equal(got, want)
 
 
@@ -97,7 +159,7 @@ def test_restriction_matches_sector_quantisation(d, n, p):
     mat = random_block(rng, d, p, p)
     a = PSectorOperator(d, p, mat)
     ctx = FockContext(d, n)
-    via_fock = ctx.restrict(quantise(GradedObservable.from_sector_op(a), ctx), n)
+    via_fock = quantise(GradedObservable.from_sector_op(a), ctx, n)
     direct = second_quantize(a, n).mat
     assert np.linalg.norm(via_fock - direct, 2) < 1e-12
 
@@ -106,9 +168,25 @@ def test_restriction_matches_sector_quantisation(d, n, p):
 def test_energy_blocks_restrict_to_sector_hamiltonian(n):
     system = ModeSystem.chain(5, 0.8)
     ctx = FockContext(5, n)
-    energy = quantise(grassmann_hamiltonian(system), ctx)
-    got = n * ctx.restrict(energy, n)
+    got = n * quantise(grassmann_hamiltonian(system), ctx, n)
     want = build_hamiltonian(system, n).mat
+    assert np.linalg.norm(got - want, 2) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_fock_route_uses_no_sector_lift(monkeypatch, n):
+    system = ModeSystem.chain(5, 0.8)
+    want = build_hamiltonian(system, n).mat
+
+    def refuse(*args):
+        raise AssertionError("the Fock route reached a sector-side table")
+
+    monkeypatch.setattr(sector, "lift_tables", refuse)
+    monkeypatch.setattr(sector, "_marginal_table", refuse)
+    monkeypatch.setattr(exact, "second_quantize", refuse)
+    monkeypatch.setattr(fock, "second_quantize", refuse)
+    got = n * quantise(grassmann_hamiltonian(ModeSystem.chain(5, 0.8)),
+                       FockContext(5, n), n)
     assert np.linalg.norm(got - want, 2) < 1e-12
 
 
@@ -122,8 +200,8 @@ def test_quantisation_is_not_multiplicative():
     gaps = []
     for n in (2, 4, 8):
         ctx = FockContext(d, n)
-        lhs = quantise(ab, ctx).toarray()
-        rhs = (quantise(a, ctx) @ quantise(b, ctx)).toarray()
+        lhs = quantise(ab, ctx)
+        rhs = quantise(a, ctx) @ quantise(b, ctx)
         gaps.append(np.linalg.norm(lhs - rhs, 2))
     assert gaps[0] > 1e-3
     assert gaps[0] > 1.8 * gaps[1] > 3.2 * gaps[2]
