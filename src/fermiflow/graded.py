@@ -262,8 +262,37 @@ def hierarchy_collision(sigma: list, system: ModeSystem) -> list:
     out = [np.zeros_like(s) for s in sigma]
     for p in range(1, len(sigma) - 1):
         out[p] = -1j * contract_pair_commutator(
-            sigma[p + 1], system._pair_weights(p + 1), system.d, p + 1)
+            sigma[p + 1], system._lift_coefficients(p + 1), system.d, p + 1)
     return out
+
+
+class _BlockRotation:
+    """A block-diagonal operator kept as its diagonal blocks, one per row
+    slice, so that ``@`` with a block-diagonal matrix works block by block."""
+
+    __array_ufunc__ = None      # ``matrix @ rotation`` calls __rmatmul__
+
+    def __init__(self, blocks, sectors):
+        self.blocks, self.sectors = blocks, sectors
+
+    def conj(self) -> "_BlockRotation":
+        return _BlockRotation([b.conj() for b in self.blocks], self.sectors)
+
+    @property
+    def T(self) -> "_BlockRotation":
+        return _BlockRotation([b.T for b in self.blocks], self.sectors)
+
+    def _times(self, x, left: bool):
+        out = np.zeros_like(x)
+        for s, b in zip(self.sectors, self.blocks):
+            out[s, s] = b @ x[s, s] if left else x[s, s] @ b
+        return out
+
+    def __matmul__(self, x):
+        return self._times(x, left=True)
+
+    def __rmatmul__(self, x):
+        return self._times(x, left=False)
 
 
 def hierarchy_evolve(rho: GradedState, system: ModeSystem, t_grid,
@@ -273,8 +302,7 @@ def hierarchy_evolve(rho: GradedState, system: ModeSystem, t_grid,
     Each gauge block obeys a von Neumann equation sourced by the traced
     pair commutator of the block one level above; the top level is free.
     The blocks run as one block-diagonal operator through the
-    interaction-picture stream, rotated by the block-diagonal sector
-    propagator.
+    interaction-picture stream, each rotated by its own sector propagator.
     """
     if not rho.is_gauge_invariant():
         raise UnsupportedError("hierarchy flow needs a gauge-invariant state")
@@ -294,7 +322,8 @@ def hierarchy_evolve(rho: GradedState, system: ModeSystem, t_grid,
 
     stream = _interaction_stream(
         diagonal(rho.block(p, p) for p in levels),
-        lambda t: diagonal(sector_propagator(system, p, t) for p in levels),
+        lambda t: _BlockRotation(
+            [sector_propagator(system, p, t) for p in levels], sectors),
         t_grid,
         lambda x: diagonal(hierarchy_collision([x[s, s] for s in sectors],
                                                system)),

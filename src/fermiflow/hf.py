@@ -117,7 +117,7 @@ class OrbitalSet:
     @classmethod
     def ground_state(cls, system: ModeSystem, n: int) -> "OrbitalSet":
         """The n lowest one-body eigenvectors (deterministic reference frame)."""
-        _, vecs = system._eigensystem()
+        _, vecs, _ = system._eigensystem()
         return cls(vecs[:, :n], scale=ORTHONORMAL)
 
 

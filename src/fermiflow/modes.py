@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import RangeError, ShapeError, ValidationError
-from .sector import (compound_matrix, interaction_weights,
+from .sector import (compound_matrix, lift_coefficients,
                      pair_diagonal_sector, sector_basis)
 
 HERMITICITY_TOL = 1e-12
@@ -50,10 +50,10 @@ class ModeSystem:
 
     The system is immutable: ``h`` and ``w`` are read-only copies of the
     inputs, so the data derived from them and kept in ``_derived`` (the
-    pair kernel ``wmat``, the per-sector pair weights and diagonals, the
-    eigensystem of h, the per-sector rotations, the sector Hamiltonians
-    of :func:`~fermiflow.exact.build_hamiltonian` and the bare h = 0 twin
-    of the mean-field flows) can never go stale.
+    pair kernel ``wmat``, the per-sector lift coefficients and pair
+    diagonals, the eigensystem of h, the per-sector rotations, the sector
+    Hamiltonians of :func:`~fermiflow.exact.build_hamiltonian` and the bare
+    h = 0 twin of the mean-field flows) can never go stale.
 
     Parameters
     ----------
@@ -106,11 +106,11 @@ class ModeSystem:
         """Operator norm of the two-mode pair operator (max |w|)."""
         return float(np.max(np.abs(self.w)))
 
-    def _pair_weights(self, m: int) -> np.ndarray:
-        """Read-only pair weights of the (m-1) ⊗ 1 → m lift, as
-        :func:`~fermiflow.sector.interaction_weights` gives them."""
-        return self._derive(("pair_weights", m), lambda: _read_only(
-            interaction_weights(self.wmat, self.d, m)))
+    def _lift_coefficients(self, m: int) -> np.ndarray:
+        """Read-only pair-commutator coefficients of the (m-1) ⊗ 1 → m lift,
+        as :func:`~fermiflow.sector.lift_coefficients` gives them."""
+        return self._derive(("lift_coefficients", m), lambda: _read_only(
+            lift_coefficients(self.wmat, self.d, m)))
 
     def _pair_diagonal(self, m: int) -> np.ndarray:
         """Read-only diagonal of the pair sum on the m-sector, as
@@ -141,19 +141,28 @@ class ModeSystem:
         return self._derived[key]
 
     def _eigensystem(self):
-        """Eigenvalues and eigenvectors of h, as ``np.linalg.eigh`` gives them."""
-        return self._derive("eig", lambda: np.linalg.eigh(self.h))
+        """Eigenvalues and eigenvectors of h, as ``np.linalg.eigh`` gives them,
+        and the adjoint of the eigenvectors, all read-only."""
+        def build():
+            vals, vecs = np.linalg.eigh(self.h)
+            return _frame(vals, vecs)
+        return self._derive("eig", build)
 
     def _sector_rotation(self, m: int):
-        """Minor matrix of the eigenvectors of h on the m-sector, and the
-        subset sums of the eigenvalues that diagonalise it there."""
+        """The subset sums of the eigenvalues of h, the minor matrix of its
+        eigenvectors that they diagonalise on the m-sector, and the adjoint
+        of that minor matrix, all read-only."""
         def build():
-            vals, vecs = self._eigensystem()
-            return (compound_matrix(vecs, m),
-                    sector_basis(self.d, m).occupation_onehot() @ vals)
+            vals, vecs, _ = self._eigensystem()
+            return _frame(sector_basis(self.d, m).occupation_onehot() @ vals,
+                          compound_matrix(vecs, m))
         return self._derive(("sector", m), build)
 
     def free_propagator(self, t: float) -> np.ndarray:
         """One-particle propagator exp(-i t h), via the cached eigensystem."""
-        vals, vecs = self._eigensystem()
-        return (vecs * np.exp(-1j * t * vals)) @ vecs.conj().T
+        vals, vecs, vecs_h = self._eigensystem()
+        return (vecs * np.exp(-1j * t * vals)) @ vecs_h
+
+
+def _frame(vals: np.ndarray, vecs: np.ndarray):
+    return _read_only(vals), _read_only(vecs), _read_only(vecs.conj().T)

@@ -22,7 +22,6 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
-from typing import NamedTuple
 
 import numpy as np
 
@@ -361,37 +360,27 @@ def pair_diagonal_sector(wmat: np.ndarray, d: int, n: int) -> np.ndarray:
 # onto the m-particle sector sends |alpha⟩ ⊗ e_i to
 # (1/sqrt(m)) (-1)^(m-1-pos(i)) |alpha ∪ {i}⟩.
 
-class LiftBlock(NamedTuple):
-    """The part of the (m-1) ⊗ 1 → m coisometry that adds one mode.
-
-    ``small`` and ``big`` are the ready ``np.ix_`` index pairs of the
-    ``alpha`` rows of the (m-1)-sector and the ``target`` rows of the
-    m-sector; ``signs`` is the outer product of the coisometry signs.
-    """
-
-    alpha: np.ndarray
-    target: np.ndarray
-    small: tuple
-    big: tuple
-    signs: np.ndarray
-
-
 @lru_cache(maxsize=None)
 def lift_tables(d: int, m: int):
-    """Per-mode blocks of the (m-1) ⊗ 1 → m sector coisometry, in mode order:
-    the (m-1, 1)-subset pairs of the marginal table grouped by the added
-    mode, whose sign is (-1)^(m-1-pos(i))."""
+    """Entries (alpha_a, alpha_b, i) of the (m-1) ⊗ 1 → m sector coisometry
+    on both sides of an operator, mode-major, from the (m-1, 1)-subset pairs
+    of the marginal table: ``alpha[i]``, the ascending (m-1)-sector rows
+    without mode i, and per entry, once for its real and once for its
+    imaginary part, the positions in the float view of the flat indices
+    alpha_a C(d, m-1) + alpha_b and S_a C(d, m) + S_b of S = alpha ∪ {i},
+    and the sign s_a s_b, where s = (-1)^(m-1-pos(i))."""
     if m < 1:
         raise RangeError("lift needs a target sector with at least one particle")
     rows, modes, union, signs = _marginal_table(d, m, m - 1)
-    blocks = []
-    for i in range(d):
-        pick = modes == i
-        a_idx, s_idx, sg = rows[pick], union[pick], signs[pick]
-        blocks.append(LiftBlock(a_idx, s_idx, np.ix_(a_idx, a_idx),
-                                np.ix_(s_idx, s_idx),
-                                sg[:, None] * sg[None, :]))
-    return tuple(blocks)
+    order = np.argsort(modes, kind="stable")
+    alpha, target, sign = (v[order].reshape(d, comb(d - 1, m - 1))
+                           for v in (rows, union, signs))
+
+    def parts(v, dim):
+        flat = v[:, :, None] * dim + v[:, None, :]
+        return (2 * flat[..., None] + np.arange(2)).reshape(-1)
+    return (alpha, parts(alpha, comb(d, m - 1)), parts(target, comb(d, m)),
+            np.repeat(sign[:, :, None] * sign[:, None, :], 2))
 
 
 def interaction_weights(wmat: np.ndarray, d: int, m: int) -> np.ndarray:
@@ -400,45 +389,49 @@ def interaction_weights(wmat: np.ndarray, d: int, m: int) -> np.ndarray:
     return onehot @ wmat
 
 
+def lift_coefficients(wmat: np.ndarray, d: int, m: int) -> np.ndarray:
+    """Per-entry coefficients s_a s_b (wbar[alpha_a, i] - wbar[alpha_b, i])
+    of the pair commutator on the :func:`lift_tables` entries, each once per
+    part, with wbar from :func:`interaction_weights`."""
+    alpha, _, _, signs = lift_tables(d, m)
+    w = interaction_weights(wmat, d, m)[alpha, np.arange(d)[:, None]]
+    return signs * np.repeat(w[:, :, None] - w[:, None, :], 2)
+
+
+def _lift_sum(x, gather, weights, scatter, dim: int, m: int) -> np.ndarray:
+    """The dim x dim matrix, over m, whose float part k adds up the parts
+    of x at ``gather`` times ``weights`` over the entries whose ``scatter``
+    is k; ``np.bincount`` adds in entry order, so mode by mode ascending."""
+    parts = np.ascontiguousarray(x, dtype=complex).view(float).take(gather)
+    parts *= weights
+    out = np.bincount(scatter, parts, 2 * dim * dim)
+    out *= 1.0 / m
+    return out.view(complex).reshape(dim, dim)
+
+
 def project_lift(x: np.ndarray, d: int, m: int) -> np.ndarray:
     """Sector matrix of P_- (X ⊗ 1) P_- given X on the (m-1)-sector."""
-    big = sector_basis(d, m)
-    out = np.zeros((big.dim, big.dim), dtype=complex)
-    for block in lift_tables(d, m):
-        out[block.big] += block.signs * x[block.small]
-    out /= m
-    return out
+    _, small, big, signs = lift_tables(d, m)
+    return _lift_sum(x, small, signs, big, comb(d, m), m)
 
 
-def project_lift_pair_commutator(x: np.ndarray, wbar: np.ndarray,
+def project_lift_pair_commutator(x: np.ndarray, coefficients: np.ndarray,
                                  d: int, m: int) -> np.ndarray:
     """Sector matrix of P_- [sum_i W_{i,m}, X ⊗ 1] P_-.
 
-    X lives on the (m-1)-sector; the pair weights wbar must come from
-    :func:`interaction_weights` for the same geometry.
+    X lives on the (m-1)-sector; the coefficients must come from
+    :func:`lift_coefficients` for the same geometry.
     """
-    big = sector_basis(d, m)
-    out = np.zeros((big.dim, big.dim), dtype=complex)
-    for i, block in enumerate(lift_tables(d, m)):
-        wcol = wbar[block.alpha, i]
-        diff = wcol[:, None] - wcol[None, :]
-        out[block.big] += block.signs * diff * x[block.small]
-    out /= m
-    return out
+    _, small, big, _ = lift_tables(d, m)
+    return _lift_sum(x, small, coefficients, big, comb(d, m), m)
 
 
-def contract_pair_commutator(rho: np.ndarray, wbar: np.ndarray,
+def contract_pair_commutator(rho: np.ndarray, coefficients: np.ndarray,
                              d: int, m: int) -> np.ndarray:
     """Sector matrix of tr_m [sum_i W_{i,m}, rho] given rho on the m-sector.
 
     This is the adjoint of :func:`project_lift_pair_commutator`; it is the
     collision term feeding the (m-1)-particle level of a reduced hierarchy.
     """
-    small = sector_basis(d, m - 1)
-    out = np.zeros((small.dim, small.dim), dtype=complex)
-    for i, block in enumerate(lift_tables(d, m)):
-        wcol = wbar[block.alpha, i]
-        diff = wcol[:, None] - wcol[None, :]
-        out[block.small] += block.signs * diff * rho[block.big]
-    out /= m
-    return out
+    _, small, big, _ = lift_tables(d, m)
+    return _lift_sum(rho, big, coefficients, small, comb(d, m - 1), m)

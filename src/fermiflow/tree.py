@@ -119,8 +119,8 @@ def sector_propagator(system: ModeSystem, m: int, t: float) -> np.ndarray:
     Minor matrices are multiplicative, so the propagator diagonalizes in
     the minor basis of the one-body eigenvectors with subset-sum phases.
     """
-    vm, lam = system._sector_rotation(m)
-    return (vm * np.exp(-1j * t * lam)[None, :]) @ vm.conj().T
+    lam, vm, vm_h = system._sector_rotation(m)
+    return (vm * np.exp(-1j * t * lam)[None, :]) @ vm_h
 
 
 def free_evolve_op(a: PSectorOperator, system: ModeSystem,
@@ -142,7 +142,7 @@ def _attach_insertion(x: np.ndarray, m: int, system: ModeSystem, s: float,
     f_small = sector_propagator(system, m - 1, s)
     f_big = sector_propagator(system, m, s)
     z = f_small @ x @ f_small.conj().T
-    lifted = project_lift_pair_commutator(z, system._pair_weights(m),
+    lifted = project_lift_pair_commutator(z, system._lift_coefficients(m),
                                           system.d, m)
     return (1j * factor) * (f_big.conj().T @ lifted @ f_big)
 

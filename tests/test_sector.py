@@ -19,7 +19,8 @@ from fermiflow.sector import (PSectorOperator, SectorState, _one_body_tables,
                               antisymmetrize, antisym_projector_dense,
                               compound_matrix,
                               contract_pair_commutator, embedding_isometry,
-                              gram, interaction_weights, lift_tables, marginal,
+                              gram, interaction_weights, lift_coefficients,
+                              lift_tables, marginal,
                               one_body_sector, pair_diagonal_sector,
                               permutation_sign, project_lift,
                               project_lift_pair_commutator, sector_basis,
@@ -328,22 +329,32 @@ def test_pair_diagonal_matches_first_quantized_oracle():
                                atol=1e-13)
 
 
-def test_project_lift_matches_dense_oracle():
-    rng = np.random.default_rng(17)
-    d, m = 4, 3
-    small = sector_basis(d, m - 1)
-    x = rng.normal(size=(small.dim, small.dim)) + 1j * rng.normal(
-        size=(small.dim, small.dim))
-    iso_small = embedding_isometry(d, m - 1)
-    x_full = np.asarray(iso_small.todense()) @ x @ np.asarray(
-        iso_small.conj().T.todense())
-    proj = antisym_projector_dense(d, m)
-    lifted_full = proj @ np.kron(x_full, np.eye(d)) @ proj
-    iso_big = embedding_isometry(d, m)
-    want = np.asarray(iso_big.conj().T.todense()) @ lifted_full @ np.asarray(
-        iso_big.todense())
-    got = project_lift(x, d, m)
-    np.testing.assert_allclose(got, want, atol=1e-12)
+def lift_sectors():
+    """(d, m) with 1 <= m <= d <= 6 and a dense d**m space of at most 1296."""
+    return st.integers(1, 6).flatmap(lambda d: st.tuples(
+        st.just(d), st.integers(1, d).filter(lambda m: d ** m <= 1296)))
+
+
+def random_complex(rng, dim):
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+def dense_lift_oracle(x, d, m, lifted_full):
+    """S_m† P_- L(X_full ⊗ 1) P_- S_m for the full-space (m-1) embedding
+    X_full of x, with the dense projector applied before the contraction."""
+    iso_small = embedding_isometry(d, m - 1).toarray()
+    x_full = iso_small @ x @ iso_small.conj().T
+    bridge = antisym_projector_dense(d, m) @ embedding_isometry(d, m).toarray()
+    return lifted_full(np.kron(x_full, np.eye(d)), bridge)
+
+
+@settings(max_examples=30, deadline=None)
+@given(lift_sectors(), st.integers(0, 10_000))
+def test_project_lift_matches_dense_oracle(sectors, seed):
+    d, m = sectors
+    x = random_complex(np.random.default_rng(seed), comb(d, m - 1))
+    want = dense_lift_oracle(x, d, m, lambda k, b: b.conj().T @ k @ b)
+    np.testing.assert_allclose(project_lift(x, d, m), want, atol=1e-12)
 
 
 def test_project_lift_identity_is_identity():
@@ -363,25 +374,18 @@ def pair_interaction_full(wmat, d, m):
     return out
 
 
-def test_project_lift_pair_commutator_matches_dense_oracle():
-    rng = np.random.default_rng(23)
-    d, m = 4, 3
+@settings(max_examples=30, deadline=None)
+@given(lift_sectors(), st.integers(0, 10_000))
+def test_project_lift_pair_commutator_matches_dense_oracle(sectors, seed):
+    d, m = sectors
     sys = ModeSystem.chain(d)
-    small = sector_basis(d, m - 1)
-    x = rng.normal(size=(small.dim, small.dim)) + 1j * rng.normal(
-        size=(small.dim, small.dim))
-    iso_small = embedding_isometry(d, m - 1)
-    x_full = np.asarray(iso_small.todense()) @ x @ np.asarray(
-        iso_small.conj().T.todense())
+    x = random_complex(np.random.default_rng(seed), comb(d, m - 1))
     w_full = pair_interaction_full(sys.wmat, d, m)
-    comm = w_full @ np.kron(x_full, np.eye(d)) - np.kron(x_full, np.eye(d)) @ w_full
-    proj = antisym_projector_dense(d, m)
-    full = proj @ comm @ proj
-    iso_big = embedding_isometry(d, m)
-    want = np.asarray(iso_big.conj().T.todense()) @ full @ np.asarray(
-        iso_big.todense())
-    wbar = interaction_weights(sys.wmat, d, m)
-    got = project_lift_pair_commutator(x, wbar, d, m)
+    want = dense_lift_oracle(
+        x, d, m, lambda k, b: (b.conj().T @ w_full) @ k @ b
+        - b.conj().T @ k @ (w_full @ b))
+    got = project_lift_pair_commutator(x, lift_coefficients(sys.wmat, d, m),
+                                       d, m)
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -389,46 +393,107 @@ def test_contract_is_adjoint_of_lift_commutator():
     rng = np.random.default_rng(29)
     d, m = 5, 3
     sys = ModeSystem.chain(d)
-    wbar = interaction_weights(sys.wmat, d, m)
+    coefficients = lift_coefficients(sys.wmat, d, m)
     small, big = sector_basis(d, m - 1), sector_basis(d, m)
-    x = rng.normal(size=(small.dim, small.dim)) + 1j * rng.normal(
-        size=(small.dim, small.dim))
-    rho = rng.normal(size=(big.dim, big.dim)) + 1j * rng.normal(
-        size=(big.dim, big.dim))
-    lift = project_lift_pair_commutator(x, wbar, d, m)
-    contr = contract_pair_commutator(rho, wbar, d, m)
+    x = random_complex(rng, small.dim)
+    rho = random_complex(rng, big.dim)
+    lift = project_lift_pair_commutator(x, coefficients, d, m)
+    contr = contract_pair_commutator(rho, coefficients, d, m)
     lhs = np.trace(lift.conj().T @ rho)
     rhs = np.trace(x.conj().T @ contr)
     np.testing.assert_allclose(lhs, rhs, atol=1e-11)
 
 
+def nested_loop_blocks(d, m):
+    """Oracle: per added mode i, the (m-1)-sector rows alpha without i, the
+    m-sector rows of alpha ∪ {i} and the coisometry signs (-1)^(m-1-pos(i)),
+    read off the basis states one occupied mode at a time."""
+    small, big = sector_basis(d, m - 1), sector_basis(d, m)
+    alpha, target, sign = ([[] for _ in range(d)] for _ in range(3))
+    for row, mask in enumerate(big.masks):
+        for pos, i in enumerate(big.occ[row]):
+            alpha[i].append(small.index[int(mask) ^ (1 << int(i))])
+            target[i].append(row)
+            sign[i].append((-1.0) ** (m - 1 - pos))
+    return [(np.array(a, dtype=int), np.array(t, dtype=int), np.array(s))
+            for a, t, s in zip(alpha, target, sign)]
+
+
+def per_mode_loop(d, m, x, weights, adjoint=False):
+    """Oracle: the per-mode kernel, one np.ix_ block of the coisometry per
+    added mode, with wbar from :func:`interaction_weights` (none for the
+    plain lift)."""
+    small, big = sector_basis(d, m - 1).dim, sector_basis(d, m).dim
+    dim = small if adjoint else big
+    out = np.zeros((dim, dim), dtype=complex)
+    for i, (a_idx, s_idx, sg) in enumerate(nested_loop_blocks(d, m)):
+        signs = sg[:, None] * sg[None, :]
+        if weights is not None:
+            wcol = weights[a_idx, i]
+            signs = signs * (wcol[:, None] - wcol[None, :])
+        src, dst = np.ix_(s_idx, s_idx), np.ix_(a_idx, a_idx)
+        if not adjoint:
+            src, dst = dst, src
+        out[dst] += signs * x[src]
+    out /= m
+    return out
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_lift_kernels_match_the_per_mode_loop(d):
+    rng = np.random.default_rng(d)
+    sys = ModeSystem.chain(d)
+    for m in range(1, d + 1):
+        small, big = sector_basis(d, m - 1).dim, sector_basis(d, m).dim
+        wbar = interaction_weights(sys.wmat, d, m)
+        coefficients = lift_coefficients(sys.wmat, d, m)
+        x, rho = random_complex(rng, small), random_complex(rng, big)
+        np.testing.assert_array_equal(project_lift(x, d, m),
+                                      per_mode_loop(d, m, x, None))
+        np.testing.assert_array_equal(
+            project_lift_pair_commutator(x, coefficients, d, m),
+            per_mode_loop(d, m, x, wbar))
+        np.testing.assert_array_equal(
+            contract_pair_commutator(rho, coefficients, d, m),
+            per_mode_loop(d, m, rho, wbar, adjoint=True))
+
+
+def float_parts(flat):
+    """Positions of the real and imaginary parts of flat complex indices."""
+    return np.stack([2 * flat, 2 * flat + 1], axis=-1).ravel()
+
+
 @pytest.mark.parametrize("d", [1, 2, 5, 8])
 def test_lift_tables_match_nested_loop(d):
     for m in range(1, d + 1):
-        small, big = sector_basis(d, m - 1), sector_basis(d, m)
-        alpha, target, sign = ([[] for _ in range(d)] for _ in range(3))
-        for row, mask in enumerate(big.masks):
-            for pos, i in enumerate(big.occ[row]):
-                alpha[i].append(small.index[int(mask) ^ (1 << int(i))])
-                target[i].append(row)
-                sign[i].append((-1.0) ** (m - 1 - pos))
-        blocks = lift_tables(d, m)
-        assert len(blocks) == d
-        for i, block in enumerate(blocks):
-            np.testing.assert_array_equal(block.alpha, alpha[i])
-            np.testing.assert_array_equal(block.target, target[i])
-            np.testing.assert_array_equal(block.signs,
-                                          np.outer(sign[i], sign[i]))
-            assert block.signs.dtype == np.float64
-            np.testing.assert_array_equal(block.big[0].ravel(), target[i])
+        small, big = sector_basis(d, m - 1).dim, sector_basis(d, m).dim
+        alpha, small_parts, big_parts, signs = lift_tables(d, m)
+        assert alpha.shape == (d, comb(d - 1, m - 1))
+        for i, (a_idx, s_idx, sg) in enumerate(nested_loop_blocks(d, m)):
+            n = 2 * len(a_idx) ** 2
+            entries = slice(i * n, (i + 1) * n)
+            np.testing.assert_array_equal(alpha[i], a_idx)
+            np.testing.assert_array_equal(
+                small_parts[entries],
+                float_parts(np.add.outer(small * a_idx, a_idx).ravel()))
+            np.testing.assert_array_equal(
+                big_parts[entries],
+                float_parts(np.add.outer(big * s_idx, s_idx).ravel()))
+            np.testing.assert_array_equal(signs[entries],
+                                          np.repeat(np.outer(sg, sg), 2))
+        assert len(signs) == 2 * d * comb(d - 1, m - 1) ** 2
 
 
 def test_lift_tables_cover_each_big_state_m_times():
+    # an entry (S_a, S_b) is reached once per shared mode, per part; the
+    # diagonal m times
     d, m = 6, 3
-    counts = np.zeros(sector_basis(d, m).dim)
-    for block in lift_tables(d, m):
-        counts[block.target] += 1
-    np.testing.assert_array_equal(counts, m)
+    big = sector_basis(d, m)
+    counts = np.bincount(lift_tables(d, m)[2], minlength=2 * big.dim ** 2)
+    shared = big.occupation_onehot() @ big.occupation_onehot().T
+    np.testing.assert_array_equal(counts.reshape(big.dim, big.dim, 2),
+                                  np.repeat(shared[..., None], 2, axis=2))
+    np.testing.assert_array_equal(np.diag(shared), m)
 
 
 def test_sector_operator_shape_check():

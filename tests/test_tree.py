@@ -23,7 +23,7 @@ from fermiflow.graded import state_from_density, superflow_observable
 from fermiflow.hf import OrbitalSet
 from fermiflow.modes import ModeSystem
 from fermiflow.sector import (PSectorOperator, antisym_projector_dense,
-                              embedding_isometry, interaction_weights,
+                              embedding_isometry, lift_coefficients,
                               pair_diagonal_sector, slater)
 from fermiflow.tree import (KERNEL_EXCHANGE, KERNEL_PLAIN, G_recursive,
                             QuadratureSpec, TheoryConstants, TreeOperator,
@@ -161,7 +161,7 @@ def test_wmat_is_built_once_and_read_only():
 
 
 @pytest.mark.parametrize("name, definition",
-                         [("_pair_weights", interaction_weights),
+                         [("_lift_coefficients", lift_coefficients),
                           ("_pair_diagonal", pair_diagonal_sector)])
 def test_pair_tables_are_built_once_and_read_only(name, definition):
     system = ModeSystem.chain(5, coupling=1.0)
@@ -170,6 +170,17 @@ def test_pair_tables_are_built_once_and_read_only(name, definition):
     np.testing.assert_array_equal(table, definition(system.wmat, 5, 3))
     with pytest.raises(ValueError):
         table[0] = 7.0
+
+
+def test_eigensystem_adjoints_are_built_once_and_read_only():
+    system = ModeSystem.chain(5, coupling=1.0)
+    for frame in (system._eigensystem(), system._sector_rotation(2)):
+        _, vecs, adjoint = frame
+        np.testing.assert_array_equal(adjoint, vecs.conj().T)
+        for array in frame:
+            with pytest.raises(ValueError):
+                array[0] = 7.0
+    assert system._sector_rotation(2)[2] is system._sector_rotation(2)[2]
 
 
 def test_free_evolution_matches_dense_conjugation():
