@@ -27,8 +27,7 @@ from .hf import HFConfig, _interaction_stream, quasi_free_marginal
 from .modes import ModeSystem
 from .sector import (PSectorOperator, embedding_isometry,
                      contract_pair_commutator, trace_norm)
-from .tree import (QuadratureSpec, _series, _spectral_norm,
-                   sector_propagator)
+from .tree import QuadratureSpec, _series, _spectral_norm, sector_frame
 
 
 def _block_shape(d: int, p: int, q: int) -> tuple:
@@ -302,7 +301,7 @@ def hierarchy_evolve(rho: GradedState, system: ModeSystem, t_grid,
     Each gauge block obeys a von Neumann equation sourced by the traced
     pair commutator of the block one level above; the top level is free.
     The blocks run as one block-diagonal operator through the
-    interaction-picture stream, each rotated by its own sector propagator.
+    interaction-picture stream, each rotated by its own sector frame.
     """
     if not rho.is_gauge_invariant():
         raise UnsupportedError("hierarchy flow needs a gauge-invariant state")
@@ -323,7 +322,7 @@ def hierarchy_evolve(rho: GradedState, system: ModeSystem, t_grid,
     stream = _interaction_stream(
         diagonal(rho.block(p, p) for p in levels),
         lambda t: _BlockRotation(
-            [sector_propagator(system, p, t) for p in levels], sectors),
+            [sector_frame(system, p, t) for p in levels], sectors),
         t_grid,
         lambda x: diagonal(hierarchy_collision([x[s, s] for s in sectors],
                                                system)),

@@ -14,7 +14,7 @@ root, so its flow is the kappa flow. Each flow runs its lab-frame
 right-hand side, on the bare system (h = 0), through one
 interaction-picture stream of fixed-step RK4, so the stiff free rotation
 is exact and a zero potential propagates exactly; given its free
-propagator, the stream also runs the hierarchy of :mod:`fermiflow.graded`.
+frame, the stream also runs the hierarchy of :mod:`fermiflow.graded`.
 """
 
 from __future__ import annotations
@@ -294,12 +294,15 @@ def _rk4_stream(y0, t_grid, derivative, dt):
 def _interaction_stream(x0, propagator, t_grid, rhs, dt: float,
                         both_sides: bool = False):
     """Lab-frame states (t, x) of dx/dt = -i[H0, x] + rhs(x), or of
-    dx/dt = -i H0 x + rhs(x) unless ``both_sides``, where
-    ``propagator(t)`` is the free propagator u = exp(-i t H0).
+    dx/dt = -i H0 x + rhs(x) unless ``both_sides``, where ``propagator(t)``
+    is any unitary solution u of du/dt = -i H0 u: the free propagator
+    exp(-i t H0), or the free frame, the eigenvectors of H0 with phases
+    exp(-i t λ_j), which is one product cheaper.
 
     RK4 moves y = u† x, or u† x u when ``both_sides``. The derivative of u
     cancels the free term, which leaves ``rhs`` conjugated by u: the free
-    rotation is exact, and a zero ``rhs`` propagates exactly.
+    rotation is exact, and a zero ``rhs`` propagates exactly. With the
+    frame, y is in the eigenbasis of H0.
     """
     # An RK4 step evaluates at t, t + h/2 twice and t + h, which is the next
     # step's t, so three remembered times build u twice per step.
@@ -329,14 +332,14 @@ def _interaction_stream(x0, propagator, t_grid, rhs, dt: float,
 def _hf_stream(x0, system: ModeSystem, t_grid, rhs, dt: float,
                both_sides: bool = False):
     """Lab-frame states (t, x) of the mean-field flow dx/dt = rhs(x, system):
-    the stream carries exp(-i t h), and ``rhs`` runs on the bare system,
-    built once per system and sharing its read-only ``wmat``."""
+    the stream carries the free frame of h, and ``rhs`` runs on the bare
+    system, built once per system and sharing its read-only ``wmat``."""
     def build():
         twin = ModeSystem(system.d, np.zeros_like(system.h), system.w)
         twin._derive("wmat", lambda: system.wmat)
         return twin
     bare = system._derive("bare", build)
-    return _interaction_stream(x0, system.free_propagator, t_grid,
+    return _interaction_stream(x0, system.free_frame, t_grid,
                                lambda x: rhs(x, bare), dt, both_sides)
 
 

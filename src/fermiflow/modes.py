@@ -158,10 +158,20 @@ class ModeSystem:
                           compound_matrix(vecs, m))
         return self._derive(("sector", m), build)
 
+    def free_frame(self, t: float) -> np.ndarray:
+        """The eigenvectors of h with column j scaled by exp(-i t λ_j).
+
+        The frame is exp(-i t h) times the eigenvectors: unitary, and a
+        solution of df/dt = -i h f, as the propagator is, one matrix
+        product cheaper.
+        """
+        vals, vecs, _ = self._eigensystem()
+        return vecs * np.exp(-1j * t * vals)
+
     def free_propagator(self, t: float) -> np.ndarray:
-        """One-particle propagator exp(-i t h), via the cached eigensystem."""
-        vals, vecs, vecs_h = self._eigensystem()
-        return (vecs * np.exp(-1j * t * vals)) @ vecs_h
+        """One-particle propagator exp(-i t h), the free frame times the
+        adjoint eigenvectors."""
+        return self.free_frame(t) @ self._eigensystem()[2]
 
 
 def _frame(vals: np.ndarray, vecs: np.ndarray):

@@ -13,7 +13,9 @@ rotations are minor matrices of the one-particle propagator, attachment
 steps use the sparse coisometry tables from :mod:`fermiflow.sector`, and
 loop steps act through the diagonal pair sum. Nested Gauss-Legendre nodes
 over the ordered time simplex share their prefix evaluations, so one sweep
-yields every order at once.
+yields every order at once; the sweep holds its operands in the eigenbasis
+of the free sector Hamiltonians, where free evolution is a phase-scaled
+frame of eigenvectors and no propagator is built.
 """
 
 from __future__ import annotations
@@ -113,14 +115,23 @@ def _zero_sector_matrix(d: int, m: int) -> np.ndarray:
     return np.zeros((dim, dim), dtype=complex)
 
 
-def sector_propagator(system: ModeSystem, m: int, t: float) -> np.ndarray:
-    """Free m-particle sector propagator, the minor matrix of exp(-i t h).
+def sector_frame(system: ModeSystem, m: int, t: float) -> np.ndarray:
+    """Free m-particle sector frame: the minor matrix of the one-body
+    eigenvectors with column J scaled by exp(-i t λ_J), λ_J the subset sum
+    of the eigenvalues over J.
 
-    Minor matrices are multiplicative, so the propagator diagonalizes in
-    the minor basis of the one-body eigenvectors with subset-sum phases.
+    Minor matrices are multiplicative, so this is the sector propagator
+    times the eigen-minor matrix: unitary, and a solution of
+    df/dt = -i H₀ f on the m-sector.
     """
-    lam, vm, vm_h = system._sector_rotation(m)
-    return (vm * np.exp(-1j * t * lam)[None, :]) @ vm_h
+    lam, vm, _ = system._sector_rotation(m)
+    return vm * np.exp(-1j * t * lam)
+
+
+def sector_propagator(system: ModeSystem, m: int, t: float) -> np.ndarray:
+    """Free m-particle sector propagator, the minor matrix of exp(-i t h):
+    the sector frame times the adjoint eigen-minor matrix."""
+    return sector_frame(system, m, t) @ system._sector_rotation(m)[2]
 
 
 def free_evolve_op(a: PSectorOperator, system: ModeSystem,
@@ -137,7 +148,10 @@ def _attach_insertion(x: np.ndarray, m: int, system: ModeSystem, s: float,
     """i P_- [sum_i K_{i m}(s), X ⊗ 1] P_- for X on the (m-1)-sector.
 
     The insertion kernel is evaluated in the free Heisenberg picture at
-    time s: rotate the operand forward, commute, rotate back.
+    time s: rotate the operand forward, commute, rotate back. This is the
+    propagator route, in site basis with dense sector propagators; it is
+    the independent oracle of the eigenframe sweep in
+    :func:`_integrate_orders`.
     """
     f_small = sector_propagator(system, m - 1, s)
     f_big = sector_propagator(system, m, s)
@@ -163,7 +177,9 @@ def G_recursive(a: PSectorOperator, k: int, l: int, t: float, times,
 
     Each level j applies, at time times[j-1], the attachment commutator to
     the (j-1, l) operator and the loop commutator to the (j-1, l-1) one;
-    the base case is the freely evolved observable at time t.
+    the base case is the freely evolved observable at time t. It runs the
+    propagator route (:func:`_attach_insertion`, :func:`_loop_insertion`),
+    so it is the oracle of the integrated sweep at fixed times.
     """
     factor = _kernel_factor(kernel)
     if k < 0:
@@ -206,11 +222,18 @@ def _gl_nodes(n: int):
 
 def _integrate_orders(a: PSectorOperator, K: int, t: float, nodes: int,
                       system: ModeSystem) -> list:
-    """Simplex integrals of the loop-free operators for every order <= K.
+    """Simplex integrals of the loop-free operators for every order <= K,
+    in site basis.
 
     One nested sweep: the node tree over t >= s_1 >= ... >= s_K shares
     each prefix operator between all orders, and every node adds its
-    weighted operator straight into the total of its order.
+    weighted operator straight into the total of its order. Operands on
+    the m-sector are held in its eigen-minor basis, x̃ = V_m† x V_m, where
+    the free propagator of time s is the sector frame f_m(s) up to the
+    fixed V_m. The base is f_p(t)† A f_p(t); a node at time s lifts
+    z = f_{m-1}(s) x̃ f_{m-1}(s)† and rotates the result back as
+    i f_m(s)† lifted f_m(s), four products and no propagator. Each total
+    returns to site basis once, as V_m x̃ V_m†.
     """
     if K < 0:
         raise RangeError("truncation order must be non-negative")
@@ -218,22 +241,29 @@ def _integrate_orders(a: PSectorOperator, K: int, t: float, nodes: int,
         raise RangeError(
             f"order {K} would need {a.p + K} particles in {system.d} modes")
     x01, w01 = _gl_nodes(nodes)
-    base = free_evolve_op(a, system, t).mat
-    totals = [base if k == 0 else _zero_sector_matrix(a.d, a.p + k)
-              for k in range(K + 1)]
-    if K == 0 or t == 0.0:
-        return totals
+    f0 = sector_frame(system, a.p, t)
+    totals = [f0.conj().T @ a.mat @ f0] + [
+        _zero_sector_matrix(a.d, a.p + k) for k in range(1, K + 1)]
 
     def descend(level, upper, x_prev, weight):
+        m = a.p + level
+        coefficients = system._lift_coefficients(m)
         for s, w in zip(upper * x01, (upper * weight) * w01):
-            y = _attach_insertion(x_prev, a.p + level, system, s, 1.0)
-            totals[level] = totals[level] + w * y
+            f_small = sector_frame(system, m - 1, s)
+            f_big = sector_frame(system, m, s)
+            lifted = project_lift_pair_commutator(
+                f_small @ x_prev @ f_small.conj().T, coefficients, system.d, m)
+            y = 1j * (f_big.conj().T @ lifted @ f_big)
+            totals[level] += w * y
             if level < K:
                 descend(level + 1, s, y, w)
 
-    descend(1, t, base, 1.0)
-    for k, mat in enumerate(totals):
-        if not np.all(np.isfinite(mat)):
+    if K > 0 and t != 0.0:
+        descend(1, t, totals[0], 1.0)
+    for k, x in enumerate(totals):
+        _, vm, vm_h = system._sector_rotation(a.p + k)
+        totals[k] = vm @ x @ vm_h
+        if not np.all(np.isfinite(totals[k])):
             raise NumericError(f"non-finite quadrature total at order {k}")
     return totals
 

@@ -10,23 +10,31 @@ coupling and of the inverse particle number.
 """
 
 import dataclasses
+import itertools
 from functools import reduce
 from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fermiflow import tree
 from fermiflow.errors import RangeError, ShapeError, ValidationError
 from fermiflow.exact import (build_hamiltonian, heisenberg_evolve,
                              heisenberg_observable, second_quantize)
-from fermiflow.graded import state_from_density, superflow_observable
-from fermiflow.hf import OrbitalSet
+from fermiflow.graded import (hierarchy_evolve, state_from_density,
+                              superflow_observable)
+from fermiflow.hf import (HFConfig, KappaFactor, OrbitalSet,
+                          evolve_hf_density, evolve_hf_orbitals, evolve_kappa)
 from fermiflow.modes import ModeSystem
 from fermiflow.sector import (PSectorOperator, antisym_projector_dense,
                               embedding_isometry, lift_coefficients,
-                              pair_diagonal_sector, slater)
+                              pair_diagonal_sector,
+                              project_lift_pair_commutator, slater)
 from fermiflow.tree import (KERNEL_EXCHANGE, KERNEL_PLAIN, G_recursive,
                             QuadratureSpec, TheoryConstants, TreeOperator,
+                            _attach_insertion, _integrate_orders,
                             check_time_guard, count_elementary_terms,
                             free_evolve_op, hf_vs_tree_gap,
                             integrate_tree_term, loop_remainder,
@@ -333,6 +341,90 @@ def test_integration_matches_naive_nested_loops():
             brute += ws[i1] * inner_w[i2] * g.matrix
     got = integrate_tree_term(a, 2, t, QuadratureSpec(5, 2), system)
     np.testing.assert_allclose(got.mat, brute, atol=1e-13)
+
+
+def propagator_route_orders(a, K, t, nodes, system):
+    """Every order <= K of the simplex sweep as a nested loop over the node
+    tuples, each chain rebuilt from the freely evolved observable through
+    the site-basis propagators of ``_attach_insertion``, no prefix shared."""
+    xs, ws = np.polynomial.legendre.leggauss(nodes)
+    xs, ws = (xs + 1) / 2, ws / 2
+    base = free_evolve_op(a, system, t).mat
+    out = [base]
+    for k in range(1, K + 1):
+        total = np.zeros((comb(a.d, a.p + k),) * 2, dtype=complex)
+        for idx in itertools.product(range(nodes), repeat=k):
+            upper, weight, x = t, 1.0, base
+            for level, i in enumerate(idx, start=1):
+                s, weight = upper * xs[i], upper * weight * ws[i]
+                x = _attach_insertion(x, a.p + level, system, s, 1.0)
+                upper = s
+            total += weight * x
+        out.append(total)
+    return out
+
+
+@st.composite
+def sweep_cases(draw):
+    d = draw(st.integers(1, 6), label="d")
+    p = draw(st.integers(1, d), label="p")
+    return (d, p, draw(st.integers(0, min(3, d - p)), label="K"),
+            draw(st.integers(1, 4), label="nodes"),
+            draw(st.floats(0.0, 0.5, exclude_min=True), label="t"),
+            draw(st.booleans(), label="hermitian"),
+            draw(st.integers(0, 10_000), label="seed"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sweep_cases())
+def test_eigenframe_sweep_matches_propagator_route(case):
+    d, p, K, nodes, t, hermitian, seed = case
+    rng = np.random.default_rng(seed)
+    dim = comb(d, p)
+    mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    if hermitian:
+        mat = (mat + mat.conj().T) / 2
+    system = ModeSystem.chain(d)
+    a = PSectorOperator(d, p, mat)
+    got = _integrate_orders(a, K, t, nodes, system)
+    want = propagator_route_orders(a, K, t, nodes, system)
+    assert len(got) == len(want) == K + 1
+    for x, ref in zip(got, want):
+        scale = max(1.0, float(np.max(np.abs(ref))))
+        assert np.max(np.abs(x - ref)) <= 1e-13 * scale
+
+
+def test_no_dense_propagator_inside_a_time_loop(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("dense propagator built inside a time loop")
+
+    lifts = []
+
+    def counted(*args):
+        lifts.append(args)
+        return project_lift_pair_commutator(*args)
+
+    monkeypatch.setattr(tree, "sector_propagator", refuse)
+    monkeypatch.setattr(ModeSystem, "free_propagator", refuse)
+    monkeypatch.setattr(tree, "project_lift_pair_commutator", counted)
+    rng = np.random.default_rng(27)
+    system = ModeSystem.chain(5)
+    a = PSectorOperator(5, 1, random_hermitian(rng, 5))
+    quad = QuadratureSpec(2, 2)
+    # one coarse and one fine sweep per series, sum_k nodes^k insertions each
+    per_series = sum(n ** k for n in (2, 4) for k in (1, 2))
+    orbs = OrbitalSet.ground_state(system, 2)
+    gamma = orbs.density()
+    superflow_observable(a, system, 0.05, quad, override_time_guard=True)
+    assert len(lifts) == per_series
+    tree_series(a, gamma, 0.05, quad, system, override_time_guard=True)
+    assert len(lifts) == 2 * per_series
+    config = HFConfig(dt=0.05)
+    for evolve, start in ((evolve_hf_orbitals, orbs),
+                          (evolve_hf_density, gamma),
+                          (evolve_kappa, KappaFactor.from_density(gamma))):
+        evolve(start, system, [0.0, 0.1], config)
+    hierarchy_evolve(state_from_density(gamma), system, [0.0, 0.1], config)
 
 
 def test_quadrature_node_doubling_converges():
