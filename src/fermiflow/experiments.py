@@ -60,7 +60,13 @@ def _as_int(value, where: str) -> int:
 def _as_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:       # an integer beyond the float range
+        number = float("inf")
+    if not np.isfinite(number):
+        raise ConfigError(f"{where} must be finite")
+    return number
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,8 @@ States are the dual family: block sequences paired through plain traces.
 A one-particle density generates the quasi-free state whose hierarchy
 closes at the density's rank, so its evolution is a finite upper-triangular
 linear system driven from the top level down, run as one block-diagonal
-sector operator through the interaction-picture stream of the mean-field
-flows.
+sector operator, kept as its blocks, through the interaction-picture
+stream of the mean-field flows.
 """
 
 from __future__ import annotations
@@ -265,33 +265,44 @@ def hierarchy_collision(sigma: list, system: ModeSystem) -> list:
     return out
 
 
-class _BlockRotation:
-    """A block-diagonal operator kept as its diagonal blocks, one per row
-    slice, so that ``@`` with a block-diagonal matrix works block by block."""
+class _BlockDiagonal(np.lib.mixins.NDArrayOperatorsMixin):
+    """A block-diagonal operator kept as its list of diagonal blocks, or a
+    stack of them over a leading time axis, which indexes and iterates like
+    an array. Arithmetic, numpy ufuncs and the product ``dot`` of two such
+    operators work block by block."""
 
-    __array_ufunc__ = None      # ``matrix @ rotation`` calls __rmatmul__
+    def __init__(self, blocks):
+        self.blocks = blocks
 
-    def __init__(self, blocks, sectors):
-        self.blocks, self.sectors = blocks, sectors
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if method != "__call__" or kwargs:
+            return NotImplemented
+        columns = [x.blocks if isinstance(x, _BlockDiagonal)
+                   else [x] * len(self.blocks) for x in inputs]
+        return _BlockDiagonal([ufunc(*args) for args in zip(*columns)])
 
-    def conj(self) -> "_BlockRotation":
-        return _BlockRotation([b.conj() for b in self.blocks], self.sectors)
+    def dot(self, other: "_BlockDiagonal") -> "_BlockDiagonal":
+        return _BlockDiagonal([a @ b for a, b in zip(self.blocks,
+                                                       other.blocks)])
+
+    def all(self) -> bool:
+        return all(b.all() for b in self.blocks)
 
     @property
-    def T(self) -> "_BlockRotation":
-        return _BlockRotation([b.T for b in self.blocks], self.sectors)
+    def size(self) -> int:
+        return sum(b.size for b in self.blocks)
 
-    def _times(self, x, left: bool):
-        out = np.zeros_like(x)
-        for s, b in zip(self.sectors, self.blocks):
-            out[s, s] = b @ x[s, s] if left else x[s, s] @ b
-        return out
+    def __getitem__(self, index) -> "_BlockDiagonal":
+        return _BlockDiagonal([b[index] for b in self.blocks])
 
-    def __matmul__(self, x):
-        return self._times(x, left=True)
+    def __iter__(self):
+        return (_BlockDiagonal(list(b)) for b in zip(*self.blocks))
 
-    def __rmatmul__(self, x):
-        return self._times(x, left=False)
+    def conj(self) -> "_BlockDiagonal":
+        return np.conjugate(self)
+
+    def swapaxes(self, a: int, b: int) -> "_BlockDiagonal":
+        return _BlockDiagonal([x.swapaxes(a, b) for x in self.blocks])
 
 
 def hierarchy_evolve(rho: GradedState, system: ModeSystem, t_grid,
@@ -306,32 +317,21 @@ def hierarchy_evolve(rho: GradedState, system: ModeSystem, t_grid,
     if not rho.is_gauge_invariant():
         raise UnsupportedError("hierarchy flow needs a gauge-invariant state")
     config = HFConfig() if config is None else config
-    d = system.d
     if not rho.blocks:
         raise ValidationError("state has no blocks to evolve")
     levels = range(max(p for (p, q) in rho.blocks) + 1)
-    edges = np.cumsum([0] + [comb(d, p) for p in levels])
-    sectors = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
-
-    def diagonal(blocks):
-        out = np.zeros((edges[-1], edges[-1]), dtype=complex)
-        for s, block in zip(sectors, blocks):
-            out[s, s] = block
-        return out
-
     stream = _interaction_stream(
-        diagonal(rho.block(p, p) for p in levels),
-        lambda t: _BlockRotation(
-            [sector_frame(system, p, t) for p in levels], sectors),
+        _BlockDiagonal([rho.block(p, p) for p in levels]),
+        lambda t: _BlockDiagonal([sector_frame(system, p, t)
+                                  for p in levels]),
         t_grid,
-        lambda x: diagonal(hierarchy_collision([x[s, s] for s in sectors],
-                                               system)),
+        lambda x: _BlockDiagonal(hierarchy_collision(x.blocks, system)),
         config.dt, both_sides=True)
     times, states = [], []
     for t, x in stream:
         times.append(t)
-        states.append(GradedState(d, {(p, p): x[s, s]
-                                      for p, s in enumerate(sectors)}))
+        states.append(GradedState(system.d, {
+            (p, p): block for p, block in enumerate(x.blocks)}))
     return HierarchyTrajectory(times=np.array(times), states=states,
                                config=config)
 

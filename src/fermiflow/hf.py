@@ -11,22 +11,25 @@ periodic. The orbital flow moves a frame of columns, the density flow moves
 the one-particle density matrix gamma, and the factorized flow moves a root
 kappa with gamma = kappa kappa†; the normalized orbital frame is such a
 root, so its flow is the kappa flow. Each flow runs its lab-frame
-right-hand side, on the bare system (h = 0), through one
-interaction-picture stream of fixed-step RK4, so the stiff free rotation
-is exact and a zero potential propagates exactly; given its free
-frame, the stream also runs the hierarchy of :mod:`fermiflow.graded`.
+right-hand side, on the bare twin of its system (h = 0, and w(0) = 0,
+which V never sees), through one interaction-picture stream of
+fixed-step RK4, so the stiff free rotation is exact and a zero potential
+propagates exactly. The stream takes the free frames of a chunk of steps
+from one call on an array of times, :meth:`ModeSystem.free_frame` here
+and :func:`fermiflow.tree.sector_frame` for the hierarchy of
+:mod:`fermiflow.graded`, which runs on the same stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import partial
 from math import comb, factorial
 
 import numpy as np
 
 from .errors import (DivergenceError, RangeError, ShapeError, ValidationError)
-from .modes import ModeSystem
+from .modes import ModeSystem, _read_only
 from .sector import (PSectorOperator, compound_matrix, gram, marginal, slater,
                      trace_norm)
 
@@ -171,21 +174,8 @@ def mean_field_potential(a: np.ndarray, wmat: np.ndarray,
                          exchange: bool = True) -> np.ndarray:
     """Direct-minus-exchange potential V(A); A need not be Hermitian."""
     out = -(wmat * a) if exchange else np.zeros(a.shape, dtype=complex)
-    out.flat[::len(a) + 1] += wmat @ a.diagonal()
+    out.ravel()[::len(a) + 1] += wmat.dot(a.diagonal())
     return out
-
-
-def hf_rhs_orbitals(orbitals: OrbitalSet, system: ModeSystem) -> np.ndarray:
-    """Time derivative of the orbital frame under the mean-field flow.
-
-    The direct term convolves the potential with the total occupation
-    density; the exchange term convolves it with the pointwise product
-    phi_i(m') conj(phi_j(m')) before recombining with phi_j. Both carry
-    the same 1/N suppression through the trace-one density matrix.
-    This is the kappa flow of the normalized frame, in the frame's scale.
-    """
-    factor = np.sqrt(orbitals.n) if orbitals.scale == ORTHONORMAL else 1.0
-    return factor * hf_rhs_kappa(orbitals.as_normalized(), system)
 
 
 def hf_rhs_density(gamma: np.ndarray | DensityMatrix,
@@ -193,13 +183,13 @@ def hf_rhs_density(gamma: np.ndarray | DensityMatrix,
     """Right-hand side of i dgamma/dt = [h + V(gamma), gamma]."""
     g = gamma.mat if isinstance(gamma, DensityMatrix) else np.asarray(gamma)
     heff = system.h + mean_field_potential(g, system.wmat)
-    return -1j * (heff @ g - g @ heff)
+    return -1j * (heff.dot(g) - g.dot(heff))
 
 
 def hf_rhs_kappa(kappa: np.ndarray, system: ModeSystem) -> np.ndarray:
     """Right-hand side of i dkappa/dt = (h + V(kappa kappa†)) kappa."""
-    g = kappa @ kappa.conj().T
-    return -1j * ((system.h + mean_field_potential(g, system.wmat)) @ kappa)
+    g = kappa.dot(kappa.conj().T)
+    return -1j * (system.h + mean_field_potential(g, system.wmat)).dot(kappa)
 
 
 def hf_energy(orbitals: OrbitalSet, system: ModeSystem) -> float:
@@ -271,76 +261,110 @@ def marginal_relation_check(orbitals: OrbitalSet, p: int) -> MarginalRelationRep
 # Interaction-picture RK4 driver and trajectories
 # ---------------------------------------------------------------------------
 
-def _rk4_stream(y0, t_grid, derivative, dt):
-    """Fixed-step RK4 between consecutive points of a checked grid."""
-    y = y0
-    yield t_grid[0], y
-    for t0, t1 in zip(t_grid[:-1], t_grid[1:]):
-        nsub = max(1, int(np.ceil((t1 - t0) / dt - 1e-12)))
-        h = (t1 - t0) / nsub
-        t = t0
-        for _ in range(nsub):
-            k1 = derivative(t, y)
-            k2 = derivative(t + h / 2, y + h / 2 * k1)
-            k3 = derivative(t + h / 2, y + h / 2 * k2)
-            k4 = derivative(t + h, y + h * k3)
-            y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            t += h
-        if not np.all(np.isfinite(y)):
-            raise DivergenceError(f"non-finite values at t={t1}")
-        yield t1, y
+# The stage frames of a chunk of RK4 steps come from one broadcast call and
+# hold at most this many matrix entries: small one-body frames share a call
+# over ten steps or more, where numpy's per-call cost would dominate, while
+# large block-diagonal sector frames are built one step at a time. A larger
+# chunk measured no faster and raised the peak memory of a run.
+_CHUNK_ENTRIES = 1 << 11
 
 
-def _interaction_stream(x0, propagator, t_grid, rhs, dt: float,
+def _chunk_steps(entries: int) -> int:
+    """RK4 steps per chunk for frames of ``entries`` entries each: the
+    2·steps new stage frames of a chunk hold at most ``_CHUNK_ENTRIES``
+    entries, and a chunk holds at least one step."""
+    return max(1, _CHUNK_ENTRIES // (2 * entries))
+
+
+def _interaction_stream(x0, frames, t_grid, rhs, dt: float,
                         both_sides: bool = False):
     """Lab-frame states (t, x) of dx/dt = -i[H0, x] + rhs(x), or of
-    dx/dt = -i H0 x + rhs(x) unless ``both_sides``, where ``propagator(t)``
-    is any unitary solution u of du/dt = -i H0 u: the free propagator
-    exp(-i t H0), or the free frame, the eigenvectors of H0 with phases
-    exp(-i t λ_j), which is one product cheaper.
+    dx/dt = -i H0 x + rhs(x) unless ``both_sides``, by fixed-step RK4
+    between consecutive grid points. ``frames(t)`` is any unitary solution
+    u of du/dt = -i H0 u, such as the free frame, the eigenvectors of H0
+    with phases exp(-i t λ_j); it is called on a (T, 1, 1) array of times
+    and returns the T frames stacked, indexable by time.
 
     RK4 moves y = u† x, or u† x u when ``both_sides``. The derivative of u
     cancels the free term, which leaves ``rhs`` conjugated by u: the free
-    rotation is exact, and a zero ``rhs`` propagates exactly. With the
-    frame, y is in the eigenbasis of H0.
+    rotation is exact, and a zero ``rhs`` propagates exactly. With the free
+    frame, y is in the eigenbasis of H0. The frames at the stage times of
+    a chunk of steps come from one call, and the RK4 stage weights are
+    folded into the adjoints that rotate each stage's ``rhs`` back.
     """
-    # An RK4 step evaluates at t, t + h/2 twice and t + h, which is the next
-    # step's t, so three remembered times build u twice per step.
-    @lru_cache(maxsize=3)
-    def frame(t):
-        u = propagator(t)
-        return u, u.conj().T
-
-    def rotate(u, uh, x):
-        return u @ x @ uh if both_sides else u @ x
-
-    def derivative(t, y):
-        u, uh = frame(t)
-        return rotate(uh, u, rhs(rotate(u, uh, y)))
-
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if t_grid.ndim != 1 or len(t_grid) < 1:
         raise ShapeError("t_grid must be a non-empty 1d array")
+    if not np.all(np.isfinite(t_grid)):
+        raise RangeError("t_grid must be finite")
     if len(t_grid) > 1 and np.min(np.diff(t_grid)) <= 0:
         raise RangeError("t_grid must be strictly increasing")
-    u0, uh0 = frame(t_grid[0])
-    y0 = rotate(uh0, u0, x0)
-    for t, y in _rk4_stream(y0, t_grid, derivative, dt):
-        yield t, rotate(*frame(t), y)
+
+    def rotate(a, b, z):
+        return a.dot(z).dot(b) if both_sides else a.dot(z)
+
+    def stage(i, back, z):
+        # the weighted derivative in y at the stage time of u[i], for the
+        # current chunk's frames u and uh; back is the weighted uh[i]
+        if both_sides:
+            return back.dot(rhs(u[i].dot(z).dot(uh[i]))).dot(u[i])
+        return back.dot(rhs(u[i].dot(z)))
+
+    # every recorded state, the first included, is rotated out of y by its
+    # frame, so the frames' rounding is common to all of them
+    stacked = frames(t_grid[:1, None, None])
+    u, uh = list(stacked), list(stacked.conj().swapaxes(1, 2))
+    y = rotate(uh[0], u[0], x0)
+    yield t_grid[0], rotate(u[0], uh[0], y)
+    chunk = _chunk_steps(u[0].size)
+    for t0, t1 in zip(t_grid[:-1], t_grid[1:]):
+        nsub = max(1, int(np.ceil((t1 - t0) / dt - 1e-12)))
+        h = (t1 - t0) / nsub
+        for first in range(0, nsub, chunk):
+            steps = min(chunk, nsub - first)
+            # the chunk starts at the last stage time of the one before
+            stacked = frames(t0 + h / 2 * np.arange(
+                2 * first + 1, 2 * (first + steps) + 1)[:, None, None])
+            adjoint = stacked.conj().swapaxes(1, 2)
+            u, uh = u[-1:] + list(stacked), uh[-1:] + list(adjoint)
+            half = [uh[0] * (h / 2)] + list(adjoint * (h / 2))
+            full = list(adjoint[::2] * h)
+            for j in range(steps):
+                # k1 at t, k2 and k3 at t + h/2 and k4 at t + h, weighted
+                # by h/2, h/2, h and h/2
+                b1 = stage(2 * j, half[2 * j], y)
+                b2 = stage(2 * j + 1, half[2 * j + 1], y + b1)
+                b3 = stage(2 * j + 1, full[j], y + b2)
+                b4 = stage(2 * j + 2, half[2 * j + 2], y + b3)
+                y = y + (b1 + b2 + b2 + b3 + b4) / 3
+        if not np.isfinite(y).all():
+            raise DivergenceError(f"non-finite values at t={t1}")
+        yield t1, rotate(u[-1], uh[-1], y)
+
+
+def _bare_twin(system: ModeSystem) -> ModeSystem:
+    """The system the mean-field right-hand sides run on, cached on
+    ``system``: h = 0 and w(0) = 0, with its pair kernel held complex, so
+    that no product of the flow mixes dtypes. The w(0) pair term cancels
+    between direct and exchange, so V(A) is unchanged."""
+    def build():
+        twin = ModeSystem(system.d, np.zeros_like(system.h),
+                          np.concatenate(([0.0], system.w[1:])))
+        kernel = system.wmat.astype(complex)
+        np.fill_diagonal(kernel, 0.0)
+        twin._derive("wmat", lambda: _read_only(kernel))
+        return twin
+    return system._derive("bare", build)
 
 
 def _hf_stream(x0, system: ModeSystem, t_grid, rhs, dt: float,
                both_sides: bool = False):
     """Lab-frame states (t, x) of the mean-field flow dx/dt = rhs(x, system):
     the stream carries the free frame of h, and ``rhs`` runs on the bare
-    system, built once per system and sharing its read-only ``wmat``."""
-    def build():
-        twin = ModeSystem(system.d, np.zeros_like(system.h), system.w)
-        twin._derive("wmat", lambda: system.wmat)
-        return twin
-    bare = system._derive("bare", build)
+    twin."""
     return _interaction_stream(x0, system.free_frame, t_grid,
-                               lambda x: rhs(x, bare), dt, both_sides)
+                               partial(rhs, system=_bare_twin(system)), dt,
+                               both_sides)
 
 
 @dataclass
@@ -360,10 +384,6 @@ class Trajectory:
 
     def final(self):
         return self.states[-1]
-
-    def expected_gram_drift(self, t: float) -> float:
-        """A priori fourth-order drift allowance for the fixed-step scheme."""
-        return 10.0 * self.config.dt ** 4 * t
 
     def csv_rows(self):
         for i, t in enumerate(self.times):

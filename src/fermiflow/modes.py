@@ -158,12 +158,13 @@ class ModeSystem:
                           compound_matrix(vecs, m))
         return self._derive(("sector", m), build)
 
-    def free_frame(self, t: float) -> np.ndarray:
+    def free_frame(self, t: float | np.ndarray) -> np.ndarray:
         """The eigenvectors of h with column j scaled by exp(-i t λ_j).
 
         The frame is exp(-i t h) times the eigenvectors: unitary, and a
         solution of df/dt = -i h f, as the propagator is, one matrix
-        product cheaper.
+        product cheaper. ``t`` may be a (T, 1, 1) array of times, which
+        gives the T frames stacked.
         """
         vals, vecs, _ = self._eigensystem()
         return vecs * np.exp(-1j * t * vals)

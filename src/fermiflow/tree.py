@@ -115,14 +115,16 @@ def _zero_sector_matrix(d: int, m: int) -> np.ndarray:
     return np.zeros((dim, dim), dtype=complex)
 
 
-def sector_frame(system: ModeSystem, m: int, t: float) -> np.ndarray:
+def sector_frame(system: ModeSystem, m: int,
+                 t: float | np.ndarray) -> np.ndarray:
     """Free m-particle sector frame: the minor matrix of the one-body
     eigenvectors with column J scaled by exp(-i t λ_J), λ_J the subset sum
     of the eigenvalues over J.
 
     Minor matrices are multiplicative, so this is the sector propagator
     times the eigen-minor matrix: unitary, and a solution of
-    df/dt = -i H₀ f on the m-sector.
+    df/dt = -i H₀ f on the m-sector. ``t`` may be a (T, 1, 1) array of
+    times, which gives the T frames stacked.
     """
     lam, vm, _ = system._sector_rotation(m)
     return vm * np.exp(-1j * t * lam)

@@ -108,6 +108,24 @@ def test_sweep_entry_validation():
             sweep=[{"p": 1, "k": 1, "l": 2}]))
 
 
+def test_non_finite_numbers_rejected(tmp_path, capsys):
+    # NaN and Infinity are valid JSON tokens for Python's reader, and an
+    # integer literal can exceed the float range
+    for bad in (float("nan"), float("inf"), 10 ** 400):
+        for raw in (count_time_config("conservation", [{"N": 2, "t": bad}]),
+                    count_time_config("conservation", [{"N": 2, "t": 0.1}],
+                                      system={"coupling": bad}),
+                    count_time_config("conservation", [{"N": 2, "t": 0.1}],
+                                      integrator={"dt": bad})):
+            with pytest.raises(ConfigError, match="must be finite"):
+                ExperimentConfig.from_dict(raw)
+    for bad in (float("nan"), float("inf")):
+        path = write_config(tmp_path, count_time_config(
+            "conservation", [{"N": 2, "t": bad}]))
+        assert main(["run", path]) == 2
+        assert "sweep[0].t must be finite" in capsys.readouterr().err
+
+
 def test_config_hash_tracks_semantics_only():
     plain = ExperimentConfig.from_dict(base_config())
     rerouted = ExperimentConfig.from_dict(
@@ -430,8 +448,9 @@ def test_one_eigendecomposition_per_system(monkeypatch):
 
 def test_conservation_builds_one_bare_twin_per_system(monkeypatch):
     # the bare h = 0 system of the mean-field right-hand sides is cached on
-    # its system and shares that system's pair kernel
-    systems, bare, kernels = [], [], []
+    # its system and holds its own read-only complex pair kernel: the
+    # system's, with the w(0) diagonal zeroed
+    systems, twins = [], []
     post_init, derive = ModeSystem.__post_init__, ModeSystem._derive
 
     def counting_init(self):
@@ -439,15 +458,20 @@ def test_conservation_builds_one_bare_twin_per_system(monkeypatch):
         post_init(self)
 
     def counting_derive(self, key, build):
-        if key == "bare" and key not in self._derived:
-            bare.append(self.d)
+        fresh = key == "bare" and key not in self._derived
         value = derive(self, key, build)
-        if key == "wmat":
-            kernels.append(value)
+        if fresh:
+            twins.append((self, value))
         return value
 
     monkeypatch.setattr(ModeSystem, "__post_init__", counting_init)
     monkeypatch.setattr(ModeSystem, "_derive", counting_derive)
     run(ExperimentConfig.from_dict(workloads.config("conservation", 1)))
-    assert len(systems) == 4 and len(bare) == 2
-    assert len({id(kernel) for kernel in kernels}) == 2
+    assert len(systems) == 4 and len(twins) == 2
+    for system, twin in twins:
+        kernel = twin.wmat
+        assert kernel.dtype == complex and not kernel.flags.writeable
+        assert np.array_equal(kernel,
+                              system.wmat - system.w[0] * np.eye(system.d))
+        assert not np.any(twin.h) and twin.wmat is kernel
+    assert len({id(twin.wmat) for _, twin in twins}) == 2
