@@ -303,7 +303,7 @@ def _json_value(value):
 
 def ground_mode_projector(system: ModeSystem) -> PSectorOperator:
     """Rank-one observable occupying the lowest one-body eigenmode."""
-    _, vecs, _ = system._eigensystem()
+    _, vecs, _ = system._sector_rotation(1)
     ground = vecs[:, 0]
     return PSectorOperator(system.d, 1,
                            np.outer(ground, ground.conj()).astype(complex))

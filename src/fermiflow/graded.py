@@ -27,7 +27,7 @@ from .hf import HFConfig, _interaction_stream, quasi_free_marginal
 from .modes import ModeSystem
 from .sector import (PSectorOperator, embedding_isometry,
                      contract_pair_commutator, trace_norm)
-from .tree import QuadratureSpec, _series, _spectral_norm, sector_frame
+from .tree import QuadratureSpec, _series, _spectral_norm
 
 
 def _block_shape(d: int, p: int, q: int) -> tuple:
@@ -322,7 +322,7 @@ def hierarchy_evolve(rho: GradedState, system: ModeSystem, t_grid,
     levels = range(max(p for (p, q) in rho.blocks) + 1)
     stream = _interaction_stream(
         _BlockDiagonal([rho.block(p, p) for p in levels]),
-        lambda t: _BlockDiagonal([sector_frame(system, p, t)
+        lambda t: _BlockDiagonal([system.sector_frame(p, t)
                                   for p in levels]),
         t_grid,
         lambda x: _BlockDiagonal(hierarchy_collision(x.blocks, system)),

@@ -10,14 +10,14 @@ Toeplitz kernel w(|i - j|) and the convolutions are zero padded, never
 periodic. The orbital flow moves a frame of columns, the density flow moves
 the one-particle density matrix gamma, and the factorized flow moves a root
 kappa with gamma = kappa kappa†; the normalized orbital frame is such a
-root, so its flow is the kappa flow. Each flow runs its lab-frame
-right-hand side, on the bare twin of its system (h = 0, and w(0) = 0,
-which V never sees), through one interaction-picture stream of
-fixed-step RK4, so the stiff free rotation is exact and a zero potential
-propagates exactly. The stream takes the free frames of a chunk of steps
-from one call on an array of times, :meth:`ModeSystem.free_frame` here
-and :func:`fermiflow.tree.sector_frame` for the hierarchy of
-:mod:`fermiflow.graded`, which runs on the same stream.
+root, so its flow is the kappa flow. Each tested right-hand side is the
+free term plus a mean-field part, and each flow runs that part, on the
+system's flow kernel (w(0) zeroed, which V never sees), through one
+interaction-picture stream of fixed-step RK4, so the stiff free rotation
+is exact and a zero potential propagates exactly. The stream takes the
+free frames of a chunk of steps from one call of
+:meth:`ModeSystem.sector_frame` on an array of times, at m = 1 here and on
+every level for the hierarchy of :mod:`fermiflow.graded`.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from math import comb, factorial
 import numpy as np
 
 from .errors import (DivergenceError, RangeError, ShapeError, ValidationError)
-from .modes import ModeSystem, _read_only
+from .modes import ModeSystem
 from .sector import (PSectorOperator, compound_matrix, gram, marginal, slater,
                      trace_norm)
 
@@ -48,6 +48,11 @@ class HFConfig:
     def __post_init__(self):
         if not 0 < self.dt <= 0.5:
             raise RangeError(f"step size dt={self.dt} outside (0, 0.5]")
+
+
+def _check_fits(d: int, n: int):
+    if n > d:
+        raise RangeError(f"cannot hold {n} fermions in {d} modes")
 
 
 @dataclass
@@ -69,8 +74,7 @@ class OrbitalSet:
         d, n = self.matrix.shape
         if n < 1:
             raise RangeError("an orbital set needs at least one column")
-        if n > d:
-            raise RangeError(f"cannot hold {n} fermions in {d} modes")
+        _check_fits(d, n)
         if self.scale not in (ORTHONORMAL, NORMALIZED):
             raise ValidationError(f"unknown scale marker {self.scale!r}")
         g = gram(self.matrix)
@@ -113,6 +117,7 @@ class OrbitalSet:
     @classmethod
     def random(cls, rng: np.random.Generator, d: int, n: int) -> "OrbitalSet":
         """Haar-ish frame: QR of a complex Gaussian matrix."""
+        _check_fits(d, n)
         raw = rng.normal(size=(d, n)) + 1j * rng.normal(size=(d, n))
         q, _ = np.linalg.qr(raw)
         return cls(q, scale=ORTHONORMAL)
@@ -120,7 +125,8 @@ class OrbitalSet:
     @classmethod
     def ground_state(cls, system: ModeSystem, n: int) -> "OrbitalSet":
         """The n lowest one-body eigenvectors (deterministic reference frame)."""
-        _, vecs, _ = system._eigensystem()
+        _check_fits(system.d, n)
+        _, vecs, _ = system._sector_rotation(1)
         return cls(vecs[:, :n], scale=ORTHONORMAL)
 
 
@@ -170,26 +176,38 @@ class KappaFactor:
         return cls((vecs * np.sqrt(vals)) @ vecs.conj().T)
 
 
-def mean_field_potential(a: np.ndarray, wmat: np.ndarray,
-                         exchange: bool = True) -> np.ndarray:
+def mean_field_potential(a: np.ndarray, wmat: np.ndarray) -> np.ndarray:
     """Direct-minus-exchange potential V(A); A need not be Hermitian."""
-    out = -(wmat * a) if exchange else np.zeros(a.shape, dtype=complex)
+    out = -(wmat * a)
     out.ravel()[::len(a) + 1] += wmat.dot(a.diagonal())
     return out
+
+
+def _mean_field_density(g: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """The mean-field part -i[V(g), g] of :func:`hf_rhs_density`, with V on
+    the pair kernel ``kernel``: what the density flow runs."""
+    v = mean_field_potential(g, kernel)
+    return -1j * (v.dot(g) - g.dot(v))
+
+
+def _mean_field_kappa(kappa: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """The mean-field part -i V(kappa kappa†) kappa of :func:`hf_rhs_kappa`,
+    with V on ``kernel``: what the orbital and factor flows run."""
+    return -1j * mean_field_potential(kappa.dot(kappa.conj().T),
+                                      kernel).dot(kappa)
 
 
 def hf_rhs_density(gamma: np.ndarray | DensityMatrix,
                    system: ModeSystem) -> np.ndarray:
     """Right-hand side of i dgamma/dt = [h + V(gamma), gamma]."""
     g = gamma.mat if isinstance(gamma, DensityMatrix) else np.asarray(gamma)
-    heff = system.h + mean_field_potential(g, system.wmat)
-    return -1j * (heff.dot(g) - g.dot(heff))
+    return (-1j * (system.h.dot(g) - g.dot(system.h))
+            + _mean_field_density(g, system.wmat))
 
 
 def hf_rhs_kappa(kappa: np.ndarray, system: ModeSystem) -> np.ndarray:
     """Right-hand side of i dkappa/dt = (h + V(kappa kappa†)) kappa."""
-    g = kappa.dot(kappa.conj().T)
-    return -1j * (system.h + mean_field_potential(g, system.wmat)).dot(kappa)
+    return -1j * system.h.dot(kappa) + _mean_field_kappa(kappa, system.wmat)
 
 
 def hf_energy(orbitals: OrbitalSet, system: ModeSystem) -> float:
@@ -342,29 +360,15 @@ def _interaction_stream(x0, frames, t_grid, rhs, dt: float,
         yield t1, rotate(u[-1], uh[-1], y)
 
 
-def _bare_twin(system: ModeSystem) -> ModeSystem:
-    """The system the mean-field right-hand sides run on, cached on
-    ``system``: h = 0 and w(0) = 0, with its pair kernel held complex, so
-    that no product of the flow mixes dtypes. The w(0) pair term cancels
-    between direct and exchange, so V(A) is unchanged."""
-    def build():
-        twin = ModeSystem(system.d, np.zeros_like(system.h),
-                          np.concatenate(([0.0], system.w[1:])))
-        kernel = system.wmat.astype(complex)
-        np.fill_diagonal(kernel, 0.0)
-        twin._derive("wmat", lambda: _read_only(kernel))
-        return twin
-    return system._derive("bare", build)
-
-
-def _hf_stream(x0, system: ModeSystem, t_grid, rhs, dt: float,
+def _hf_stream(x0, system: ModeSystem, t_grid, mean_field, dt: float,
                both_sides: bool = False):
-    """Lab-frame states (t, x) of the mean-field flow dx/dt = rhs(x, system):
-    the stream carries the free frame of h, and ``rhs`` runs on the bare
-    twin."""
-    return _interaction_stream(x0, system.free_frame, t_grid,
-                               partial(rhs, system=_bare_twin(system)), dt,
-                               both_sides)
+    """Lab-frame states (t, x) of the mean-field flow whose right-hand side
+    is the free term plus ``mean_field(x, kernel)``: the stream carries the
+    free frame of h and runs ``mean_field`` on the system's flow kernel."""
+    return _interaction_stream(x0, partial(system.sector_frame, 1), t_grid,
+                               partial(mean_field,
+                                       kernel=system._flow_kernel()),
+                               dt, both_sides)
 
 
 @dataclass
@@ -445,7 +449,7 @@ def evolve_hf_orbitals(orbitals: OrbitalSet, system: ModeSystem, t_grid,
         return drift
 
     stream = _hf_stream(orbitals.as_normalized(), system, t_grid,
-                        hf_rhs_kappa, config.dt)
+                        _mean_field_kappa, config.dt)
     traj = _record(OrbitalTrajectory, stream, system, config,
                    lambda psi: psi @ psi.conj().T, gram_drift)
     traj.states = [OrbitalSet(factor * psi, scale=orbitals.scale)
@@ -459,7 +463,7 @@ def evolve_hf_density(gamma0: np.ndarray | DensityMatrix, system: ModeSystem,
     (:func:`hf_rhs_density`)."""
     config = config or HFConfig()
     g0 = gamma0.mat if isinstance(gamma0, DensityMatrix) else np.asarray(gamma0)
-    stream = _hf_stream(g0, system, t_grid, hf_rhs_density, config.dt,
+    stream = _hf_stream(g0, system, t_grid, _mean_field_density, config.dt,
                         both_sides=True)
     return _record(Trajectory, stream, system, config, lambda g: g)
 
@@ -470,6 +474,6 @@ def evolve_kappa(kappa0: KappaFactor | np.ndarray, system: ModeSystem, t_grid,
     (:func:`hf_rhs_kappa`)."""
     config = config or HFConfig()
     k0 = kappa0.mat if isinstance(kappa0, KappaFactor) else np.asarray(kappa0)
-    stream = _hf_stream(k0, system, t_grid, hf_rhs_kappa, config.dt)
+    stream = _hf_stream(k0, system, t_grid, _mean_field_kappa, config.dt)
     return _record(Trajectory, stream, system, config,
                    lambda k: k @ k.conj().T)

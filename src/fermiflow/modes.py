@@ -50,10 +50,10 @@ class ModeSystem:
 
     The system is immutable: ``h`` and ``w`` are read-only copies of the
     inputs, so the data derived from them and kept in ``_derived`` (the
-    pair kernel ``wmat``, the per-sector lift coefficients and pair
-    diagonals, the eigensystem of h, the per-sector rotations, the sector
-    Hamiltonians of :func:`~fermiflow.exact.build_hamiltonian` and the bare
-    h = 0 twin of the mean-field flows) can never go stale.
+    pair kernel ``wmat`` and the flow kernel, the per-sector lift
+    coefficients, pair diagonals and eigensystems, and the sector
+    Hamiltonians of :func:`~fermiflow.exact.build_hamiltonian`) can never
+    go stale.
 
     Parameters
     ----------
@@ -130,49 +130,42 @@ class ModeSystem:
                 e[j * self.d + i, i * self.d + j] = 1.0
         return e
 
-    def exchange_pair_operator(self) -> np.ndarray:
-        """The exchange-corrected pair operator W(1 - E)."""
-        return self.pair_operator() @ (np.eye(self.d * self.d) - self.swap_operator())
-
     def _derive(self, key, build):
         """The cached value of ``build()`` under ``key``, built on first use."""
         if key not in self._derived:
             self._derived[key] = build()
         return self._derived[key]
 
-    def _eigensystem(self):
-        """Eigenvalues and eigenvectors of h, as ``np.linalg.eigh`` gives them,
-        and the adjoint of the eigenvectors, all read-only."""
+    def _flow_kernel(self) -> np.ndarray:
+        """The pair kernel of the mean-field flows, read-only: ``wmat`` held
+        complex, so that no product of a flow mixes dtypes, with its w(0)
+        diagonal zeroed, a term that cancels between direct and exchange."""
         def build():
-            vals, vecs = np.linalg.eigh(self.h)
-            return _frame(vals, vecs)
-        return self._derive("eig", build)
+            kernel = self.wmat.astype(complex)
+            np.fill_diagonal(kernel, 0.0)
+            return _read_only(kernel)
+        return self._derive("flow_kernel", build)
 
     def _sector_rotation(self, m: int):
-        """The subset sums of the eigenvalues of h, the minor matrix of its
-        eigenvectors that they diagonalise on the m-sector, and the adjoint
-        of that minor matrix, all read-only."""
+        """Eigenvalues of the free m-sector Hamiltonian, its eigenvectors and
+        their adjoint, read-only: ``np.linalg.eigh(h)`` at m = 1, and on every
+        other sector the subset sums and the minor matrix of those."""
         def build():
-            vals, vecs, _ = self._eigensystem()
+            if m == 1:
+                return _frame(*np.linalg.eigh(self.h))
+            vals, vecs, _ = self._sector_rotation(1)
             return _frame(sector_basis(self.d, m).occupation_onehot() @ vals,
                           compound_matrix(vecs, m))
         return self._derive(("sector", m), build)
 
-    def free_frame(self, t: float | np.ndarray) -> np.ndarray:
-        """The eigenvectors of h with column j scaled by exp(-i t λ_j).
-
-        The frame is exp(-i t h) times the eigenvectors: unitary, and a
-        solution of df/dt = -i h f, as the propagator is, one matrix
-        product cheaper. ``t`` may be a (T, 1, 1) array of times, which
-        gives the T frames stacked.
-        """
-        vals, vecs, _ = self._eigensystem()
-        return vecs * np.exp(-1j * t * vals)
-
-    def free_propagator(self, t: float) -> np.ndarray:
-        """One-particle propagator exp(-i t h), the free frame times the
-        adjoint eigenvectors."""
-        return self.free_frame(t) @ self._eigensystem()[2]
+    def sector_frame(self, m: int, t: float | np.ndarray) -> np.ndarray:
+        """Free m-particle sector frame: the eigenvectors of the free m-sector
+        Hamiltonian H₀ with column J scaled by exp(-i t λ_J), which is
+        exp(-i t H₀) times them. It is unitary and solves df/dt = -i H₀ f,
+        one matrix product cheaper than the propagator. ``t`` may be a
+        (T, 1, 1) array of times, which gives the T frames stacked."""
+        lam, vm, _ = self._sector_rotation(m)
+        return vm * np.exp(-1j * t * lam)
 
 
 def _frame(vals: np.ndarray, vecs: np.ndarray):

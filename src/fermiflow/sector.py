@@ -141,9 +141,6 @@ class PSectorOperator:
     def trace(self) -> complex:
         return complex(np.trace(self.mat))
 
-    def dagger(self) -> "PSectorOperator":
-        return PSectorOperator(self.d, self.p, self.mat.conj().T)
-
     def norm(self) -> float:
         """Operator (spectral) norm."""
         return float(np.linalg.norm(self.mat, 2))
@@ -343,11 +340,10 @@ def pair_diagonal_sector(wmat: np.ndarray, d: int, n: int) -> np.ndarray:
     The pair operator is multiplication by mode differences, so on a Slater
     basis state it acts by the scalar sum of w over occupied pairs.
     """
-    basis = sector_basis(d, n)
-    onehot = basis.occupation_onehot()
-    total = np.einsum("si,ij,sj->s", onehot, wmat, onehot)
-    self_part = onehot @ np.diag(wmat)
-    return 0.5 * (total - self_part)
+    onehot = sector_basis(d, n).occupation_onehot()
+    kernel = np.array(wmat)
+    np.fill_diagonal(kernel, 0.0)    # no particle pairs with itself
+    return 0.5 * np.einsum("si,ij,sj->s", onehot, kernel, onehot)
 
 
 # ---------------------------------------------------------------------------

@@ -115,25 +115,10 @@ def _zero_sector_matrix(d: int, m: int) -> np.ndarray:
     return np.zeros((dim, dim), dtype=complex)
 
 
-def sector_frame(system: ModeSystem, m: int,
-                 t: float | np.ndarray) -> np.ndarray:
-    """Free m-particle sector frame: the minor matrix of the one-body
-    eigenvectors with column J scaled by exp(-i t λ_J), λ_J the subset sum
-    of the eigenvalues over J.
-
-    Minor matrices are multiplicative, so this is the sector propagator
-    times the eigen-minor matrix: unitary, and a solution of
-    df/dt = -i H₀ f on the m-sector. ``t`` may be a (T, 1, 1) array of
-    times, which gives the T frames stacked.
-    """
-    lam, vm, _ = system._sector_rotation(m)
-    return vm * np.exp(-1j * t * lam)
-
-
 def sector_propagator(system: ModeSystem, m: int, t: float) -> np.ndarray:
     """Free m-particle sector propagator, the minor matrix of exp(-i t h):
     the sector frame times the adjoint eigen-minor matrix."""
-    return sector_frame(system, m, t) @ system._sector_rotation(m)[2]
+    return system.sector_frame(m, t) @ system._sector_rotation(m)[2]
 
 
 def free_evolve_op(a: PSectorOperator, system: ModeSystem,
@@ -243,7 +228,7 @@ def _integrate_orders(a: PSectorOperator, K: int, t: float, nodes: int,
         raise RangeError(
             f"order {K} would need {a.p + K} particles in {system.d} modes")
     x01, w01 = _gl_nodes(nodes)
-    f0 = sector_frame(system, a.p, t)
+    f0 = system.sector_frame(a.p, t)
     totals = [f0.conj().T @ a.mat @ f0] + [
         _zero_sector_matrix(a.d, a.p + k) for k in range(1, K + 1)]
 
@@ -251,8 +236,8 @@ def _integrate_orders(a: PSectorOperator, K: int, t: float, nodes: int,
         m = a.p + level
         coefficients = system._lift_coefficients(m)
         for s, w in zip(upper * x01, (upper * weight) * w01):
-            f_small = sector_frame(system, m - 1, s)
-            f_big = sector_frame(system, m, s)
+            f_small = system.sector_frame(m - 1, s)
+            f_big = system.sector_frame(m, s)
             lifted = project_lift_pair_commutator(
                 f_small @ x_prev @ f_small.conj().T, coefficients, system.d, m)
             y = 1j * (f_big.conj().T @ lifted @ f_big)

@@ -442,15 +442,16 @@ def test_one_eigendecomposition_per_system(monkeypatch):
     system = ModeSystem.chain(6)
     OrbitalSet.ground_state(system, 3)
     ground_mode_projector(system)
-    system.free_propagator(0.3)
+    system.sector_frame(1, 0.3)
+    system.sector_frame(2, 0.3)
     assert calls == [(6, 6)]
 
 
-def test_conservation_builds_one_bare_twin_per_system(monkeypatch):
-    # the bare h = 0 system of the mean-field right-hand sides is cached on
-    # its system and holds its own read-only complex pair kernel: the
-    # system's, with the w(0) diagonal zeroed
-    systems, twins = [], []
+def test_conservation_builds_one_flow_kernel_per_system(monkeypatch):
+    # the mean-field flows build no system of their own; their read-only
+    # complex pair kernel, the system's with the w(0) diagonal zeroed, is
+    # cached once on each system
+    systems, kernels = [], []
     post_init, derive = ModeSystem.__post_init__, ModeSystem._derive
 
     def counting_init(self):
@@ -458,20 +459,18 @@ def test_conservation_builds_one_bare_twin_per_system(monkeypatch):
         post_init(self)
 
     def counting_derive(self, key, build):
-        fresh = key == "bare" and key not in self._derived
+        fresh = key == "flow_kernel" and key not in self._derived
         value = derive(self, key, build)
         if fresh:
-            twins.append((self, value))
+            kernels.append((self, value))
         return value
 
     monkeypatch.setattr(ModeSystem, "__post_init__", counting_init)
     monkeypatch.setattr(ModeSystem, "_derive", counting_derive)
     run(ExperimentConfig.from_dict(workloads.config("conservation", 1)))
-    assert len(systems) == 4 and len(twins) == 2
-    for system, twin in twins:
-        kernel = twin.wmat
+    assert len(systems) == 2 and len(kernels) == 2
+    for system, kernel in kernels:
         assert kernel.dtype == complex and not kernel.flags.writeable
         assert np.array_equal(kernel,
                               system.wmat - system.w[0] * np.eye(system.d))
-        assert not np.any(twin.h) and twin.wmat is kernel
-    assert len({id(twin.wmat) for _, twin in twins}) == 2
+        assert system._flow_kernel() is kernel

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from fermiflow import hf
 from fermiflow.errors import (DivergenceError, RangeError, ShapeError,
@@ -88,12 +89,6 @@ class TestMeanFieldPotential:
         v = mean_field_potential(g, sys.wmat)
         assert np.allclose(closed, v @ g - g @ v, atol=1e-12)
 
-    def test_exchange_toggle(self):
-        sys = ModeSystem.chain(5, coupling=1.3)
-        g = random_density(np.random.default_rng(1), 5)
-        v = mean_field_potential(g, sys.wmat, exchange=False)
-        assert np.allclose(v, np.diag(np.diag(v)))
-
     def test_hermitian_input_gives_hermitian_potential(self):
         sys = ModeSystem.chain(6, coupling=0.7)
         g = random_density(np.random.default_rng(2), 6)
@@ -150,18 +145,18 @@ class TestRhsOracles:
         assert np.max(np.abs(got - orbital_rhs_loop(orbs.matrix, sys))) < 1e-12
         assert np.max(np.abs(got + 1j * sys.h @ orbs.matrix)) < 1e-12
 
-    def test_bare_twin_drops_only_the_free_term(self):
-        # the flows run both right-hand sides on the bare twin, whose
-        # complex kernel has its w(0) diagonal zeroed
+    def test_mean_field_parts_drop_only_the_free_term(self):
+        # the flows run the mean-field parts on the flow kernel, the
+        # complex pair kernel with its w(0) diagonal zeroed
         rng = np.random.default_rng(16)
         sys = ModeSystem.chain(7, coupling=1.3)
-        bare = hf._bare_twin(sys)
+        kernel = sys._flow_kernel()
         g = random_density(rng, 7)
         kappa = KappaFactor.from_density(g).mat
         free_g = -1j * (sys.h @ g - g @ sys.h)
-        assert np.max(np.abs(hf_rhs_density(g, bare)
+        assert np.max(np.abs(hf._mean_field_density(g, kernel)
                              - (hf_rhs_density(g, sys) - free_g))) < 1e-13
-        assert np.max(np.abs(hf_rhs_kappa(kappa, bare)
+        assert np.max(np.abs(hf._mean_field_kappa(kappa, kernel)
                              - (hf_rhs_kappa(kappa, sys)
                                 + 1j * sys.h @ kappa))) < 1e-13
 
@@ -330,19 +325,20 @@ class TestFlows:
         assert np.max(np.abs(final() - ref)) < 1e-8
 
     def test_each_flow_runs_its_tested_right_hand_side(self, monkeypatch):
-        # four evaluations per RK4 step: 2 intervals of 4 steps each
+        # the mean-field part of the tested right-hand side, four
+        # evaluations per RK4 step: 2 intervals of 4 steps each
         calls = {}
-        for name in ("hf_rhs_density", "hf_rhs_kappa"):
-            def counted(x, system, name=name, rhs=getattr(hf, name)):
+        for name in ("_mean_field_density", "_mean_field_kappa"):
+            def counted(x, kernel, name=name, part=getattr(hf, name)):
                 calls[name] = calls.get(name, 0) + 1
-                return rhs(x, system)
+                return part(x, kernel)
             monkeypatch.setattr(hf, name, counted)
         gamma0 = self.orbs.density()
         for evolve, start, name in (
-                (evolve_hf_orbitals, self.orbs, "hf_rhs_kappa"),
-                (evolve_hf_density, gamma0, "hf_rhs_density"),
+                (evolve_hf_orbitals, self.orbs, "_mean_field_kappa"),
+                (evolve_hf_density, gamma0, "_mean_field_density"),
                 (evolve_kappa, KappaFactor.from_density(gamma0),
-                 "hf_rhs_kappa")):
+                 "_mean_field_kappa")):
             calls.clear()
             evolve(start, self.sys, [0.0, 0.25, 0.5], HFConfig(dt=0.0625))
             assert calls == {name: 4 * 8}
@@ -354,13 +350,13 @@ class TestFlows:
         # interval of n steps that fits one chunk is one call over its 2n
         # stage times after its start
         builds = []
-        free_frame = ModeSystem.free_frame
+        sector_frame = ModeSystem.sector_frame
 
-        def counted(system, t):
+        def counted(system, m, t):
             builds.append(np.ravel(t))
-            return free_frame(system, t)
+            return sector_frame(system, m, t)
 
-        monkeypatch.setattr(ModeSystem, "free_frame", counted)
+        monkeypatch.setattr(ModeSystem, "sector_frame", counted)
         grid, steps = [0.0, 0.25, 0.5], 4
         gamma0 = self.orbs.density()
         for evolve, start in ((evolve_hf_orbitals, self.orbs),
@@ -376,13 +372,13 @@ class TestFlows:
         # 2 * chunk + 1 stage frames of one chunk, and each stage time is
         # built once
         sizes = []
-        free_frame = ModeSystem.free_frame
+        sector_frame = ModeSystem.sector_frame
 
-        def counted(system, t):
+        def counted(system, m, t):
             sizes.append(np.size(t))
-            return free_frame(system, t)
+            return sector_frame(system, m, t)
 
-        monkeypatch.setattr(ModeSystem, "free_frame", counted)
+        monkeypatch.setattr(ModeSystem, "sector_frame", counted)
         chunk = hf._chunk_steps(self.sys.d ** 2)
         evolve_kappa(KappaFactor.from_density(self.orbs.density()), self.sys,
                      [0.0, 1.0], HFConfig(dt=1e-3))
@@ -435,7 +431,7 @@ class TestFlows:
         sys0 = ModeSystem.chain(6, coupling=0.0)
         t = 0.7
         traj = evolve_hf_orbitals(self.orbs, sys0, [0.0, t], HFConfig(dt=0.1))
-        want = sys0.free_propagator(t) @ self.orbs.matrix
+        want = expm(-1j * t * sys0.h) @ self.orbs.matrix
         assert np.max(np.abs(traj.final().matrix - want)) < 1e-12
 
     def test_fourth_order_convergence(self):
@@ -493,6 +489,14 @@ class TestValidation:
     def test_overfilled_frame_rejected(self):
         with pytest.raises(RangeError):
             OrbitalSet(np.ones((2, 3)))
+
+    def test_more_orbitals_than_modes_rejected(self):
+        # neither constructor may return fewer orbitals than asked for
+        with pytest.raises(RangeError, match="5 fermions in 3 modes"):
+            OrbitalSet.random(np.random.default_rng(62), 3, 5)
+        with pytest.raises(RangeError, match="5 fermions in 3 modes"):
+            OrbitalSet.ground_state(ModeSystem.chain(3), 5)
+        assert OrbitalSet.ground_state(ModeSystem.chain(3), 3).n == 3
 
     def test_density_must_be_psd(self):
         with pytest.raises(ValidationError):

@@ -21,13 +21,15 @@ from hypothesis import strategies as st
 
 from fermiflow import tree
 from fermiflow.errors import RangeError, ShapeError, ValidationError
-from fermiflow.exact import (build_hamiltonian, heisenberg_evolve,
-                             heisenberg_observable, second_quantize)
+from fermiflow.exact import (build_hamiltonian, evolved_marginal,
+                             heisenberg_evolve, heisenberg_observable,
+                             second_quantize)
+from fermiflow.fock import egorov_check
 from fermiflow.graded import (hierarchy_evolve, state_from_density,
                               superflow_observable)
 from fermiflow.hf import (HFConfig, KappaFactor, OrbitalSet,
                           evolve_hf_density, evolve_hf_orbitals, evolve_kappa)
-from fermiflow.modes import ModeSystem
+from fermiflow.modes import ModeSystem, hopping_hamiltonian, soft_coulomb
 from fermiflow.sector import (PSectorOperator, antisym_projector_dense,
                               embedding_isometry, lift_coefficients,
                               pair_diagonal_sector,
@@ -157,8 +159,8 @@ def test_mode_system_is_immutable_and_its_cache_is_fresh():
     fresh = ModeSystem(5, system.h, system.w)
     np.testing.assert_array_equal(cached[1], cached[0])
     np.testing.assert_array_equal(sector_propagator(fresh, 2, 0.3), cached[0])
-    np.testing.assert_array_equal(fresh.free_propagator(0.3),
-                                  system.free_propagator(0.3))
+    np.testing.assert_array_equal(fresh.sector_frame(1, 0.3),
+                                  system.sector_frame(1, 0.3))
 
 
 def test_wmat_is_built_once_and_read_only():
@@ -182,7 +184,7 @@ def test_pair_tables_are_built_once_and_read_only(name, definition):
 
 def test_eigensystem_adjoints_are_built_once_and_read_only():
     system = ModeSystem.chain(5, coupling=1.0)
-    for frame in (system._eigensystem(), system._sector_rotation(2)):
+    for frame in (system._sector_rotation(1), system._sector_rotation(2)):
         _, vecs, adjoint = frame
         np.testing.assert_array_equal(adjoint, vecs.conj().T)
         for array in frame:
@@ -405,7 +407,6 @@ def test_no_dense_propagator_inside_a_time_loop(monkeypatch):
         return project_lift_pair_commutator(*args)
 
     monkeypatch.setattr(tree, "sector_propagator", refuse)
-    monkeypatch.setattr(ModeSystem, "free_propagator", refuse)
     monkeypatch.setattr(tree, "project_lift_pair_commutator", counted)
     rng = np.random.default_rng(27)
     system = ModeSystem.chain(5)
@@ -655,6 +656,29 @@ def test_loop_remainder_shrinks_with_more_particles():
                             quad, override_time_guard=True).norm
              for n in (2, 3)]
     assert norms[1] < norms[0]
+
+
+def test_self_pair_value_never_enters_any_route():
+    # w(0) would pair a particle with itself, which exclusion forbids:
+    # raising it from 1 to 1000 moves the time guard's radius, hence the
+    # override, but no value of the exact, tree or Fock routes
+    rng = np.random.default_rng(31)
+    d, n, t, quad = 5, 3, 0.2, QuadratureSpec(3, 2)
+    w = soft_coulomb(d)
+    systems = [ModeSystem(d, hopping_hamiltonian(d), np.r_[w0, w[1:]])
+               for w0 in (1.0, 1000.0)]
+    a = PSectorOperator(d, 1, random_hermitian(rng, d))
+    orbs = OrbitalSet.random(rng, d, n)
+    runs = [(evolved_marginal(orbs.matrix, system, t, 2).mat,
+             tree_series(a, orbs.density(), t, quad, system,
+                         override_time_guard=True).terms,
+             loop_remainder(a, orbs, system, t, quad,
+                            override_time_guard=True).norm,
+             egorov_check(a, system, t, n, quad,
+                          override_time_guard=True).norm_difference)
+            for system in systems]
+    for low, high in zip(*runs):
+        assert np.array_equal(low, high)
 
 
 def test_gap_report_small_at_short_time():
