@@ -315,12 +315,16 @@ def _random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
     return herm / np.linalg.norm(herm, 2)
 
 
-def _fit_slope(counts, values) -> float:
+def _fit_slope(counts, values):
+    """Slope of log value against log count over the positive values, and
+    the window of counts it fits, such as "2..5"; nan and "none" when
+    fewer than two counts remain."""
     pairs = [(n, v) for n, v in zip(counts, values) if v > 0]
     if len(pairs) < 2 or len({n for n, _ in pairs}) < 2:
-        return float("nan")
+        return float("nan"), "none"
     ns, vs = zip(*pairs)
-    return float(np.polyfit(np.log(ns), np.log(vs), 1)[0])
+    return (float(np.polyfit(np.log(ns), np.log(vs), 1)[0]),
+            f"{min(ns)}..{max(ns)}")
 
 
 def _sweep(cfg: ExperimentConfig, rows_of):
@@ -362,21 +366,26 @@ def _report(cfg: ExperimentConfig, columns, rows, seconds,
 def run_convergence(cfg: ExperimentConfig,
                     override_time_guard: bool = False) -> ExperimentReport:
     """Trace-norm gap between exact and mean-field marginals over a sweep."""
+    errors = []
 
     def rows_of(entry, rng, system):
         n, t, p = entry["N"], entry["t"], entry["p"]
         orbitals = ORBITAL_PRESETS[cfg.orbitals](rng, system, n)
-        exact = evolved_marginal(orbitals.as_orthonormal(), system, t, p)
+        exact, error = evolved_marginal(orbitals.as_orthonormal(), system,
+                                        t, p)
+        errors.append(error)
         flow = evolve_hf_orbitals(orbitals, system, np.array([0.0, t]),
                                   cfg.integrator)
         fitted = quasi_free_marginal(flow.final().density(), p)
         return [(n, p, t, trace_norm(exact.mat - fitted.mat), p * p / n)]
 
     rows, seconds = _sweep(cfg, rows_of)
-    slope = _fit_slope([r[0] for r in rows], [r[3] for r in rows])
+    slope, window = _fit_slope([r[0] for r in rows], [r[3] for r in rows])
     return _report(cfg, ("N", "p", "t", "trace_norm_gap", "marginal_bound",
                          "fitted_slope"),
-                   [row + (slope,) for row in rows], seconds)
+                   [row + (slope,) for row in rows], seconds,
+                   exact_propagation_error=json.dumps(errors),
+                   fitted_slope_window=window)
 
 
 def run_tree_truncation(cfg: ExperimentConfig,
@@ -415,10 +424,12 @@ def run_egorov(cfg: ExperimentConfig,
                  report.quad_error)]
 
     rows, seconds = _sweep(cfg, rows_of)
-    slope = _fit_slope([r[0] for r in rows], [r[2] for r in rows])
-    kappa = cfg.system.build(cfg.sweep[0]["N"]).kappa
+    slope, _ = _fit_slope([r[0] for r in rows], [r[2] for r in rows])
+    system = cfg.system.build(cfg.sweep[0]["N"])
+    kappa = system.kappa
     metadata = ({"t_report": repr(TheoryConstants(kappa).t_report),
-                 "kappa": repr(kappa)} if kappa > 0 else {})
+                 "kappa": repr(kappa),
+                 "kappa_minus": repr(system.kappa_minus)} if kappa > 0 else {})
     return _report(cfg, ("N", "t", "norm_difference", "slope_fit",
                          "tree_tail_estimate", "quad_error"),
                    [(n, t, diff, slope, tail, quad)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import RangeError, ShapeError, ValidationError
-from .sector import (compound_matrix, lift_coefficients,
+from .sector import (_one_body_tables, compound_matrix, lift_coefficients,
                      pair_diagonal_sector, sector_basis)
 
 HERMITICITY_TOL = 1e-12
@@ -51,9 +51,9 @@ class ModeSystem:
     The system is immutable: ``h`` and ``w`` are read-only copies of the
     inputs, so the data derived from them and kept in ``_derived`` (the
     pair kernel ``wmat`` and the flow kernel, the per-sector lift
-    coefficients, pair diagonals and eigensystems, and the sector
-    Hamiltonians of :func:`~fermiflow.exact.build_hamiltonian`) can never
-    go stale.
+    coefficients, pair diagonals and eigensystems, the sparse sector
+    Hamiltonians and the dense ones of
+    :func:`~fermiflow.exact.build_hamiltonian`) can never go stale.
 
     Parameters
     ----------
@@ -106,6 +106,13 @@ class ModeSystem:
         """Operator norm of the two-mode pair operator (max |w|)."""
         return float(np.max(np.abs(self.w)))
 
+    @property
+    def kappa_minus(self) -> float:
+        """Norm of the pair operator on the antisymmetric two-particle
+        sector, max |w(m)| over offsets m >= 1: two fermions never share a
+        mode, so w(0) never acts there."""
+        return float(np.max(np.abs(self.w[1:]), initial=0.0))
+
     def _lift_coefficients(self, m: int) -> np.ndarray:
         """Read-only pair-commutator coefficients of the (m-1) ⊗ 1 → m lift,
         as :func:`~fermiflow.sector.lift_coefficients` gives them."""
@@ -117,6 +124,20 @@ class ModeSystem:
         :func:`~fermiflow.sector.pair_diagonal_sector` gives it."""
         return self._derive(("pair_diagonal", m), lambda: _read_only(
             pair_diagonal_sector(self.wmat, self.d, m)))
+
+    def _sector_hamiltonian(self, n: int):
+        """The n-sector Hamiltonian sum_i h_i + (1/n) sum_{i<j} w(x_i - x_j)
+        as read-only arrays (rows, cols, values, diagonal): the one-body
+        entries, the hops of :func:`~fermiflow.sector._one_body_tables`
+        with h[k, l] != 0 in table order, and the pair diagonal over n."""
+        def build():
+            rows, cols, kk, ll, signs = _one_body_tables(self.d, n)
+            hops = self.h[kk, ll]
+            keep = hops != 0
+            return tuple(_read_only(v) for v in (
+                rows[keep], cols[keep], (signs * hops)[keep],
+                self._pair_diagonal(n) / n))
+        return self._derive(("sector_hamiltonian", n), build)
 
     def pair_operator(self) -> np.ndarray:
         """Dense two-mode pair operator: diagonal with entries w(i - j)."""

@@ -4,16 +4,20 @@ from math import comb, factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from fermiflow.errors import RangeError, ValidationError
-from fermiflow.exact import (ManyBodyHamiltonian, build_hamiltonian,
-                             evolve_exact, evolved_marginal, heisenberg_evolve,
+from fermiflow import exact
+from fermiflow.errors import CapacityError, RangeError, ValidationError
+from fermiflow.exact import (build_hamiltonian, evolve_exact,
+                             evolved_marginal, heisenberg_evolve,
                              second_quantize)
 from fermiflow.modes import ModeSystem
-from fermiflow.sector import (PSectorOperator, antisym_projector_dense,
-                              embedding_isometry, marginal, sector_basis,
-                              slater)
+from fermiflow.sector import (PSectorOperator, SectorState,
+                              antisym_projector_dense, embedding_isometry,
+                              one_body_sector, pair_diagonal_sector,
+                              sector_basis, slater)
 
 
 def haar_frame(rng, d, n):
@@ -63,13 +67,92 @@ def test_hamiltonian_range_check():
         build_hamiltonian(sys, 5)
 
 
+def eigh_evolved(sys, state, t):
+    """Oracle: exp(-i t H) psi by a dense eigh of the sector Hamiltonian,
+    assembled from the full one-body table and the pair diagonal."""
+    d, n = sys.d, state.n
+    mat = one_body_sector(sys.h, d, n)
+    mat += np.diag(pair_diagonal_sector(sys.wmat, d, n)) / n
+    vals, vecs = np.linalg.eigh(mat)
+    return vecs @ (np.exp(-1j * t * vals) * (vecs.conj().T @ state.coeffs))
+
+
+def random_state(rng, d, n):
+    dim = sector_basis(d, n).dim
+    coeffs = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return SectorState(sector_basis(d, n), coeffs / np.linalg.norm(coeffs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 8).flatmap(lambda d: st.tuples(
+           st.just(d), st.integers(1, d - 1), st.floats(-2.0, 2.0),
+           st.floats(0.0, 2.0), st.integers(0, 2 ** 32 - 1))))
+def test_lanczos_matches_eigh_oracle(case):
+    d, n, t, coupling, seed = case
+    sys = ModeSystem.chain(d, coupling)
+    state = random_state(np.random.default_rng(seed), d, n)
+    got, error = evolve_exact(state, sys, t)
+    np.testing.assert_allclose(got.coeffs, eigh_evolved(sys, state, t),
+                               rtol=0, atol=1e-12)
+    assert 0.0 <= error <= 1e-12
+
+
+@pytest.mark.parametrize("d, n, t, substeps", [(10, 5, 0.3, False),
+                                               (10, 5, 40.0, True)])
+def test_lanczos_matches_eigh_oracle_past_the_krylov_cap(monkeypatch, d, n,
+                                                         t, substeps):
+    # dimension 252 exceeds KRYLOV_CAP; t = 40 needs equal substeps
+    taus, step = [], exact._krylov_step
+
+    def spy(apply, psi, tau):
+        taus.append(tau)
+        return step(apply, psi, tau)
+    monkeypatch.setattr(exact, "_krylov_step", spy)
+    sys = ModeSystem.chain(d)
+    state = random_state(np.random.default_rng(7), d, n)
+    got, error = evolve_exact(state, sys, t)
+    np.testing.assert_allclose(got.coeffs, eigh_evolved(sys, state, t),
+                               rtol=0, atol=1e-12)
+    assert error <= 1e-12
+    assert (min(taus) < t) == substeps
+
+
+def test_non_finite_time_is_refused():
+    sys = ModeSystem.chain(6)
+    phi = np.eye(6)[:, :3]
+    ham = build_hamiltonian(sys, 3)
+    op = PSectorOperator(6, 3, ham.mat)
+    for t in (np.nan, np.inf, -np.inf):
+        with pytest.raises(RangeError):
+            evolved_marginal(phi, sys, t, 1)
+        with pytest.raises(RangeError):
+            evolve_exact(slater(phi), sys, t)
+        with pytest.raises(RangeError):
+            heisenberg_evolve(op, ham, t)
+
+
+def test_time_beyond_the_substep_budget_is_refused():
+    sys = ModeSystem.chain(10)
+    with pytest.raises(CapacityError):
+        evolve_exact(random_state(np.random.default_rng(3), 10, 5), sys,
+                     1e9)
+
+
+def test_zero_state_evolves_to_zero():
+    sys = ModeSystem.chain(6)
+    zero = SectorState(sector_basis(6, 3), np.zeros(20))
+    got, error = evolve_exact(zero, sys, 0.4)
+    np.testing.assert_array_equal(got.coeffs, 0.0)
+    assert error == 0.0
+
+
 def test_evolution_is_unitary_and_conserves_energy():
     rng = np.random.default_rng(31)
     sys = ModeSystem.chain(6)
     ham = build_hamiltonian(sys, 3)
     state = slater(haar_frame(rng, 6, 3))
     e0 = np.vdot(state.coeffs, ham.mat @ state.coeffs)
-    out = evolve_exact(state, ham, 0.7)
+    out, _ = evolve_exact(state, sys, 0.7)
     e1 = np.vdot(out.coeffs, ham.mat @ out.coeffs)
     assert abs(out.norm() - 1.0) < 1e-12
     np.testing.assert_allclose(e1, e0, atol=1e-12)
@@ -78,12 +161,11 @@ def test_evolution_is_unitary_and_conserves_energy():
 def test_evolution_composes_and_inverts():
     rng = np.random.default_rng(37)
     sys = ModeSystem.chain(5)
-    ham = build_hamiltonian(sys, 2)
     state = slater(haar_frame(rng, 5, 2))
-    fwd = evolve_exact(evolve_exact(state, ham, 0.3), ham, 0.4)
-    direct = evolve_exact(state, ham, 0.7)
+    fwd, _ = evolve_exact(evolve_exact(state, sys, 0.3)[0], sys, 0.4)
+    direct, _ = evolve_exact(state, sys, 0.7)
     np.testing.assert_allclose(fwd.coeffs, direct.coeffs, atol=1e-12)
-    back = evolve_exact(direct, ham, -0.7)
+    back, _ = evolve_exact(direct, sys, -0.7)
     np.testing.assert_allclose(back.coeffs, state.coeffs, atol=1e-12)
 
 
@@ -93,8 +175,7 @@ def test_free_system_evolves_orbitals_independently():
     d, n, t = 6, 3, 0.9
     sys = ModeSystem.chain(d, 0.0)
     phi = haar_frame(rng, d, n)
-    ham = build_hamiltonian(sys, n)
-    got = evolve_exact(slater(phi), ham, t)
+    got, _ = evolve_exact(slater(phi), sys, t)
     want = slater(expm(-1j * t * sys.h) @ phi)
     np.testing.assert_allclose(got.coeffs, want.coeffs, atol=1e-11)
 
@@ -105,7 +186,8 @@ def test_evolved_marginal_matches_full_tensor_oracle():
     d, n, p, t = 6, 3, 1, 0.3
     sys = ModeSystem.chain(d, coupling=1.0)
     phi = haar_frame(rng, d, n)
-    got = evolved_marginal(phi, sys, t, p)
+    got, error = evolved_marginal(phi, sys, t, p)
+    assert error <= 1e-12
 
     state_full = slater(phi).to_full_tensor()
     h_full = first_quantized_hamiltonian(sys, n)
@@ -181,14 +263,16 @@ def test_heisenberg_evolution_reproduces_state_expectations():
     a = PSectorOperator(d, n, a + a.T)
     moved_op = heisenberg_evolve(a, ham, t)
     lhs = np.vdot(state.coeffs, moved_op.mat @ state.coeffs)
-    evolved = evolve_exact(state, ham, t)
+    evolved, _ = evolve_exact(state, sys, t)
     rhs = np.vdot(evolved.coeffs, a.mat @ evolved.coeffs)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
 def test_sector_mismatch_raises():
     sys = ModeSystem.chain(5)
-    ham = build_hamiltonian(sys, 2)
-    state = slater(np.eye(5)[:, :3])
+    state = slater(np.eye(6)[:, :3])
     with pytest.raises(ValidationError):
-        evolve_exact(state, ham, 0.1)
+        evolve_exact(state, sys, 0.1)
+    with pytest.raises(ValidationError):
+        heisenberg_evolve(PSectorOperator(5, 3, np.eye(10)),
+                          build_hamiltonian(sys, 2), 0.1)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from fermiflow import sector
+from fermiflow import exact, sector
 from fermiflow.cli import main
 from fermiflow.errors import ConfigError
 from fermiflow.experiments import (EXPERIMENTS, ExperimentConfig,
@@ -231,6 +231,9 @@ def test_egorov_reports_time_radius():
     report = run(cfg)
     assert float(report.metadata["t_report"]) == pytest.approx(
         1.0 / (2 ** 11 * np.pi))
+    # the guard's kappa is w(0); exclusion leaves max |w(m)| over m >= 1
+    assert float(report.metadata["kappa"]) == 1.0
+    assert float(report.metadata["kappa_minus"]) == 0.5
     assert report.rows[0][2] < 1e-6
 
 
@@ -383,20 +386,56 @@ def test_no_experiment_starts_a_thread(monkeypatch):
         assert report.rows
 
 
-def test_one_sector_eigendecomposition_per_convergence_run(monkeypatch):
-    # the two N=5 rows (p=1, p=2) share one mode system and its Hamiltonian
+def test_convergence_run_diagonalises_no_sector_hamiltonian(monkeypatch):
+    # states move by Lanczos: the only eigh calls are one of h per system
+    # and the Krylov tridiagonals, and no dense sector matrix is built
+    def refuse(*args):
+        raise AssertionError("a dense sector Hamiltonian was built")
+
+    monkeypatch.setattr(exact, "build_hamiltonian", refuse)
     eigh, calls = np.linalg.eigh, []
     monkeypatch.setattr(np.linalg, "eigh",
-                        lambda mat: calls.append(mat.shape[0]) or eigh(mat))
-    run(ExperimentConfig.from_dict(workloads.config("convergence", 1)))
-    assert calls.count(252) == 1
-    assert sorted(calls) == [4, 6, 6, 8, 10, 20, 70, 252]
-    # with d fixed, N = 2 and N = 3 share one system and one eigh of h
-    calls.clear()
-    run(ExperimentConfig.from_dict(count_time_config(
-        "convergence", [{"N": 2, "t": 0.1}, {"N": 3, "t": 0.1}],
-        system={"d": 6, "coupling": 1.0})))
-    assert sorted(calls) == [6, 15, 20]
+                        lambda mat: calls.append(mat) or eigh(mat))
+    for raw, hs in ((workloads.config("convergence", 1), [4, 6, 8, 10]),
+                    # with d fixed, N = 2 and N = 3 share one system
+                    (count_time_config("convergence",
+                                       [{"N": 2, "t": 0.1}, {"N": 3, "t": 0.1}],
+                                       system={"d": 6, "coupling": 1.0}), [6])):
+        calls.clear()
+        run(ExperimentConfig.from_dict(raw))
+        h_calls = [mat.shape[0] for mat in calls if mat.dtype == complex]
+        krylov = [mat for mat in calls if mat.dtype != complex]
+        assert sorted(h_calls) == hs
+        assert krylov and all(
+            len(mat) <= exact.KRYLOV_CAP
+            and np.array_equal(mat, np.triu(np.tril(mat, 1), -1))
+            for mat in krylov)
+
+
+def test_convergence_row_at_seven_particles_builds_no_dense_matrix(
+        monkeypatch):
+    # N = 7 is a 3,432-dimensional sector on 14 modes
+    def refuse(*args):
+        raise AssertionError("a dense sector Hamiltonian was built")
+
+    monkeypatch.setattr(exact, "build_hamiltonian", refuse)
+    report = run(ExperimentConfig.from_dict(count_time_config(
+        "convergence", [{"N": 7, "t": 0.05}])))
+    assert 0 < report.rows[0][3] <= report.rows[0][4]
+    assert json.loads(report.metadata["exact_propagation_error"])[0] <= 1e-12
+
+
+def test_convergence_reports_propagation_errors_and_slope_window():
+    report = run(ExperimentConfig.from_dict(workloads.config("convergence", 1)))
+    errors = json.loads(report.metadata["exact_propagation_error"])
+    assert len(errors) == len(report.rows)
+    assert all(np.isfinite(e) and 0 <= e <= 1e-12 for e in errors)
+    assert report.metadata["fitted_slope_window"] == "2..5"
+    assert np.isfinite(report.rows[0][5])
+    csv_header = [ln for ln in report.to_csv().splitlines()
+                  if ln.startswith("#")]
+    assert any("exact_propagation_error" in ln for ln in csv_header)
+    assert any("fitted_slope_window" in ln for ln in csv_header)
 
 
 def package_env():

@@ -669,7 +669,7 @@ def test_self_pair_value_never_enters_any_route():
                for w0 in (1.0, 1000.0)]
     a = PSectorOperator(d, 1, random_hermitian(rng, d))
     orbs = OrbitalSet.random(rng, d, n)
-    runs = [(evolved_marginal(orbs.matrix, system, t, 2).mat,
+    runs = [(evolved_marginal(orbs.matrix, system, t, 2)[0].mat,
              tree_series(a, orbs.density(), t, quad, system,
                          override_time_guard=True).terms,
              loop_remainder(a, orbs, system, t, quad,
@@ -679,6 +679,15 @@ def test_self_pair_value_never_enters_any_route():
             for system in systems]
     for low, high in zip(*runs):
         assert np.array_equal(low, high)
+
+
+def test_kappa_minus_ignores_the_self_pair_value():
+    # the pair operator's norm on the antisymmetric two-particle sector
+    w = soft_coulomb(5)
+    for w0 in (1.0, 1000.0):
+        system = ModeSystem(5, hopping_hamiltonian(5), np.r_[w0, w[1:]])
+        assert system.kappa == w0 and system.kappa_minus == 0.5
+    assert ModeSystem.chain(1).kappa_minus == 0.0
 
 
 def test_gap_report_small_at_short_time():
