@@ -11,8 +11,11 @@ times) live only in the report metadata, never in rows.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from time import perf_counter
@@ -374,7 +377,7 @@ def run_convergence(cfg: ExperimentConfig,
         exact, error = evolved_marginal(orbitals.as_orthonormal(), system,
                                         t, p)
         errors.append(error)
-        flow = evolve_hf_orbitals(orbitals, system, np.array([0.0, t]),
+        flow = evolve_hf_orbitals(orbitals, system, [0.0, t] if t else [0.0],
                                   cfg.integrator)
         fitted = quasi_free_marginal(flow.final().density(), p)
         return [(n, p, t, trace_norm(exact.mat - fitted.mat), p * p / n)]
@@ -495,7 +498,60 @@ _RUNNERS = {
 }
 
 
+_OPENBLAS = []  # the thread-count hook, once looked up
+
+
+def _openblas_hook():
+    """The ``(get, set)`` thread-count functions of the scipy-openblas that
+    numpy loaded, or None when it loaded none; looked up on the first run,
+    so importing the package and loading a config do not pay for it."""
+    if not _OPENBLAS:
+        import glob     # here, not at import time: the lookup runs once
+
+        hook = None
+        libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                            "numpy.libs", "libscipy_openblas*")
+        for path in glob.glob(libs):
+            lib = ctypes.CDLL(path)
+            get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+            put = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+            if get is not None and put is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                put.restype, put.argtypes = None, [ctypes.c_int]
+                hook = (get, put)
+                break
+        _OPENBLAS.append(hook)
+    return _OPENBLAS[0]
+
+
+@contextmanager
+def _one_blas_thread():
+    """Pin BLAS to one thread for the block and yield the count in effect,
+    None without a hook; the caller's count is restored on exit.
+
+    After every threaded product an OpenBLAS worker busy-waits for a
+    while, so one threaded call in a run costs a second core, and
+    desk-scale operands gain little or nothing from it; only tree sweeps
+    from about d = 9 run faster on two threads, at more CPU. One thread
+    also makes the rows independent of the core count."""
+    hook = _openblas_hook()
+    if hook is None:
+        yield None
+        return
+    get, put = hook
+    before = get()
+    put(1)
+    try:
+        yield get()
+    finally:
+        put(before)
+
+
 def run(cfg: ExperimentConfig,
         override_time_guard: bool = False) -> ExperimentReport:
-    """Dispatch a validated config to its experiment runner."""
-    return _RUNNERS[cfg.experiment](cfg, override_time_guard)
+    """Dispatch a validated config to its experiment runner, on one BLAS
+    thread; the report's metadata records that count as ``blas_threads``."""
+    with _one_blas_thread() as threads:
+        report = _RUNNERS[cfg.experiment](cfg, override_time_guard)
+    report.metadata["blas_threads"] = json.dumps(threads)
+    return report

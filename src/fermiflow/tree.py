@@ -471,7 +471,7 @@ def hf_vs_tree_gap(a: PSectorOperator, gamma, system: ModeSystem, t: float,
     g = gamma.mat if isinstance(gamma, DensityMatrix) else np.asarray(gamma)
     series = tree_series(a, g, t, quad, system,
                          override_time_guard=override_time_guard)
-    gamma_t = evolve_hf_density(g, system, [0.0, t],
+    gamma_t = evolve_hf_density(g, system, [0.0, t] if t else [0.0],
                                 HFConfig(dt=hf_dt)).final()
     a_t = free_evolve_op(a, system, t)
     hf_value = complex(np.trace(a_t.mat @ quasi_free_marginal(gamma_t,

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from fermiflow import exact, sector
+from fermiflow import exact, experiments, sector
 from fermiflow.cli import main
 from fermiflow.errors import ConfigError
 from fermiflow.experiments import (EXPERIMENTS, ExperimentConfig,
@@ -216,6 +216,31 @@ def test_tree_truncation_free_system_increments_vanish():
     assert all(r[4] < 1e-10 for r in report.rows)
 
 
+def test_convergence_runs_at_time_zero(tmp_path, capsys):
+    # the flow is read on the one-point grid [0.0]. At t = 0 the
+    # quasi-free marginal is the exact one scaled by
+    # p! C(N, p) / N^p, so the gap is 0 for p = 1 and 1/N for p = 2
+    raw = count_time_config("convergence", [{"N": 2, "t": 0.0, "p": 1},
+                                            {"N": 3, "t": 0.0, "p": 2}])
+    assert main(["run", write_config(tmp_path, raw), "--out", "-"]) == 0
+    capsys.readouterr()
+    report = run(ExperimentConfig.from_dict(raw))
+    assert [r[:3] for r in report.rows] == [(2, 1, 0.0), (3, 2, 0.0)]
+    assert report.rows[0][3] < 1e-14
+    assert report.rows[1][3] == pytest.approx(1 / 3, abs=1e-14)
+
+
+def test_tree_truncation_at_time_zero_is_the_free_pairing(tmp_path, capsys):
+    raw = count_time_config("tree-truncation", [{"N": 2, "t": 0.0}],
+                            system={"d": 4, "coupling": 1.0})
+    assert main(["run", write_config(tmp_path, raw), "--out", "-"]) == 0
+    capsys.readouterr()
+    report = run(ExperimentConfig.from_dict(raw))
+    assert [r[2] for r in report.rows] == [0, 1, 2, 3]
+    assert len({r[3] for r in report.rows}) == 1
+    assert all(r[4] < 1e-14 and r[5] == 0.0 for r in report.rows)
+
+
 def test_egorov_free_system_rows_vanish():
     cfg = ExperimentConfig.from_dict(count_time_config(
         "egorov", [{"N": 2, "t": 0.3}, {"N": 3, "t": 0.3}],
@@ -361,6 +386,57 @@ def test_cli_gram_drift_exits_as_divergence(tmp_path, capsys):
     path = write_config(tmp_path, raw)
     assert main(["run", path]) == 3
     assert "Gram drift" in capsys.readouterr().err
+
+
+@pytest.fixture
+def blas_threads():
+    """The OpenBLAS thread-count hook of ``run``, with the count restored
+    after the test; skips when numpy loaded no scipy-openblas."""
+    hook = experiments._openblas_hook()
+    if hook is None:
+        pytest.skip("numpy loaded no scipy-openblas")
+    get, put = hook
+    before = get()
+    yield get, put
+    put(before)
+
+
+def test_run_pins_blas_to_one_thread_and_restores_the_callers_count(
+        blas_threads, monkeypatch, tmp_path, capsys):
+    get, put = blas_threads
+    put(2)
+    caller, seen = get(), []
+    graph_count = experiments._RUNNERS["graph-count"]
+    monkeypatch.setitem(experiments._RUNNERS, "graph-count",
+                        lambda cfg, guard: seen.append(get())
+                        or graph_count(cfg, guard))
+    report = run(ExperimentConfig.from_dict(base_config()))
+    assert seen == [1] and get() == caller
+    assert "# blas_threads: 1\n" in report.to_csv()
+    # a run that raises restores the count too: this one exits 3
+    raw = count_time_config("conservation", [{"N": 3, "t": 200}],
+                            integrator={"dt": 0.5})
+    assert main(["run", write_config(tmp_path, raw)]) == 3
+    assert "Gram drift" in capsys.readouterr().err
+    assert get() == caller
+
+
+def test_run_without_openblas_goes_ahead_and_reports_null(monkeypatch):
+    monkeypatch.setattr(experiments, "_OPENBLAS", [None])
+    report = run(ExperimentConfig.from_dict(base_config()))
+    assert report.rows and report.metadata["blas_threads"] == "null"
+
+
+def test_egorov_rows_do_not_depend_on_the_blas_thread_count(blas_threads):
+    _, put = blas_threads
+    cfg = ExperimentConfig.from_dict(workloads.config("egorov", 5))
+    texts = []
+    for threads in (2, 1):
+        put(threads)
+        texts.append(run(cfg, override_time_guard=True).to_csv())
+    rows = [[ln for ln in text.splitlines() if not ln.startswith("#")]
+            for text in texts]
+    assert rows[0] == rows[1]
 
 
 def test_no_experiment_starts_a_thread(monkeypatch):

@@ -387,8 +387,9 @@ class TestFlows:
         assert sum(sizes) == 2 * 1000 + 1
 
     def test_self_pair_value_never_enters_the_flows(self):
-        # w(0) cancels between direct and exchange, and the bare twin never
-        # adds it: raising it from 1 to 1000 leaves every state unchanged
+        # w(0) cancels between direct and exchange, and the flows' pair
+        # kernel, ModeSystem._flow_kernel, zeroes it: raising it from 1 to
+        # 1000 leaves every state unchanged
         d, t_grid, cfg = 6, [0.0, 0.1, 0.2], HFConfig(dt=1e-2)
         w = soft_coulomb(d)
         systems = [ModeSystem(d, hopping_hamiltonian(d), w),
