@@ -60,7 +60,10 @@ class ModeSystem:
     d : int
         Number of modes.
     h : ndarray, shape (d, d)
-        Hermitian one-body operator.
+        Real symmetric one-body operator, held as float64. Its eigenvectors,
+        and the eigen-minor matrices of every sector built from them, are
+        then real, so free rotations run as real matrix products; an ``h``
+        with a nonzero imaginary part is refused.
     w : ndarray, shape (d,)
         Pair potential sampled on offsets 0 .. d-1; extended to negative
         offsets by evenness.
@@ -73,8 +76,10 @@ class ModeSystem:
                            compare=False)
 
     def __post_init__(self):
-        for name, dtype in (("h", complex), ("w", float)):
-            value = np.array(getattr(self, name), dtype=dtype)
+        if np.any(np.imag(self.h)):
+            raise ValidationError("one-body operator must be real")
+        for name, value in (("h", np.real(self.h)), ("w", self.w)):
+            value = np.array(value, dtype=float)
             value.setflags(write=False)
             object.__setattr__(self, name, value)
         if self.d < 1:
@@ -83,8 +88,8 @@ class ModeSystem:
             raise ShapeError(f"h must be {self.d}x{self.d}, got {self.h.shape}")
         if self.w.shape != (self.d,):
             raise ShapeError(f"w must have one value per offset 0..{self.d - 1}")
-        if np.max(np.abs(self.h - self.h.conj().T)) > HERMITICITY_TOL:
-            raise ValidationError("one-body operator must be Hermitian")
+        if np.max(np.abs(self.h - self.h.T)) > HERMITICITY_TOL:
+            raise ValidationError("one-body operator must be symmetric")
         if not np.all(np.isfinite(self.w)) or not np.all(np.isfinite(self.h)):
             raise ValidationError("non-finite entries in system operators")
 
@@ -169,8 +174,9 @@ class ModeSystem:
 
     def _sector_rotation(self, m: int):
         """Eigenvalues of the free m-sector Hamiltonian, its eigenvectors and
-        their adjoint, read-only: ``np.linalg.eigh(h)`` at m = 1, and on every
-        other sector the subset sums and the minor matrix of those."""
+        their transpose, read-only and real: ``np.linalg.eigh(h)`` at m = 1,
+        and on every other sector the subset sums and the minor matrix of
+        those, by :func:`~fermiflow.sector.compound_matrix`."""
         def build():
             if m == 1:
                 return _frame(*np.linalg.eigh(self.h))
@@ -190,4 +196,4 @@ class ModeSystem:
 
 
 def _frame(vals: np.ndarray, vecs: np.ndarray):
-    return _read_only(vals), _read_only(vecs), _read_only(vecs.conj().T)
+    return _read_only(vals), _read_only(vecs), vecs.T

@@ -11,8 +11,8 @@ Fermionic signs follow from applying creation operators in ascending mode
 order. Reduced density matrices are contracted inside the sector, from the
 coefficients of disjoint subset pairs, without forming the d**n tensor. The
 module also provides the bridges between sector coefficients and full
-tensor-product arrays (the oracles the tests compare against),
-determinant-based compound matrices, and the single-particle lift/contract
+tensor-product arrays (the oracles the tests compare against), compound
+matrices by Laplace recursion, and the single-particle lift/contract
 maps used by the interaction expansions.
 """
 
@@ -288,16 +288,37 @@ def compound_matrix(a: np.ndarray, m: int) -> np.ndarray:
     For a one-particle operator a this is the sector matrix of the m-fold
     tensor power restricted to the antisymmetric subspace; in particular the
     compound of exp(-i t h) is the free m-particle sector propagator.
+
+    Built by Laplace expansion along the first row, from the 1-minors (the
+    entries of a) up, with T_0 < ... < T_{j-1} the ascending elements of T:
+    C_j[S, T] = sum_k (-1)^k a[min S, T_k] C_{j-1}[S \\ min S, T \\ T_k].
+    That is O(j) work per entry where a determinant takes O(j^3). A real
+    ``a`` gives a real result.
     """
     a = np.asarray(a)
     d = a.shape[0]
     if a.shape != (d, d):
         raise ShapeError("compound matrix needs a square input")
-    basis = sector_basis(d, m)
+    sector_basis(d, m)                  # refuses m outside [0, d]
     if m == 0:
-        return np.ones((1, 1), dtype=complex)
-    sub = a[basis.occ[:, None, :, None], basis.occ[None, :, None, :]]
-    return np.linalg.det(sub.astype(complex))
+        return np.ones((1, 1), dtype=np.result_type(a, 1.0))
+    c = a.astype(np.result_type(a, 1.0))
+    for j in range(2, m + 1):
+        basis = sector_basis(d, j)
+        occ = basis.occ
+        # drop[S, k]: the row of S \ S_k among the (j-1)-subsets
+        drop = np.searchsorted(sector_basis(d, j - 1).masks,
+                               basis.masks[:, None] ^ (1 << occ))
+        lead, rest = a[occ[:, 0]], c[drop[:, 0]]    # a[min S], C[S \ min S]
+        c = lead.take(occ[:, 0], axis=1) * rest.take(drop[:, 0], axis=1)
+        for k in range(1, j):
+            term = lead.take(occ[:, k], axis=1)
+            term *= rest.take(drop[:, k], axis=1)
+            if k % 2:
+                c -= term
+            else:
+                c += term
+    return c
 
 
 # ---------------------------------------------------------------------------

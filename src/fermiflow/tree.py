@@ -14,8 +14,9 @@ steps use the sparse coisometry tables from :mod:`fermiflow.sector`, and
 loop steps act through the diagonal pair sum. Nested Gauss-Legendre nodes
 over the ordered time simplex share their prefix evaluations, so one sweep
 yields every order at once; the sweep holds its operands in the eigenbasis
-of the free sector Hamiltonians, where free evolution is a phase-scaled
-frame of eigenvectors and no propagator is built.
+of the free sector Hamiltonians, where free evolution is an elementwise
+phase, every rotation is a real product with an eigen-minor matrix, and no
+propagator is built.
 """
 
 from __future__ import annotations
@@ -207,6 +208,15 @@ def _gl_nodes(n: int):
     return (xs + 1.0) / 2.0, ws / 2.0
 
 
+def _rotate(v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """v xᵀ vᵀ for a real square v and a C-contiguous complex x: two real
+    products, each one GEMM on the float view of a complex operand, at half
+    the multiply-adds of a complex product, with one transpose copy between."""
+    vx = v @ x.view(float)
+    return np.matmul(v, vx.view(complex).T.copy().view(float),
+                     out=vx).view(complex)
+
+
 def _integrate_orders(a: PSectorOperator, K: int, t: float, nodes: int,
                       system: ModeSystem) -> list:
     """Simplex integrals of the loop-free operators for every order <= K,
@@ -214,13 +224,18 @@ def _integrate_orders(a: PSectorOperator, K: int, t: float, nodes: int,
 
     One nested sweep: the node tree over t >= s_1 >= ... >= s_K shares
     each prefix operator between all orders, and every node adds its
-    weighted operator straight into the total of its order. Operands on
-    the m-sector are held in its eigen-minor basis, x̃ = V_m† x V_m, where
-    the free propagator of time s is the sector frame f_m(s) up to the
-    fixed V_m. The base is f_p(t)† A f_p(t); a node at time s lifts
-    z = f_{m-1}(s) x̃ f_{m-1}(s)† and rotates the result back as
-    i f_m(s)† lifted f_m(s), four products and no propagator. Each total
-    returns to site basis once, as V_m x̃ V_m†.
+    operator, the quadrature weights of its path folded in, straight into
+    the total of its order. The free propagator of time s on the m-sector
+    is V_m diag(e_m(s)) V_mᵀ, with the real eigen-minor matrix V_m and the
+    phases e_m(s) = exp(-i s λ_m). So operands are held in that eigenbasis,
+    x̃ = V_mᵀ x V_m, where free evolution is elementwise: a node at s of
+    weight w lifts z = V_{m-1}((e ⊗ ē) ∘ x̃)V_{m-1}ᵀ, with e = e_{m-1}(s),
+    and gives i w (ē ⊗ e) ∘ (V_mᵀ lifted V_m), with e = e_m(s). The phases
+    of all children of a node come from one call. Each rotation is two real
+    products (:func:`_rotate`), which take and give the transpose, so every
+    operand is held as x̃ᵀ and the phase factors are transposed to match.
+    The base is (ē ⊗ e) ∘ (V_pᵀ A V_p) at time t, and each total returns to
+    site basis once, as V_m x̃ V_mᵀ.
     """
     if K < 0:
         raise RangeError("truncation order must be non-negative")
@@ -228,28 +243,41 @@ def _integrate_orders(a: PSectorOperator, K: int, t: float, nodes: int,
         raise RangeError(
             f"order {K} would need {a.p + K} particles in {system.d} modes")
     x01, w01 = _gl_nodes(nodes)
-    f0 = system.sector_frame(a.p, t)
-    totals = [f0.conj().T @ a.mat @ f0] + [
-        _zero_sector_matrix(a.d, a.p + k) for k in range(1, K + 1)]
+    rotations = [system._sector_rotation(a.p + k) for k in range(K + 1)]
+    e = np.exp(-1j * t * rotations[0][0])
+    totals = [np.multiply.outer(e, e.conj())
+              * _rotate(rotations[0][2], np.ascontiguousarray(a.mat))]
+    totals += [_zero_sector_matrix(a.d, a.p + k) for k in range(1, K + 1)]
 
-    def descend(level, upper, x_prev, weight):
-        m = a.p + level
+    def descend(level, upper, x_prev):
+        m, total = a.p + level, totals[level]
+        (lam_small, v_small, _), (lam_big, _, vt_big) = \
+            rotations[level - 1:level + 1]
         coefficients = system._lift_coefficients(m)
-        for s, w in zip(upper * x01, (upper * weight) * w01):
-            f_small = system.sector_frame(m - 1, s)
-            f_big = system.sector_frame(m, s)
+        s = upper * x01
+        # the phases of both sectors for every child in one call, split into
+        # the row and column factors of ē ⊗ e and of i w e ⊗ ē per child
+        phases = np.exp(-1j * np.multiply.outer(
+            s, np.concatenate((lam_small, lam_big))))
+        small, big = phases[:, :len(lam_small)], phases[:, len(lam_small):]
+        small_rows, big_cols = small.conj()[:, :, None], big.conj()
+        big_rows = ((1j * upper * w01)[:, None] * big)[:, :, None]
+        for j in range(nodes):
+            z = small_rows[j] * x_prev
+            z *= small[j]
             lifted = project_lift_pair_commutator(
-                f_small @ x_prev @ f_small.conj().T, coefficients, system.d, m)
-            y = 1j * (f_big.conj().T @ lifted @ f_big)
-            totals[level] += w * y
+                _rotate(v_small, z), coefficients, system.d, m)
+            y = _rotate(vt_big, lifted)
+            y *= big_rows[j]
+            y *= big_cols[j]
+            total += y
             if level < K:
-                descend(level + 1, s, y, w)
+                descend(level + 1, s[j], y)
 
     if K > 0 and t != 0.0:
-        descend(1, t, totals[0], 1.0)
+        descend(1, t, totals[0])
     for k, x in enumerate(totals):
-        _, vm, vm_h = system._sector_rotation(a.p + k)
-        totals[k] = vm @ x @ vm_h
+        totals[k] = _rotate(rotations[k][1], x)
         if not np.all(np.isfinite(totals[k])):
             raise NumericError(f"non-finite quadrature total at order {k}")
     return totals

@@ -18,7 +18,7 @@ from fermiflow.experiments import (EXPERIMENTS, ExperimentConfig,
                                    _random_hermitian, ground_mode_projector,
                                    load_config, run)
 from fermiflow.hf import OrbitalSet
-from fermiflow.modes import ModeSystem
+from fermiflow.modes import ModeSystem, hopping_hamiltonian
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench")
@@ -479,8 +479,11 @@ def test_convergence_run_diagonalises_no_sector_hamiltonian(monkeypatch):
                                        system={"d": 6, "coupling": 1.0}), [6])):
         calls.clear()
         run(ExperimentConfig.from_dict(raw))
-        h_calls = [mat.shape[0] for mat in calls if mat.dtype == complex]
-        krylov = [mat for mat in calls if mat.dtype != complex]
+        # h and the tridiagonals are both real, so h is told apart by value
+        is_h = [np.array_equal(mat, hopping_hamiltonian(len(mat)))
+                for mat in calls]
+        h_calls = [len(mat) for mat, h in zip(calls, is_h) if h]
+        krylov = [mat for mat, h in zip(calls, is_h) if not h]
         assert sorted(h_calls) == hs
         assert krylov and all(
             len(mat) <= exact.KRYLOV_CAP

@@ -257,6 +257,31 @@ def test_compound_matrix_is_sector_tensor_power():
     np.testing.assert_allclose(compound_matrix(a, m), want, atol=1e-12)
 
 
+def stacked_minors(a, m):
+    """Oracle: every m-minor det(a[X, Y]) over ascending m-subsets X and Y,
+    as one stacked determinant."""
+    occ = sector_basis(a.shape[0], m).occ
+    if m == 0:
+        return np.ones((1, 1))
+    return np.linalg.det(a[occ[:, None, :, None], occ[None, :, None, :]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_compound_recursion_matches_stacked_minors(data):
+    d = data.draw(st.integers(1, 7), label="d")
+    m = data.draw(st.integers(0, d), label="m")
+    real = data.draw(st.booleans(), label="real")
+    rng = np.random.default_rng(data.draw(st.integers(0, 10_000), label="seed"))
+    a = rng.normal(size=(d, d))
+    if not real:
+        a = a + 1j * rng.normal(size=(d, d))
+    a /= np.linalg.norm(a, 2)    # every minor then has modulus at most 1
+    got = compound_matrix(a, m)
+    assert got.dtype == (np.float64 if real else np.complex128)
+    np.testing.assert_allclose(got, stacked_minors(a, m), rtol=0, atol=1e-13)
+
+
 def test_compound_of_propagator_is_free_sector_propagator():
     from scipy.linalg import expm
 

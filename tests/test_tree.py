@@ -193,6 +193,41 @@ def test_eigensystem_adjoints_are_built_once_and_read_only():
     assert system._sector_rotation(2)[2] is system._sector_rotation(2)[2]
 
 
+def test_mode_system_refuses_a_complex_one_body_operator():
+    # Hermitian, but with an imaginary part: the eigenvectors would be
+    # complex, and every free rotation runs as real products
+    h = hopping_hamiltonian(4) + 0.1j * (np.eye(4, k=1) - np.eye(4, k=-1))
+    with pytest.raises(ValidationError, match="real"):
+        ModeSystem(4, h, soft_coulomb(4))
+    system = ModeSystem(4, hopping_hamiltonian(4).astype(complex),
+                        soft_coulomb(4))
+    assert system.h.dtype == np.float64
+
+
+def test_every_sector_rotation_is_real_and_read_only():
+    system = ModeSystem.chain(6)
+    for m in range(7):
+        vals, vecs, transpose = system._sector_rotation(m)
+        for array in (vals, vecs, transpose):
+            assert array.dtype == np.float64 and not array.flags.writeable
+        np.testing.assert_allclose(vecs.T @ vecs, np.eye(comb(6, m)),
+                                   atol=1e-13)
+
+
+def test_half_filled_sector_rotation_at_twelve_modes_peaks_under_100_mb():
+    import tracemalloc
+
+    system = ModeSystem.chain(12)
+    tracemalloc.start()
+    try:
+        _, vecs, _ = system._sector_rotation(6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vecs.shape == (924, 924)
+    assert peak < 100e6
+
+
 def test_free_evolution_matches_dense_conjugation():
     rng = np.random.default_rng(5)
     system = ModeSystem.chain(4, coupling=1.0)
