@@ -402,13 +402,7 @@ class Trajectory:
         return "\n".join(lines) + "\n"
 
 
-@dataclass
-class OrbitalTrajectory(Trajectory):
-    def orbitals(self, i: int) -> OrbitalSet:
-        return self.states[i]
-
-
-def _record(cls, stream, system: ModeSystem, config: HFConfig, density,
+def _record(stream, system: ModeSystem, config: HFConfig, density,
             gram_drift=None) -> Trajectory:
     """Trajectory of a state stream, measured through ``density(state)``;
     the Gram drift column is ``gram_drift(t, state)``, NaN without it."""
@@ -424,11 +418,11 @@ def _record(cls, stream, system: ModeSystem, config: HFConfig, density,
                      float(np.max(np.abs(spec - spec0))),
                      float(np.real(np.trace(dens))), float(spec.min())))
     columns = (np.array(col) for col in zip(*rows))
-    return cls(np.array(times), states, *columns, config)
+    return Trajectory(np.array(times), states, *columns, config)
 
 
 def evolve_hf_orbitals(orbitals: OrbitalSet, system: ModeSystem, t_grid,
-                       config: HFConfig | None = None) -> OrbitalTrajectory:
+                       config: HFConfig | None = None) -> Trajectory:
     """Integrate the orbital flow, recording conservation diagnostics.
 
     This is the kappa flow (:func:`hf_rhs_kappa`) of the normalized frame,
@@ -450,8 +444,8 @@ def evolve_hf_orbitals(orbitals: OrbitalSet, system: ModeSystem, t_grid,
 
     stream = _hf_stream(orbitals.as_normalized(), system, t_grid,
                         _mean_field_kappa, config.dt)
-    traj = _record(OrbitalTrajectory, stream, system, config,
-                   lambda psi: psi @ psi.conj().T, gram_drift)
+    traj = _record(stream, system, config, lambda psi: psi @ psi.conj().T,
+                   gram_drift)
     traj.states = [OrbitalSet(factor * psi, scale=orbitals.scale)
                    for psi in traj.states]
     return traj
@@ -465,7 +459,7 @@ def evolve_hf_density(gamma0: np.ndarray | DensityMatrix, system: ModeSystem,
     g0 = gamma0.mat if isinstance(gamma0, DensityMatrix) else np.asarray(gamma0)
     stream = _hf_stream(g0, system, t_grid, _mean_field_density, config.dt,
                         both_sides=True)
-    return _record(Trajectory, stream, system, config, lambda g: g)
+    return _record(stream, system, config, lambda g: g)
 
 
 def evolve_kappa(kappa0: KappaFactor | np.ndarray, system: ModeSystem, t_grid,
@@ -475,5 +469,4 @@ def evolve_kappa(kappa0: KappaFactor | np.ndarray, system: ModeSystem, t_grid,
     config = config or HFConfig()
     k0 = kappa0.mat if isinstance(kappa0, KappaFactor) else np.asarray(kappa0)
     stream = _hf_stream(k0, system, t_grid, _mean_field_kappa, config.dt)
-    return _record(Trajectory, stream, system, config,
-                   lambda k: k @ k.conj().T)
+    return _record(stream, system, config, lambda k: k @ k.conj().T)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import RangeError, ShapeError, ValidationError
-from .sector import (_one_body_tables, compound_matrix, lift_coefficients,
+from .sector import (compound_matrix, lift_coefficients, one_body_entries,
                      pair_diagonal_sector, sector_basis)
 
 HERMITICITY_TOL = 1e-12
@@ -132,17 +132,12 @@ class ModeSystem:
 
     def _sector_hamiltonian(self, n: int):
         """The n-sector Hamiltonian sum_i h_i + (1/n) sum_{i<j} w(x_i - x_j)
-        as read-only arrays (rows, cols, values, diagonal): the one-body
-        entries, the hops of :func:`~fermiflow.sector._one_body_tables`
-        with h[k, l] != 0 in table order, and the pair diagonal over n."""
-        def build():
-            rows, cols, kk, ll, signs = _one_body_tables(self.d, n)
-            hops = self.h[kk, ll]
-            keep = hops != 0
-            return tuple(_read_only(v) for v in (
-                rows[keep], cols[keep], (signs * hops)[keep],
-                self._pair_diagonal(n) / n))
-        return self._derive(("sector_hamiltonian", n), build)
+        as read-only arrays (rows, cols, values, diagonal): the hops with
+        h[k, l] != 0, from :func:`~fermiflow.sector.one_body_entries` and
+        held only here, and the pair diagonal over n."""
+        return self._derive(("sector_hamiltonian", n), lambda: tuple(
+            _read_only(v) for v in (*one_body_entries(self.h, self.d, n),
+                                    self._pair_diagonal(n) / n)))
 
     def pair_operator(self) -> np.ndarray:
         """Dense two-mode pair operator: diagonal with entries w(i - j)."""

@@ -8,12 +8,12 @@ The state attached to the subset {i_1 < ... < i_n} is
 
 where P_- is the antisymmetrizing projector; these states are orthonormal.
 Fermionic signs follow from applying creation operators in ascending mode
-order. Reduced density matrices are contracted inside the sector, from the
-coefficients of disjoint subset pairs, without forming the d**n tensor. The
-module also provides the bridges between sector coefficients and full
-tensor-product arrays (the oracles the tests compare against), compound
-matrices by Laplace recursion, and the single-particle lift/contract
-maps used by the interaction expansions.
+order. One cached table of disjoint subset pairs, with one sign convention,
+serves the reduced density matrices (contracted inside the sector, without
+the d**n tensor), the lift/contract maps of the interaction expansions and
+the second-quantized one-body hops. The module also provides the bridges
+between sector coefficients and full tensor-product arrays (the oracles the
+tests compare against) and compound matrices by Laplace recursion.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .errors import CapacityError, RangeError, ShapeError, ValidationError
 MAX_FULL_TENSOR = 4_000_000     # largest d**n expanded densely as a vector
 MAX_DENSE_MATRIX_DIM = 4096     # largest d**p for dense full-space matrices
 MAX_PERMUTATION_ORDER = 8
+MAX_SECTOR_DIM = 1 << 20        # largest C(d, n) enumerated as a basis
 
 _DEGENERATE_FRAME_TOL = 1e-8
 
@@ -80,14 +81,14 @@ def sector_basis(d: int, n: int) -> SectorBasis:
         raise RangeError(f"need at least one mode, got d={d}")
     if not 0 <= n <= d:
         raise RangeError(f"particle number n={n} outside [0, {d}]")
-    masks = []
-    occ = []
-    for subset in itertools.combinations(range(d), n):
-        masks.append(sum(1 << s for s in subset))
-        occ.append(subset)
-    order = np.argsort(np.array(masks, dtype=np.int64), kind="stable")
-    masks = np.array(masks, dtype=np.int64)[order]
-    occ = np.array(occ, dtype=np.int64).reshape(len(masks), n)[order]
+    if comb(d, n) > MAX_SECTOR_DIM:
+        raise CapacityError(
+            f"sector C({d}, {n}) has over {MAX_SECTOR_DIM} states")
+    occ = np.array(list(itertools.combinations(range(d), n)),
+                   dtype=np.int64).reshape(comb(d, n), n)
+    masks = np.sum(1 << occ, axis=1)
+    order = np.argsort(masks, kind="stable")
+    masks, occ = masks[order], occ[order]
     index = {int(m): i for i, m in enumerate(masks)}
     return SectorBasis(d=d, n=n, masks=masks, occ=occ, index=index)
 
@@ -254,7 +255,9 @@ def slater(phi: np.ndarray) -> SectorState:
 def _marginal_table(d: int, n: int, p: int):
     """Disjoint (p, n-p)-subset pairs (alpha, beta): their rows in the p- and
     (n-p)-sectors, the row of alpha ∪ beta in the n-sector, and the sign
-    (-1)^#{(a, b) in alpha x beta : a > b} that sorts the concatenation."""
+    (-1)^#{(a, b) in alpha x beta : a > b} that sorts the concatenation,
+    alpha-major. At n - p = 1 each beta is one of the d - p modes outside
+    alpha: by mode these pairs give the lifts, by alpha the one-body hops."""
     small, rest = sector_basis(d, p), sector_basis(d, n - p)
     rows, cols = np.nonzero(small.masks[:, None] & rest.masks[None, :] == 0)
     union = np.searchsorted(sector_basis(d, n).masks,
@@ -325,22 +328,18 @@ def compound_matrix(a: np.ndarray, m: int) -> np.ndarray:
 # Second-quantized one-body assembly and pair diagonals
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _one_body_tables(d: int, n: int):
-    """Index arrays for assembling sum_{k,l} a[k,l] c†_k c_l on a sector.
-
-    Entries run over basis states, then occupied l, then free k, each in
-    ascending order; the signs count the occupied modes below l and below k.
-    """
-    basis = sector_basis(d, n)
-    removed = basis.masks[:, None] ^ (1 << basis.occ)          # (dim, n)
-    held = (removed[:, :, None] >> np.arange(d)) & 1            # (dim, n, d)
-    cols, pos, kk = np.nonzero(held == 0)
-    ll = basis.occ[cols, pos]
-    below = np.cumsum(held, axis=2)[cols, pos, kk]
-    rows = np.searchsorted(basis.masks, removed[cols, pos] | (1 << kk))
-    signs = (1.0 - 2.0 * (pos % 2)) * (1.0 - 2.0 * (below % 2))
-    return rows, cols, kk, ll, signs
+def one_body_entries(a: np.ndarray, d: int, n: int):
+    """Entries (rows, cols, values) of sum_{k,l} a[k,l] c†_k c_l on the
+    n-sector where a[k, l] != 0, from the (n-1, 1) pairs of the marginal
+    table: for an (n-1)-subset beta and modes k, l outside it, the hop
+    c†_k c_l sends beta ∪ {l} to sign(beta, k) sign(beta, l) (beta ∪ {k})."""
+    if n == 0:
+        return np.zeros(0, int), np.zeros(0, int), np.zeros(0, a.dtype)
+    _, modes, union, signs = (v.reshape(-1, d - n + 1)
+                              for v in _marginal_table(d, n, n - 1))
+    group, i, j = np.nonzero((a != 0)[modes[:, :, None], modes[:, None, :]])
+    k, l = (group, i), (group, j)
+    return union[k], union[l], signs[k] * signs[l] * a[modes[k], modes[l]]
 
 
 def one_body_sector(a: np.ndarray, d: int, n: int) -> np.ndarray:
@@ -348,10 +347,10 @@ def one_body_sector(a: np.ndarray, d: int, n: int) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.shape != (d, d):
         raise ShapeError(f"one-body kernel must be {d}x{d}")
-    basis = sector_basis(d, n)
-    rows, cols, kk, ll, signs = _one_body_tables(d, n)
-    out = np.zeros((basis.dim, basis.dim), dtype=complex)
-    np.add.at(out, (rows, cols), signs * a[kk, ll])
+    dim = sector_basis(d, n).dim
+    out = np.zeros((dim, dim), dtype=complex)
+    rows, cols, values = one_body_entries(a, d, n)
+    np.add.at(out, (rows, cols), values)
     return out
 
 

@@ -71,7 +71,7 @@ def test_marginal_identities(capsys):
         traj = evolve_hf_orbitals(orbs, system, [0.0, 0.5, 1.0],
                                   HFConfig(dt=1e-3))
         for i in range(3):
-            frame = traj.orbitals(i)
+            frame = traj.states[i]
             for p in (1, 2):
                 rep = marginal_relation_check(frame, p)
                 worst = max(worst, rep.exact_relation_gap)

@@ -67,9 +67,27 @@ def test_hamiltonian_range_check():
         build_hamiltonian(sys, 5)
 
 
+def test_half_filled_sector_hamiltonian_at_sixteen_modes_peaks_under_30_mb():
+    # only the hops with h[k, l] != 0 are built and held, and no table of
+    # every hop is kept beside them
+    import tracemalloc
+
+    system = ModeSystem.chain(16)
+    tracemalloc.start()
+    try:
+        rows, cols, values, diagonal = system._sector_hamiltonian(8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(diagonal) == comb(16, 8)
+    # the chain keeps 16 of the 8 * 9 hops per state, on average
+    assert np.all(values != 0) and len(values) == 16 * comb(16, 8)
+    assert peak < 30e6
+
+
 def eigh_evolved(sys, state, t):
     """Oracle: exp(-i t H) psi by a dense eigh of the sector Hamiltonian,
-    assembled from the full one-body table and the pair diagonal."""
+    assembled from the dense one-body sector matrix and the pair diagonal."""
     d, n = sys.d, state.n
     mat = one_body_sector(sys.h, d, n)
     mat += np.diag(pair_diagonal_sector(sys.wmat, d, n)) / n

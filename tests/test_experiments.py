@@ -361,6 +361,18 @@ def test_cli_config_error_exit(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+def test_cli_refuses_a_sector_too_large_to_enumerate(tmp_path, capsys,
+                                                     monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a sector basis was enumerated")
+
+    monkeypatch.setattr(sector.itertools, "combinations", refuse)
+    path = write_config(tmp_path, count_time_config(
+        "convergence", [{"N": 20, "t": 0.1, "p": 1}]))
+    assert main(["run", path, "--out", "-"]) == 2
+    assert "C(40, 20) has over 1048576 states" in capsys.readouterr().err
+
+
 def test_cli_guard_requires_override(tmp_path, capsys):
     raw = count_time_config("egorov", [{"N": 2, "t": 0.25}])
     path = write_config(tmp_path, raw)

@@ -451,7 +451,7 @@ class TestFlows:
         t_grid = [0.3, 0.5]
         traj_a = evolve_hf_orbitals(self.orbs, self.sys, [0.0, 0.3, 0.5],
                                     HFConfig(dt=1e-3))
-        traj_b = evolve_hf_orbitals(traj_a.orbitals(1), self.sys, t_grid,
+        traj_b = evolve_hf_orbitals(traj_a.states[1], self.sys, t_grid,
                                     HFConfig(dt=1e-3))
         assert np.max(np.abs(traj_b.final().matrix
                              - traj_a.final().matrix)) < 1e-10

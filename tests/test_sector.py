@@ -13,15 +13,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermiflow.errors import RangeError, ShapeError, ValidationError
+from fermiflow.errors import (CapacityError, RangeError, ShapeError,
+                             ValidationError)
 from fermiflow.modes import ModeSystem
-from fermiflow.sector import (PSectorOperator, SectorState, _one_body_tables,
+from fermiflow.sector import (MAX_SECTOR_DIM, PSectorOperator, SectorState,
                               antisymmetrize, antisym_projector_dense,
                               compound_matrix,
                               contract_pair_commutator, embedding_isometry,
                               gram, interaction_weights, lift_coefficients,
                               lift_tables, marginal,
-                              one_body_sector, pair_diagonal_sector,
+                              one_body_entries, one_body_sector,
+                              pair_diagonal_sector,
                               permutation_sign, project_lift,
                               project_lift_pair_commutator, sector_basis,
                               slater, trace_norm)
@@ -64,6 +66,17 @@ def test_basis_dimensions_and_range_checks():
         sector_basis(4, 5)
     with pytest.raises(RangeError):
         sector_basis(4, -1)
+
+
+def test_sectors_beyond_the_capacity_are_refused_before_enumeration(
+        monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a sector basis was enumerated")
+
+    assert comb(22, 11) <= MAX_SECTOR_DIM < comb(24, 12)
+    monkeypatch.setattr(itertools, "combinations", refuse)
+    with pytest.raises(CapacityError, match=r"C\(40, 20\) has over 1048576"):
+        sector_basis(40, 20)
 
 
 def test_antisymmetrize_kills_symmetric_tensor():
@@ -321,15 +334,24 @@ def one_body_tables_loop(d, n):
             np.array(signs, dtype=float))
 
 
+def entry_key(entry):
+    row, col, value = entry
+    return int(row), int(col), float(value.real), float(value.imag)
+
+
 @pytest.mark.parametrize("d", [1, 2, 4, 6, 7])
 def test_one_body_tables_match_nested_loop(d):
-    # equal entry by entry, so the np.add.at accumulation order is unchanged
+    # the same entries exactly, as a multiset: the helper's order differs
+    rng = np.random.default_rng(d)
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    a *= rng.random((d, d)) < 0.5
     for n in range(d + 1):
-        got = _one_body_tables(d, n)
-        want = one_body_tables_loop(d, n)
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            np.testing.assert_array_equal(g, w)
+        rows, cols, kk, ll, signs = one_body_tables_loop(d, n)
+        hops = a[kk.astype(int), ll.astype(int)]   # empty at n = 0, as float
+        keep = hops != 0
+        want = zip(rows[keep], cols[keep], (signs * hops)[keep])
+        got = zip(*one_body_entries(a, d, n))
+        assert sorted(map(entry_key, got)) == sorted(map(entry_key, want))
 
 
 def test_one_body_sector_matches_first_quantized_oracle():
