@@ -31,6 +31,7 @@ MAX_FULL_TENSOR = 4_000_000     # largest d**n expanded densely as a vector
 MAX_DENSE_MATRIX_DIM = 4096     # largest d**p for dense full-space matrices
 MAX_PERMUTATION_ORDER = 8
 MAX_SECTOR_DIM = 1 << 20        # largest C(d, n) enumerated as a basis
+MAX_SECTOR_MODES = 63           # modes that fit an int64 bitmask
 
 _DEGENERATE_FRAME_TOL = 1e-8
 
@@ -81,14 +82,13 @@ def sector_basis(d: int, n: int) -> SectorBasis:
         raise RangeError(f"need at least one mode, got d={d}")
     if not 0 <= n <= d:
         raise RangeError(f"particle number n={n} outside [0, {d}]")
-    if comb(d, n) > MAX_SECTOR_DIM:
-        raise CapacityError(
-            f"sector C({d}, {n}) has over {MAX_SECTOR_DIM} states")
-    occ = np.array(list(itertools.combinations(range(d), n)),
-                   dtype=np.int64).reshape(comb(d, n), n)
+    if d > MAX_SECTOR_MODES or comb(d, n) > MAX_SECTOR_DIM:
+        raise CapacityError(f"sector C({d}, {n}) has over {MAX_SECTOR_DIM} "
+                            f"states or {MAX_SECTOR_MODES} modes")
+    # descending subsets in lex order run down the masks; reversed, they rise
+    occ = np.array(list(itertools.combinations(range(d - 1, -1, -1), n)),
+                   dtype=np.int64).reshape(comb(d, n), n)[::-1, ::-1]
     masks = np.sum(1 << occ, axis=1)
-    order = np.argsort(masks, kind="stable")
-    masks, occ = masks[order], occ[order]
     index = {int(m): i for i, m in enumerate(masks)}
     return SectorBasis(d=d, n=n, masks=masks, occ=occ, index=index)
 

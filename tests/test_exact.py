@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from fermiflow import exact
+from fermiflow import exact, sector
 from fermiflow.errors import CapacityError, RangeError, ValidationError
 from fermiflow.exact import (build_hamiltonian, evolve_exact,
                              evolved_marginal, heisenberg_evolve,
@@ -69,10 +69,13 @@ def test_hamiltonian_range_check():
 
 def test_half_filled_sector_hamiltonian_at_sixteen_modes_peaks_under_30_mb():
     # only the hops with h[k, l] != 0 are built and held, and no table of
-    # every hop is kept beside them
+    # every hop is kept beside them. The basis and pair tables are cleared
+    # first, so their build counts whatever tests ran before
     import tracemalloc
 
     system = ModeSystem.chain(16)
+    sector.sector_basis.cache_clear()
+    sector._marginal_table.cache_clear()
     tracemalloc.start()
     try:
         rows, cols, values, diagonal = system._sector_hamiltonian(8)

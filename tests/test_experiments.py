@@ -373,6 +373,15 @@ def test_cli_refuses_a_sector_too_large_to_enumerate(tmp_path, capsys,
     assert "C(40, 20) has over 1048576 states" in capsys.readouterr().err
 
 
+def test_cli_refuses_more_modes_than_a_bitmask_holds(tmp_path, capsys):
+    path = write_config(tmp_path, count_time_config(
+        "convergence", [{"N": 2, "t": 0.1, "p": 1}],
+        system={"d": 65, "coupling": 1.0}))
+    assert main(["run", path, "--out", "-"]) == 2
+    assert "C(65, 2) has over 1048576 states or 63 modes" in (
+        capsys.readouterr().err)
+
+
 def test_cli_guard_requires_override(tmp_path, capsys):
     raw = count_time_config("egorov", [{"N": 2, "t": 0.25}])
     path = write_config(tmp_path, raw)

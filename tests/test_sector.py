@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from fermiflow.errors import (CapacityError, RangeError, ShapeError,
                              ValidationError)
 from fermiflow.modes import ModeSystem
-from fermiflow.sector import (MAX_SECTOR_DIM, PSectorOperator, SectorState,
+from fermiflow.sector import (MAX_SECTOR_DIM, MAX_SECTOR_MODES,
+                              PSectorOperator, SectorState,
                               antisymmetrize, antisym_projector_dense,
                               compound_matrix,
                               contract_pair_commutator, embedding_isometry,
@@ -77,6 +78,17 @@ def test_sectors_beyond_the_capacity_are_refused_before_enumeration(
     monkeypatch.setattr(itertools, "combinations", refuse)
     with pytest.raises(CapacityError, match=r"C\(40, 20\) has over 1048576"):
         sector_basis(40, 20)
+
+
+def test_sectors_beyond_the_bitmask_width_are_refused():
+    # the masks are int64: mode 63 would wrap and modes >= 64 collide
+    pairs = itertools.combinations(range(MAX_SECTOR_MODES), 2)
+    want = sorted((1 << i) | (1 << j) for i, j in pairs)
+    assert sector_basis(MAX_SECTOR_MODES, 2).masks.tolist() == want
+    with pytest.raises(CapacityError, match=r"C\(65, 1\).* 63 modes"):
+        sector_basis(65, 1)
+    with pytest.raises(CapacityError):
+        sector_basis(MAX_SECTOR_MODES + 1, 0)
 
 
 def test_antisymmetrize_kills_symmetric_tensor():
@@ -341,17 +353,22 @@ def entry_key(entry):
 
 @pytest.mark.parametrize("d", [1, 2, 4, 6, 7])
 def test_one_body_tables_match_nested_loop(d):
-    # the same entries exactly, as a multiset: the helper's order differs
+    # the same entries exactly, as a multiset: the helper's order differs.
+    # A fully nonzero a compares every hop's row, column and sign; a sparse
+    # one checks that the hops with a[k, l] == 0 are left out
     rng = np.random.default_rng(d)
-    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    a *= rng.random((d, d)) < 0.5
-    for n in range(d + 1):
-        rows, cols, kk, ll, signs = one_body_tables_loop(d, n)
-        hops = a[kk.astype(int), ll.astype(int)]   # empty at n = 0, as float
-        keep = hops != 0
-        want = zip(rows[keep], cols[keep], (signs * hops)[keep])
-        got = zip(*one_body_entries(a, d, n))
-        assert sorted(map(entry_key, got)) == sorted(map(entry_key, want))
+    full = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    sparse = full * (rng.random((d, d)) < 0.5)
+    for a in (full, sparse):
+        for n in range(d + 1):
+            rows, cols, kk, ll, signs = one_body_tables_loop(d, n)
+            hops = a[kk.astype(int), ll.astype(int)]   # empty at n = 0
+            keep = hops != 0
+            want = zip(rows[keep], cols[keep], (signs * hops)[keep])
+            got = list(zip(*one_body_entries(a, d, n)))
+            if a is full:
+                assert len(got) == comb(d, n) * n * (d - n + 1)
+            assert sorted(map(entry_key, got)) == sorted(map(entry_key, want))
 
 
 def test_one_body_sector_matches_first_quantized_oracle():
