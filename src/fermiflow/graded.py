@@ -2,9 +2,10 @@
 
 Observables carry finitely many blocks indexed by (p, q): operators from
 the antisymmetric q-sector into the p-sector, stored in the compressed
-minor basis. Products and brackets are evaluated by embedding blocks into
-full tensor spaces, combining them there, and compressing back; this keeps
-every sign and normalization tied to the antisymmetrizer itself.
+minor basis. Products and brackets stay in that basis: the split
+coisometries J(d, n, k) = E_n†(E_k ⊗ E_{n-k}), read from the subset-pair
+table of the sector module, carry every sign and normalization of the
+antisymmetrizer, so no d**p tensor-space array is formed.
 
 States are the dual family: block sequences paired through plain traces.
 A one-particle density generates the quasi-free state whose hierarchy
@@ -17,26 +18,23 @@ stream of the mean-field flows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from math import comb
 
 import numpy as np
 
-from .errors import (RangeError, ShapeError, UnsupportedError,
-                     ValidationError)
+from .errors import (CapacityError, RangeError, ShapeError,
+                     UnsupportedError, ValidationError)
 from .hf import HFConfig, _interaction_stream, quasi_free_marginal
 from .modes import ModeSystem
-from .sector import (PSectorOperator, embedding_isometry,
-                     contract_pair_commutator, trace_norm)
+from .sector import (MAX_FULL_TENSOR, PSectorOperator, _marginal_table,
+                     contract_pair_commutator, split_coisometry, trace_norm)
 from .tree import QuadratureSpec, _series, _spectral_norm
 
 
-def _block_shape(d: int, p: int, q: int) -> tuple:
-    return comb(d, p), comb(d, q)
-
-
 @dataclass
-class GradedObservable:
-    """Finite family of sector blocks a^(p,q) with the summed operator norm."""
+class _BlockFamily:
+    """Complex C(d, p) x C(d, q) blocks keyed by (p, q); absent ones are 0."""
 
     d: int
     blocks: dict = field(default_factory=dict)
@@ -49,14 +47,30 @@ class GradedObservable:
             if p < 0 or q < 0 or p > self.d or q > self.d:
                 raise RangeError(f"block ({p}, {q}) outside [0, {self.d}]")
             mat = np.asarray(mat, dtype=complex)
-            if mat.shape != _block_shape(self.d, p, q):
+            if mat.shape != self._shape(p, q):
                 raise ShapeError(
                     f"block ({p}, {q}) has shape {mat.shape}, expected "
-                    f"{_block_shape(self.d, p, q)}")
+                    f"{self._shape(p, q)}")
             if not np.all(np.isfinite(mat)):
                 raise ValidationError(f"block ({p}, {q}) has non-finite entries")
             clean[(p, q)] = mat
         self.blocks = clean
+
+    def _shape(self, p: int, q: int) -> tuple:
+        return comb(self.d, p), comb(self.d, q)
+
+    def block(self, p: int, q: int) -> np.ndarray:
+        got = self.blocks.get((p, q))
+        if got is not None:
+            return got
+        return np.zeros(self._shape(p, q), dtype=complex)
+
+    def is_gauge_invariant(self) -> bool:
+        return all(p == q for (p, q), m in self.blocks.items() if np.any(m))
+
+
+class GradedObservable(_BlockFamily):
+    """Finite family of sector blocks a^(p,q) with the summed operator norm."""
 
     @classmethod
     def from_sector_op(cls, a: PSectorOperator) -> "GradedObservable":
@@ -66,21 +80,12 @@ class GradedObservable:
     def unit(cls, d: int) -> "GradedObservable":
         return cls(d, {(0, 0): np.array([[1.0 + 0j]])})
 
-    def block(self, p: int, q: int) -> np.ndarray:
-        got = self.blocks.get((p, q))
-        if got is not None:
-            return got
-        return np.zeros(_block_shape(self.d, p, q), dtype=complex)
-
     @property
     def norm(self) -> float:
         return float(sum(np.linalg.norm(m, 2) for m in self.blocks.values()))
 
     def degrees(self) -> set:
         return {p - q for (p, q), m in self.blocks.items() if np.any(m)}
-
-    def is_gauge_invariant(self) -> bool:
-        return self.degrees() <= {0}
 
     def is_homogeneous(self) -> bool:
         return len(self.degrees()) <= 1
@@ -107,40 +112,12 @@ class GradedObservable:
             self.d, {k: scalar * m for k, m in self.blocks.items()})
 
 
-@dataclass
-class GradedState:
+class GradedState(_BlockFamily):
     """Dual block family paired with observables through plain traces."""
-
-    d: int
-    blocks: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        clean = {}
-        for (p, q), mat in self.blocks.items():
-            if p < 0 or q < 0 or p > self.d or q > self.d:
-                raise RangeError(f"block ({p}, {q}) outside [0, {self.d}]")
-            mat = np.asarray(mat, dtype=complex)
-            if mat.shape != _block_shape(self.d, p, q):
-                raise ShapeError(
-                    f"block ({p}, {q}) has shape {mat.shape}, expected "
-                    f"{_block_shape(self.d, p, q)}")
-            clean[(p, q)] = mat
-        self.blocks = clean
-
-    def block(self, p: int, q: int) -> np.ndarray:
-        got = self.blocks.get((p, q))
-        if got is not None:
-            return got
-        return np.zeros(_block_shape(self.d, p, q), dtype=complex)
 
     @property
     def norm(self) -> float:
-        if not self.blocks:
-            return 0.0
-        return float(max(trace_norm(m) for m in self.blocks.values()))
-
-    def is_gauge_invariant(self) -> bool:
-        return all(p == q for (p, q), m in self.blocks.items() if np.any(m))
+        return max((trace_norm(m) for m in self.blocks.values()), default=0.0)
 
     def pair(self, a: GradedObservable) -> complex:
         if self.d != a.d:
@@ -171,75 +148,90 @@ def state_from_density(gamma, p_max: int | None = None) -> GradedState:
     return GradedState(d, blocks)
 
 
-def _embed_block(mat: np.ndarray, d: int, p: int, q: int) -> np.ndarray:
-    left = embedding_isometry(d, p).toarray()
-    right = embedding_isometry(d, q).toarray()
-    return left @ mat @ right.conj().T
-
-
-def _compress_block(full: np.ndarray, d: int, p: int, q: int) -> np.ndarray:
-    left = embedding_isometry(d, p).toarray()
-    right = embedding_isometry(d, q).toarray()
-    return left.conj().T @ full @ right
+def _refuse_over_capacity(*sizes: int) -> None:
+    """Refuse a block, before allocating, over MAX_FULL_TENSOR entries."""
+    if max(sizes) > MAX_FULL_TENSOR:
+        raise CapacityError(f"graded block needs {max(sizes)} work entries, "
+                            f"over {MAX_FULL_TENSOR}")
 
 
 def graded_product(a: GradedObservable, b: GradedObservable) -> GradedObservable:
     """Blockwise antisymmetrized tensor product with the grading sign.
 
     (ab)^(p,q) collects P_- (a^(p1,q1) ⊗ b^(p2,q2)) P_- over all splittings,
-    weighted by (-1)^(p2 (p1+q1)).
+    weighted by (-1)^(p2 (p1+q1)). In the minor basis a piece is
+    J(d, p, p1) (a ⊗ b) J(d, q, q1)ᵀ, and only the disjoint subset pairs of
+    a ⊗ b, the nonzero columns of the split coisometries, are gathered.
+    """
+    if a.d != b.d:
+        raise ValidationError("observables live on different mode counts")
+    d, c = a.d, partial(comb, a.d)
+    out: dict = {}
+    for (p1, q1), ma in a.blocks.items():
+        for (p2, q2), mb in b.blocks.items():
+            p, q = p1 + p2, q1 + q2
+            if p > d or q > d:
+                continue
+            _refuse_over_capacity(
+                c(p) * c(p1) * c(p2), c(q) * c(q1) * c(q2),
+                c(p) * comb(p, p1) * c(q) * comb(q, q1))
+            rp, cp, _, _ = _marginal_table(d, p, p1)
+            rq, cq, _, _ = _marginal_table(d, q, q1)
+            left = split_coisometry(d, p, p1)[:, rp * c(p2) + cp]
+            right = split_coisometry(d, q, q1)[:, rq * c(q2) + cq]
+            sign = -1.0 if (p2 * (p1 + q1)) % 2 else 1.0
+            piece = left @ (ma[np.ix_(rp, rq)] * mb[np.ix_(cp, cq)]) @ right.T
+            out[(p, q)] = out.get((p, q), 0) + sign * piece
+    return GradedObservable(d, out)
+
+
+def _joined(d: int, x: np.ndarray, px: int, qx: int,
+            y: np.ndarray, py: int, qy: int) -> np.ndarray:
+    """Sector block of (x ⊗ 1)(1 ⊗ y): the last input leg of the (px, qx)
+    block x joined to the first output leg of the (py, qy) block y.
+
+    x J(d, qx, qx-1) and J(d, py, 1)ᵀ y meet over the joined mode; the
+    free legs, rows (S1, S2') and columns (T1', T2), are compressed by
+    J(d, px+py-1, px) and J(d, qx+qy-1, qx-1).
+    """
+    c = partial(comb, d)
+    rows, cols = c(px) * c(py - 1), c(qx - 1) * c(qy)
+    _refuse_over_capacity(
+        c(qx) * c(qx - 1) * d, c(px) * c(qx - 1) * d, c(py) * d * c(py - 1),
+        d * c(py - 1) * c(qy), rows * cols, c(px + py - 1) * rows,
+        c(qx + qy - 1) * cols)
+    xt = (x @ split_coisometry(d, qx, qx - 1)).reshape(c(px), c(qx - 1), d)
+    yt = (split_coisometry(d, py, 1).T @ y).reshape(d, c(py - 1), c(qy))
+    m = np.tensordot(xt, yt, (2, 0)).transpose(0, 2, 1, 3).reshape(rows, cols)
+    return (split_coisometry(d, px + py - 1, px) @ m
+            @ split_coisometry(d, qx + qy - 1, qx - 1).T)
+
+
+def graded_poisson(a: GradedObservable, b: GradedObservable) -> GradedObservable:
+    """Graded Poisson bracket, extended bilinearly over blocks.
+
+    Blocks a^(p1,q1) and b^(p2,q2) give block (p1+p2-1, q1+q2-1): i s q1 p2
+    times a's last input leg joined to b's first output leg, with
+    s = (-1)^((p2+1)(p1+q1)), minus i s' p1 q2 times the same with a and b
+    exchanged, with s' = (-1)^((q1+1)(p2+q2)).
     """
     if a.d != b.d:
         raise ValidationError("observables live on different mode counts")
     d = a.d
     out: dict = {}
     for (p1, q1), ma in a.blocks.items():
-        fa = _embed_block(ma, d, p1, q1)
         for (p2, q2), mb in b.blocks.items():
-            p, q = p1 + p2, q1 + q2
-            if p > d or q > d:
+            key = (p1 + p2 - 1, q1 + q2 - 1)
+            if max(key) > d:
                 continue
-            sign = -1.0 if (p2 * (p1 + q1)) % 2 else 1.0
-            full = np.kron(fa, _embed_block(mb, d, p2, q2))
-            piece = sign * _compress_block(full, d, p, q)
-            out[(p, q)] = out.get((p, q), 0) + piece
-    return GradedObservable(d, out)
-
-
-def _poisson_blocks(d, ma, p1, q1, mb, p2, q2) -> dict:
-    """One bracket term pair for a homogeneous block pair."""
-    out: dict = {}
-    p, q = p1 + p2 - 1, q1 + q2 - 1
-    if q1 >= 1 and p2 >= 1 and p <= d and q <= d:
-        fa = _embed_block(ma, d, p1, q1)
-        fb = _embed_block(mb, d, p2, q2)
-        left = np.kron(fa, np.eye(d ** (p2 - 1)))
-        right = np.kron(np.eye(d ** (q1 - 1)), fb)
-        sign = -1.0 if ((p2 + 1) * (p1 + q1)) % 2 else 1.0
-        coeff = 1j * sign * q1 * p2
-        out[(p, q)] = coeff * _compress_block(left @ right, d, p, q)
-    if p1 >= 1 and q2 >= 1 and p <= d and q <= d:
-        fa = _embed_block(ma, d, p1, q1)
-        fb = _embed_block(mb, d, p2, q2)
-        left = np.kron(fb, np.eye(d ** (p1 - 1)))
-        right = np.kron(np.eye(d ** (q2 - 1)), fa)
-        sign = -1.0 if ((q1 + 1) * (p2 + q2)) % 2 else 1.0
-        coeff = -1j * sign * p1 * q2
-        out[(p, q)] = out.get((p, q), 0) + coeff * _compress_block(
-            left @ right, d, p, q)
-    return out
-
-
-def graded_poisson(a: GradedObservable, b: GradedObservable) -> GradedObservable:
-    """Graded Poisson bracket, extended bilinearly over blocks."""
-    if a.d != b.d:
-        raise ValidationError("observables live on different mode counts")
-    d = a.d
-    out: dict = {}
-    for (p1, q1), ma in a.blocks.items():
-        for (p2, q2), mb in b.blocks.items():
-            for key, mat in _poisson_blocks(d, ma, p1, q1, mb, p2, q2).items():
-                out[key] = out.get(key, 0) + mat
+            if q1 and p2:
+                sign = -1.0 if ((p2 + 1) * (p1 + q1)) % 2 else 1.0
+                out[key] = out.get(key, 0) + 1j * sign * q1 * p2 * _joined(
+                    d, ma, p1, q1, mb, p2, q2)
+            if p1 and q2:
+                sign = -1.0 if ((q1 + 1) * (p2 + q2)) % 2 else 1.0
+                out[key] = out.get(key, 0) - 1j * sign * p1 * q2 * _joined(
+                    d, mb, p2, q2, ma, p1, q1)
     return GradedObservable(d, out)
 
 

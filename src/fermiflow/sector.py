@@ -10,10 +10,10 @@ where P_- is the antisymmetrizing projector; these states are orthonormal.
 Fermionic signs follow from applying creation operators in ascending mode
 order. One cached table of disjoint subset pairs, with one sign convention,
 serves the reduced density matrices (contracted inside the sector, without
-the d**n tensor), the lift/contract maps of the interaction expansions and
-the second-quantized one-body hops. The module also provides the bridges
-between sector coefficients and full tensor-product arrays (the oracles the
-tests compare against) and compound matrices by Laplace recursion.
+the d**n tensor), the split coisometries of the graded algebra, the lift
+maps of the interaction expansions and the second-quantized one-body hops.
+The module also provides compound matrices by Laplace recursion, and the
+full tensor-product bridges that only the tests use, as oracles.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ class SectorBasis:
     n: int
     masks: np.ndarray          # (dim,) ascending bitmasks
     occ: np.ndarray            # (dim, n) occupied modes, ascending within a row
-    index: dict                # mask -> row position
 
     @property
     def dim(self) -> int:
@@ -88,9 +87,7 @@ def sector_basis(d: int, n: int) -> SectorBasis:
     # descending subsets in lex order run down the masks; reversed, they rise
     occ = np.array(list(itertools.combinations(range(d - 1, -1, -1), n)),
                    dtype=np.int64).reshape(comb(d, n), n)[::-1, ::-1]
-    masks = np.sum(1 << occ, axis=1)
-    index = {int(m): i for i, m in enumerate(masks)}
-    return SectorBasis(d=d, n=n, masks=masks, occ=occ, index=index)
+    return SectorBasis(d=d, n=n, masks=np.sum(1 << occ, axis=1), occ=occ)
 
 
 @dataclass
@@ -191,9 +188,9 @@ def embedding_isometry(d: int, n: int):
     """Sparse isometry from the n-particle sector into the d**n full space.
 
     Column S holds the coefficients of sqrt(n!) P_- e_{i_1} ⊗ ... ⊗ e_{i_n}
-    for the ascending subset S = {i_1 < ... < i_n}. This is an oracle for
-    tests and the full-space graded embeddings; it is the one place that
-    imports ``scipy.sparse``, so the package itself loads numpy only.
+    for the ascending subset S = {i_1 < ... < i_n}. This is an oracle that
+    only the tests reach; it is the one place that imports ``scipy.sparse``,
+    so the package itself runs on numpy alone.
     """
     import scipy.sparse as sp
 
@@ -283,6 +280,16 @@ def marginal(state: SectorState, p: int) -> PSectorOperator:
                  dtype=complex)
     m[rows, cols] = signs * state.coeffs[union]
     return PSectorOperator(d=d, p=p, mat=m @ m.conj().T / comb(n, p))
+
+
+def split_coisometry(d: int, n: int, k: int) -> np.ndarray:
+    """J = E_n†(E_k ⊗ E_{n-k}), E_m the m-sector's isometry into d**m space:
+    column alpha C(d, n-k) + beta holds sign(alpha, beta) / sqrt(C(n, k)) in
+    the row of alpha ∪ beta for the disjoint pairs of the marginal table."""
+    rows, cols, union, signs = _marginal_table(d, n, k)
+    out = np.zeros((comb(d, n), comb(d, k) * comb(d, n - k)))
+    out[union, rows * comb(d, n - k) + cols] = signs / np.sqrt(comb(n, k))
+    return out
 
 
 def compound_matrix(a: np.ndarray, m: int) -> np.ndarray:

@@ -553,6 +553,37 @@ def test_import_loads_no_dense_or_sparse_solvers():
     assert out.strip() == ""
 
 
+def test_package_runs_without_scipy():
+    # scipy is a test dependency: with its import blocked, every experiment
+    # and the graded algebra's entry points still run
+    configs = [base_config()] + [
+        count_time_config(name, [{"N": 2, "t": 0.1}])
+        for name in EXPERIMENTS if name != "graph-count"]
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import numpy as np\n"
+        "from fermiflow.experiments import ExperimentConfig, run\n"
+        "from fermiflow.fock import FockContext, deformation_check\n"
+        "from fermiflow.graded import (GradedObservable, graded_poisson,\n"
+        "    graded_product, hierarchy_evolve, state_from_density)\n"
+        "from fermiflow.modes import ModeSystem\n"
+        f"for raw in {configs!r}:\n"
+        "    run(ExperimentConfig.from_dict(raw), override_time_guard=True)\n"
+        "one = GradedObservable(3, {(1, 1): np.diag([1.0, 2.0, 3.0])})\n"
+        "mixed = one + GradedObservable(3, {(2, 1): np.ones((3, 3))})\n"
+        "graded_product(mixed, mixed)\n"
+        "graded_poisson(mixed, mixed)\n"
+        "deformation_check(one, one, FockContext(3, 2))\n"
+        "rho = state_from_density(np.diag([1.0, 0.0, 0.0]))\n"
+        "hierarchy_evolve(rho, ModeSystem.chain(3, 0.5), [0.0, 0.05])\n"
+        "print('ran without scipy')\n")
+    result = subprocess.run([sys.executable, "-c", code], env=package_env(),
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "ran without scipy"
+
+
 @pytest.mark.parametrize("name", workloads.NAMES)
 def test_cold_run_imports_no_numerical_module(tmp_path, name):
     # set up as a benchmark child does; anything numpy or scipy imported

@@ -1,12 +1,17 @@
 """Graded observable algebra, bracket laws, and the state hierarchy."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 from math import comb
 
-from fermiflow.errors import RangeError, ShapeError, UnsupportedError, ValidationError
+from fermiflow.errors import (CapacityError, RangeError, ShapeError,
+                              UnsupportedError, ValidationError)
 from fermiflow import graded
+from fermiflow.fock import grassmann_hamiltonian
 from fermiflow.graded import (
     GradedObservable,
     GradedState,
@@ -19,8 +24,9 @@ from fermiflow.graded import (
 )
 from fermiflow.hf import HFConfig, quasi_free_marginal
 from fermiflow.modes import ModeSystem
-from fermiflow.sector import (PSectorOperator, lift_coefficients,
-                              one_body_sector, project_lift_pair_commutator)
+from fermiflow.sector import (PSectorOperator, embedding_isometry,
+                              lift_coefficients, one_body_sector,
+                              project_lift_pair_commutator)
 from fermiflow.tree import QuadratureSpec, sector_propagator
 
 
@@ -162,6 +168,112 @@ def test_bracket_graded_leibniz(ka, kb, kc):
     assert (lhs - rhs).norm < 1e-10 * max(lhs.norm, 1.0)
 
 
+# Dense oracle: embed each block into the d**p tensor space, combine there
+# with Kronecker products, and compress back. A d**p x d**q array per block,
+# and the identity Kronecker factors of the bracket, make it a d <= 4 check.
+
+def dense_embed(mat, d, p, q):
+    left = embedding_isometry(d, p).toarray()
+    right = embedding_isometry(d, q).toarray()
+    return left @ mat @ right.conj().T
+
+
+def dense_compress(full, d, p, q):
+    left = embedding_isometry(d, p).toarray()
+    right = embedding_isometry(d, q).toarray()
+    return left.conj().T @ full @ right
+
+
+def dense_product(a, b):
+    d, out = a.d, {}
+    for (p1, q1), ma in a.blocks.items():
+        for (p2, q2), mb in b.blocks.items():
+            p, q = p1 + p2, q1 + q2
+            if p > d or q > d:
+                continue
+            sign = -1.0 if (p2 * (p1 + q1)) % 2 else 1.0
+            full = np.kron(dense_embed(ma, d, p1, q1), dense_embed(mb, d, p2, q2))
+            out[(p, q)] = out.get((p, q), 0) + sign * dense_compress(full, d, p, q)
+    return out
+
+
+def dense_poisson(a, b):
+    d, out = a.d, {}
+    for (p1, q1), ma in a.blocks.items():
+        for (p2, q2), mb in b.blocks.items():
+            p, q = p1 + p2 - 1, q1 + q2 - 1
+            fa, fb = dense_embed(ma, d, p1, q1), dense_embed(mb, d, p2, q2)
+            if q1 >= 1 and p2 >= 1 and p <= d and q <= d:
+                left = np.kron(fa, np.eye(d ** (p2 - 1)))
+                right = np.kron(np.eye(d ** (q1 - 1)), fb)
+                sign = -1.0 if ((p2 + 1) * (p1 + q1)) % 2 else 1.0
+                out[(p, q)] = out.get((p, q), 0) + 1j * sign * q1 * p2 * (
+                    dense_compress(left @ right, d, p, q))
+            if p1 >= 1 and q2 >= 1 and p <= d and q <= d:
+                left = np.kron(fb, np.eye(d ** (p1 - 1)))
+                right = np.kron(np.eye(d ** (q2 - 1)), fa)
+                sign = -1.0 if ((q1 + 1) * (p2 + q2)) % 2 else 1.0
+                out[(p, q)] = out.get((p, q), 0) - 1j * sign * p1 * q2 * (
+                    dense_compress(left @ right, d, p, q))
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_product_and_bracket_match_the_dense_route(d):
+    """Every block pair with p, q <= 3: same block keys, same blocks."""
+    rng = np.random.default_rng(25 + d)
+    kinds = list(itertools.product(range(min(d, 3) + 1), repeat=2))
+    for ka, kb in itertools.product(kinds, repeat=2):
+        a, b = homogeneous(rng, d, *ka), homogeneous(rng, d, *kb)
+        for minor, dense in ((graded_product, dense_product),
+                             (graded_poisson, dense_poisson)):
+            got, want = minor(a, b).blocks, dense(a, b)
+            assert set(got) == set(want), (ka, kb, minor.__name__)
+            for key, ref in want.items():
+                scale = max(np.linalg.norm(ref), 1.0)
+                assert np.linalg.norm(got[key] - ref) <= 1e-12 * scale
+
+
+def test_oversized_block_is_refused_before_allocation():
+    # the (6, 6) block of a d = 14 (3, 3) x (3, 3) product gathers
+    # (C(14, 6) C(6, 3))**2 pairs, far over the cap
+    rng = np.random.default_rng(26)
+    a = homogeneous(rng, 14, 3, 3)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            graded_product(a, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e5
+
+
+@pytest.mark.parametrize("d", [4, 8])
+def test_superflow_is_the_flow_of_the_grassmann_hamiltonian(d):
+    """dA/dt = {H, A}: below the top block, the central difference of the
+    superflow is the bracket with the Grassmann Hamiltonian."""
+    rng = np.random.default_rng(24)
+    system = ModeSystem.chain(d)
+    raw = random_block(rng, d, 1, 1)
+    a = PSectorOperator(d, 1, raw + raw.conj().T)
+    quad, t, h = QuadratureSpec(nodes_per_level=6, k_max=3), 0.1, 1e-4
+    flow = {s: superflow_observable(a, system, s, quad,
+                                    override_time_guard=True).observable
+            for s in (t - h, t, t + h)}
+    bracket = graded_poisson(grassmann_hamiltonian(system), flow[t])
+    top = max(p for p, _ in flow[t].blocks)
+    below = sorted(k for k in bracket.blocks if k[0] < top)
+    assert below == [(1, 1), (2, 2), (3, 3)]
+
+    def gap(sign):
+        return sum(np.linalg.norm(
+            (flow[t + h].block(*k) - flow[t - h].block(*k)) / (2 * h)
+            - sign * bracket.block(*k), 2) for k in below)
+    assert gap(1.0) <= 1e-8 * bracket.norm
+    assert gap(-1.0) > 0.5 * bracket.norm
+
+
 def test_degree_bookkeeping():
     rng = np.random.default_rng(10)
     a = homogeneous(rng, 3, 2, 1)
@@ -175,12 +287,15 @@ def test_degree_bookkeeping():
 
 
 def test_block_validation():
-    with pytest.raises(ShapeError):
-        GradedObservable(3, {(1, 1): np.zeros((2, 3))})
-    with pytest.raises(RangeError):
-        GradedObservable(3, {(4, 1): np.zeros((1, 3))})
-    with pytest.raises(ValidationError):
-        GradedObservable(3, {(1, 1): np.full((3, 3), np.nan)})
+    for family in (GradedObservable, GradedState):
+        with pytest.raises(ShapeError):
+            family(3, {(1, 1): np.zeros((2, 3))})
+        with pytest.raises(RangeError):
+            family(3, {(4, 1): np.zeros((1, 3))})
+        with pytest.raises(ValidationError):
+            family(3, {(1, 1): np.full((3, 3), np.nan)})
+        with pytest.raises(RangeError):
+            family(0)
 
 
 def test_zero_block_access_and_arithmetic():

@@ -57,7 +57,24 @@ def test_basis_ordering_is_ascending_bitmask():
     basis = sector_basis(4, 2)
     assert basis.masks.tolist() == [3, 5, 6, 9, 10, 12]
     assert basis.occ.tolist() == [[0, 1], [0, 2], [1, 2], [0, 3], [1, 3], [2, 3]]
-    assert basis.index[6] == 2
+    assert np.searchsorted(basis.masks, 6) == 2
+
+
+def test_basis_holds_only_its_masks_and_occupations():
+    # a basis keeps no mask-to-row map beside its arrays; searchsorted on
+    # the ascending masks finds a row. The cache is cleared first so the
+    # build is counted whatever tests ran before
+    import tracemalloc
+
+    sector_basis.cache_clear()
+    tracemalloc.start()
+    try:
+        basis = sector_basis(16, 8)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert basis.masks.nbytes + basis.occ.nbytes < 1e6
+    assert held < 1.5e6
 
 
 def test_basis_dimensions_and_range_checks():
@@ -152,7 +169,7 @@ def test_slater_canonical_orbitals():
     phi = np.eye(d)[:, :2]
     state = slater(phi)
     want = np.zeros(state.basis.dim)
-    want[state.basis.index[0b11]] = 1.0
+    want[np.searchsorted(state.basis.masks, 0b11)] = 1.0
     np.testing.assert_allclose(state.coeffs, want, atol=1e-15)
 
 
@@ -337,7 +354,7 @@ def one_body_tables_loop(d, n):
                 if removed >> k & 1:
                     continue
                 sign_k = (-1) ** bin(removed & ((1 << k) - 1)).count("1")
-                rows.append(basis.index[removed | (1 << k)])
+                rows.append(np.searchsorted(basis.masks, removed | (1 << k)))
                 cols.append(col)
                 kk.append(k)
                 ll.append(l)
@@ -476,7 +493,7 @@ def nested_loop_blocks(d, m):
     alpha, target, sign = ([[] for _ in range(d)] for _ in range(3))
     for row, mask in enumerate(big.masks):
         for pos, i in enumerate(big.occ[row]):
-            alpha[i].append(small.index[int(mask) ^ (1 << int(i))])
+            alpha[i].append(np.searchsorted(small.masks, mask ^ (1 << i)))
             target[i].append(row)
             sign[i].append((-1.0) ** (m - 1 - pos))
     return [(np.array(a, dtype=int), np.array(t, dtype=int), np.array(s))
