@@ -369,7 +369,7 @@ def _report(cfg: ExperimentConfig, columns, rows, seconds,
 def run_convergence(cfg: ExperimentConfig,
                     override_time_guard: bool = False) -> ExperimentReport:
     """Trace-norm gap between exact and mean-field marginals over a sweep."""
-    errors = []
+    errors, hf_errors = [], [0.0]
 
     def rows_of(entry, rng, system):
         n, t, p = entry["N"], entry["t"], entry["p"]
@@ -379,6 +379,7 @@ def run_convergence(cfg: ExperimentConfig,
         errors.append(error)
         flow = evolve_hf_orbitals(orbitals, system, [0.0, t] if t else [0.0],
                                   cfg.integrator)
+        hf_errors.append(flow.integration_error)
         fitted = quasi_free_marginal(flow.final().density(), p)
         return [(n, p, t, trace_norm(exact.mat - fitted.mat), p * p / n)]
 
@@ -388,12 +389,14 @@ def run_convergence(cfg: ExperimentConfig,
                          "fitted_slope"),
                    [row + (slope,) for row in rows], seconds,
                    exact_propagation_error=json.dumps(errors),
-                   fitted_slope_window=window)
+                   fitted_slope_window=window,
+                   hf_integration_error=json.dumps(max(hf_errors)))
 
 
 def run_tree_truncation(cfg: ExperimentConfig,
                         override_time_guard: bool = False) -> ExperimentReport:
     """Partial sums of the loop-free series against the mean-field pairing."""
+    hf_errors = [0.0]
 
     def rows_of(entry, rng, system):
         n, t = entry["N"], entry["t"]
@@ -404,6 +407,7 @@ def run_tree_truncation(cfg: ExperimentConfig,
         gap = hf_vs_tree_gap(a, gamma, system, t, cfg.quadrature,
                              override_time_guard=override_time_guard,
                              hf_dt=cfg.integrator.dt)
+        hf_errors.append(gap.hf_integration_error)
         return [(n, t, order, float(partial.real),
                  float(abs(partial - gap.hf_value)),
                  float(series.quad_errors[order]))
@@ -411,7 +415,8 @@ def run_tree_truncation(cfg: ExperimentConfig,
 
     rows, seconds = _sweep(cfg, rows_of)
     return _report(cfg, ("N", "t", "K", "partial_sum", "hf_gap",
-                         "quad_error"), rows, seconds)
+                         "quad_error"), rows, seconds,
+                   hf_integration_error=json.dumps(max(hf_errors)))
 
 
 def run_egorov(cfg: ExperimentConfig,
@@ -442,7 +447,7 @@ def run_egorov(cfg: ExperimentConfig,
 def run_conservation(cfg: ExperimentConfig,
                      override_time_guard: bool = False) -> ExperimentReport:
     """Invariant drifts along all three mean-field formulations."""
-    cross = []
+    cross, hf_errors = [], [0.0]
 
     def rows_of(entry, rng, system):
         n = entry["N"]
@@ -457,6 +462,7 @@ def run_conservation(cfg: ExperimentConfig,
             "kappa": evolve_kappa(KappaFactor.from_density(gamma0), system,
                                   grid, cfg.integrator),
         }
+        hf_errors.extend(traj.integration_error for traj in flows.values())
         kappa = flows["kappa"].final()
         cross.append(repr(trace_norm(kappa @ kappa.conj().T
                                      - flows["density"].final())))
@@ -470,7 +476,8 @@ def run_conservation(cfg: ExperimentConfig,
     rows, seconds = _sweep(cfg, rows_of)
     return _report(cfg, ("formulation", "t", "energy_drift", "gram_drift",
                          "trace_drift", "spectrum_drift"), rows, seconds,
-                   kappa_vs_density_trace_gap=json.dumps(cross))
+                   kappa_vs_density_trace_gap=json.dumps(cross),
+                   hf_integration_error=json.dumps(max(hf_errors)))
 
 
 def run_graph_count(cfg: ExperimentConfig,

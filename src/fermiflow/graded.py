@@ -10,9 +10,9 @@ antisymmetrizer, so no d**p tensor-space array is formed.
 States are the dual family: block sequences paired through plain traces.
 A one-particle density generates the quasi-free state whose hierarchy
 closes at the density's rank, so its evolution is a finite upper-triangular
-linear system driven from the top level down, run as one block-diagonal
-sector operator, kept as its blocks, through the interaction-picture
-stream of the mean-field flows.
+linear system driven from the top level down, run as a list of its
+sector blocks through the interaction-picture stream of the mean-field
+flows.
 """
 
 from __future__ import annotations
@@ -257,54 +257,15 @@ def hierarchy_collision(sigma: list, system: ModeSystem) -> list:
     return out
 
 
-class _BlockDiagonal(np.lib.mixins.NDArrayOperatorsMixin):
-    """A block-diagonal operator kept as its list of diagonal blocks, or a
-    stack of them over a leading time axis, which indexes and iterates like
-    an array. Arithmetic, numpy ufuncs and the product ``dot`` of two such
-    operators work block by block."""
-
-    def __init__(self, blocks):
-        self.blocks = blocks
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if method != "__call__" or kwargs:
-            return NotImplemented
-        columns = [x.blocks if isinstance(x, _BlockDiagonal)
-                   else [x] * len(self.blocks) for x in inputs]
-        return _BlockDiagonal([ufunc(*args) for args in zip(*columns)])
-
-    def dot(self, other: "_BlockDiagonal") -> "_BlockDiagonal":
-        return _BlockDiagonal([a @ b for a, b in zip(self.blocks,
-                                                       other.blocks)])
-
-    def all(self) -> bool:
-        return all(b.all() for b in self.blocks)
-
-    @property
-    def size(self) -> int:
-        return sum(b.size for b in self.blocks)
-
-    def __getitem__(self, index) -> "_BlockDiagonal":
-        return _BlockDiagonal([b[index] for b in self.blocks])
-
-    def __iter__(self):
-        return (_BlockDiagonal(list(b)) for b in zip(*self.blocks))
-
-    def conj(self) -> "_BlockDiagonal":
-        return np.conjugate(self)
-
-    def swapaxes(self, a: int, b: int) -> "_BlockDiagonal":
-        return _BlockDiagonal([x.swapaxes(a, b) for x in self.blocks])
-
-
 def hierarchy_evolve(rho: GradedState, system: ModeSystem, t_grid,
                      config: HFConfig | None = None) -> HierarchyTrajectory:
     """Integrate the state hierarchy driven from the top level down.
 
     Each gauge block obeys a von Neumann equation sourced by the traced
     pair commutator of the block one level above; the top level is free.
-    The blocks run as one block-diagonal operator through the
-    interaction-picture stream, each rotated by its own sector frame.
+    The blocks run as one list through the interaction-picture stream of
+    the mean-field flows, each rotated by its own sector frame, and the
+    collision term runs once per collocation node.
     """
     if not rho.is_gauge_invariant():
         raise UnsupportedError("hierarchy flow needs a gauge-invariant state")
@@ -313,17 +274,15 @@ def hierarchy_evolve(rho: GradedState, system: ModeSystem, t_grid,
         raise ValidationError("state has no blocks to evolve")
     levels = range(max(p for (p, q) in rho.blocks) + 1)
     stream = _interaction_stream(
-        _BlockDiagonal([rho.block(p, p) for p in levels]),
-        lambda t: _BlockDiagonal([system.sector_frame(p, t)
-                                  for p in levels]),
-        t_grid,
-        lambda x: _BlockDiagonal(hierarchy_collision(x.blocks, system)),
-        config.dt, both_sides=True)
+        [rho.block(p, p) for p in levels],
+        lambda t: [system.sector_frame(p, t) for p in levels], t_grid,
+        lambda sigma: hierarchy_collision(sigma, system), config.dt ** 4,
+        both_sides=True)
     times, states = [], []
-    for t, x in stream:
+    for t, sigma, _ in stream:
         times.append(t)
         states.append(GradedState(system.d, {
-            (p, p): block for p, block in enumerate(x.blocks)}))
+            (p, p): block for p, block in enumerate(sigma)}))
     return HierarchyTrajectory(times=np.array(times), states=states,
                                config=config)
 

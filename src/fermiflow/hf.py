@@ -13,17 +13,17 @@ kappa with gamma = kappa kappa†; the normalized orbital frame is such a
 root, so its flow is the kappa flow. Each tested right-hand side is the
 free term plus a mean-field part, and each flow runs that part, on the
 system's flow kernel (w(0) zeroed, which V never sees), through one
-interaction-picture stream of fixed-step RK4, so the stiff free rotation
-is exact and a zero potential propagates exactly. The stream takes the
-free frames of a chunk of steps from one call of
-:meth:`ModeSystem.sector_frame` on an array of times, at m = 1 here and on
-every level for the hierarchy of :mod:`fermiflow.graded`.
+interaction-picture stream, so the stiff free rotation is exact and a zero
+potential propagates exactly: Gauss-Legendre collocation solved by Picard
+sweeps (Dutt, Greengard and Rokhlin, BIT 40, 2000), whose windows take
+their frames from one call of :meth:`ModeSystem.sector_frame` each, at
+m = 1 here and on every level for the hierarchy of :mod:`fermiflow.graded`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache
 from math import comb, factorial
 
 import numpy as np
@@ -41,13 +41,14 @@ _GRAM_TOL = 1e-6
 
 @dataclass
 class HFConfig:
-    """Integrator settings for the mean-field flows."""
+    """Integrator settings: ``dt`` sets no step but the allowance, dt⁴ per
+    unit time as for RK4 at step dt, that each window's error is held to."""
 
     dt: float = 1e-3
 
     def __post_init__(self):
         if not 0 < self.dt <= 0.5:
-            raise RangeError(f"step size dt={self.dt} outside (0, 0.5]")
+            raise RangeError(f"dt={self.dt} outside (0, 0.5]")
 
 
 def _check_fits(d: int, n: int):
@@ -276,40 +277,67 @@ def marginal_relation_check(orbitals: OrbitalSet, p: int) -> MarginalRelationRep
 
 
 # ---------------------------------------------------------------------------
-# Interaction-picture RK4 driver and trajectories
+# Interaction-picture collocation driver and trajectories
 # ---------------------------------------------------------------------------
 
-# The stage frames of a chunk of RK4 steps come from one broadcast call and
-# hold at most this many matrix entries: small one-body frames share a call
-# over ten steps or more, where numpy's per-call cost would dominate, while
-# large block-diagonal sector frames are built one step at a time. A larger
-# chunk measured no faster and raised the peak memory of a run.
-_CHUNK_ENTRIES = 1 << 11
+_NODES = 6          # Gauss-Legendre nodes of a window
+_WINDOW = 0.125     # longest window
+_MAX_HALVINGS = 7   # halvings of a window before the flow counts as divergent
+_ROUNDOFF = 64 * np.finfo(float).eps   # relative update and error floor
 
 
-def _chunk_steps(entries: int) -> int:
-    """RK4 steps per chunk for frames of ``entries`` entries each: the
-    2·steps new stage frames of a chunk hold at most ``_CHUNK_ENTRIES``
-    entries, and a chunk holds at least one step."""
-    return max(1, _CHUNK_ENTRIES // (2 * entries))
+@cache
+def _collocation():
+    """On a unit window: node times s_j and the end; rows integrating the
+    nodes' Lagrange basis to each s_j and to 1 (the Gauss weights); and the
+    last two Legendre coefficients, exact by quadrature, times the largest
+    |∫_0^{s_j} P_n(2s - 1) ds|. Built on first use, as is numpy.polynomial."""
+    from numpy.polynomial.legendre import leggauss, legint, legval, legvander
+    x, w = leggauss(_NODES)
+    to_legendre = legvander(x, _NODES - 1).T * w * (np.arange(_NODES)[:, None] + .5)
+    p = legval(x, legint(np.eye(_NODES + 1), lbnd=-1)).T / 2
+    return (np.append((1 + x) / 2, 1.0)[:, None, None],
+            np.vstack([p[:, :_NODES] @ to_legendre, w / 2]),
+            to_legendre[-2:] * np.max(np.abs(p[:, _NODES])))
 
 
-def _interaction_stream(x0, frames, t_grid, rhs, dt: float,
+def _turn(f, x, both_sides: bool):
+    return f @ x @ f.conj().swapaxes(-1, -2) if both_sides else f @ x
+
+
+def _window(y0, u: list, rhs, span: float, both_sides: bool, allowance):
+    """The blocks y at the nodes and end of a window, by Picard sweeps to
+    round-off on y_j = y_0 + span Σ_k S_jk G_k, G = u† rhs(u y (u†)) (u),
+    and the node error estimate: G's first neglected Legendre coefficient,
+    extrapolated from the last two, integrated. None if the sweeps stop
+    contracting or the estimate exceeds allowance·span and round-off."""
+    _, integrate, tail = _collocation()
+    roundoff = _ROUNDOFF * max(np.max(np.abs(b)) for b in y0)
+    ys, prev = [np.broadcast_to(b, (_NODES + 1,) + b.shape) for b in y0], np.inf
+    while prev > roundoff:
+        xs = [_turn(f[:_NODES], y[:_NODES], both_sides) for f, y in zip(u, ys)]
+        lab = zip(*(rhs(x) for x in zip(*xs)))       # once per node
+        gs = [_turn(f[:_NODES].conj().swapaxes(1, 2), np.stack(g),
+                    both_sides).reshape(_NODES, -1) for f, g in zip(u, lab)]
+        new = [b + span * (integrate @ g).reshape(y.shape)
+               for b, g, y in zip(y0, gs, ys)]
+        delta = max(np.max(np.abs(a - b)) for a, b in zip(new, ys))
+        if not (delta <= roundoff or delta <= prev / 2):   # growing, stalled
+            return None                                    # or non-finite
+        ys, prev = new, delta
+    estimate = max(span * last * (min(1.0, last / before) if before else 1.0)
+                   for before, last in (np.abs(tail @ g).max(1) for g in gs))
+    return (ys, estimate) if estimate <= max(allowance * span, roundoff) else None
+
+
+def _interaction_stream(x0: list, frames, t_grid, rhs, allowance: float,
                         both_sides: bool = False):
-    """Lab-frame states (t, x) of dx/dt = -i[H0, x] + rhs(x), or of
-    dx/dt = -i H0 x + rhs(x) unless ``both_sides``, by fixed-step RK4
-    between consecutive grid points. ``frames(t)`` is any unitary solution
-    u of du/dt = -i H0 u, such as the free frame, the eigenvectors of H0
-    with phases exp(-i t λ_j); it is called on a (T, 1, 1) array of times
-    and returns the T frames stacked, indexable by time.
-
-    RK4 moves y = u† x, or u† x u when ``both_sides``. The derivative of u
-    cancels the free term, which leaves ``rhs`` conjugated by u: the free
-    rotation is exact, and a zero ``rhs`` propagates exactly. With the free
-    frame, y is in the eigenbasis of H0. The frames at the stage times of
-    a chunk of steps come from one call, and the RK4 stage weights are
-    folded into the adjoints that rotate each stage's ``rhs`` back.
-    """
+    """Lab-frame states (t, x, error) of dx/dt = -i[H0, x] + rhs(x), or of
+    dx/dt = -i H0 x + rhs(x) unless ``both_sides``, for x a list of blocks:
+    y = u† x (u) moves, so the free rotation is exact, in frames u solving
+    du/dt = -i H0 u that ``frames`` gives at a (T, 1, 1) array of times, once
+    per window of at most ``_WINDOW``; a refused window is halved. ``error``
+    is the largest estimate so far."""
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if t_grid.ndim != 1 or len(t_grid) < 1:
         raise ShapeError("t_grid must be a non-empty 1d array")
@@ -317,65 +345,36 @@ def _interaction_stream(x0, frames, t_grid, rhs, dt: float,
         raise RangeError("t_grid must be finite")
     if len(t_grid) > 1 and np.min(np.diff(t_grid)) <= 0:
         raise RangeError("t_grid must be strictly increasing")
-
-    def rotate(a, b, z):
-        return a.dot(z).dot(b) if both_sides else a.dot(z)
-
-    def stage(i, back, z):
-        # the weighted derivative in y at the stage time of u[i], for the
-        # current chunk's frames u and uh; back is the weighted uh[i]
-        if both_sides:
-            return back.dot(rhs(u[i].dot(z).dot(uh[i]))).dot(u[i])
-        return back.dot(rhs(u[i].dot(z)))
-
-    # every recorded state, the first included, is rotated out of y by its
-    # frame, so the frames' rounding is common to all of them
-    stacked = frames(t_grid[:1, None, None])
-    u, uh = list(stacked), list(stacked.conj().swapaxes(1, 2))
-    y = rotate(uh[0], u[0], x0)
-    yield t_grid[0], rotate(u[0], uh[0], y)
-    chunk = _chunk_steps(u[0].size)
-    for t0, t1 in zip(t_grid[:-1], t_grid[1:]):
-        nsub = max(1, int(np.ceil((t1 - t0) / dt - 1e-12)))
-        h = (t1 - t0) / nsub
-        for first in range(0, nsub, chunk):
-            steps = min(chunk, nsub - first)
-            # the chunk starts at the last stage time of the one before
-            stacked = frames(t0 + h / 2 * np.arange(
-                2 * first + 1, 2 * (first + steps) + 1)[:, None, None])
-            adjoint = stacked.conj().swapaxes(1, 2)
-            u, uh = u[-1:] + list(stacked), uh[-1:] + list(adjoint)
-            half = [uh[0] * (h / 2)] + list(adjoint * (h / 2))
-            full = list(adjoint[::2] * h)
-            for j in range(steps):
-                # k1 at t, k2 and k3 at t + h/2 and k4 at t + h, weighted
-                # by h/2, h/2, h and h/2
-                b1 = stage(2 * j, half[2 * j], y)
-                b2 = stage(2 * j + 1, half[2 * j + 1], y + b1)
-                b3 = stage(2 * j + 1, full[j], y + b2)
-                b4 = stage(2 * j + 2, half[2 * j + 2], y + b3)
-                y = y + (b1 + b2 + b2 + b3 + b4) / 3
-        if not np.isfinite(y).all():
-            raise DivergenceError(f"non-finite values at t={t1}")
-        yield t1, rotate(u[-1], uh[-1], y)
-
-
-def _hf_stream(x0, system: ModeSystem, t_grid, mean_field, dt: float,
-               both_sides: bool = False):
-    """Lab-frame states (t, x) of the mean-field flow whose right-hand side
-    is the free term plus ``mean_field(x, kernel)``: the stream carries the
-    free frame of h and runs ``mean_field`` on the system's flow kernel."""
-    return _interaction_stream(x0, partial(system.sector_frame, 1), t_grid,
-                               partial(mean_field,
-                                       kernel=system._flow_kernel()),
-                               dt, both_sides)
+    # every recorded state, the first included (a pass with no window), is
+    # rotated out of y by its frame, so the frames' rounding is common to all
+    u = frames(t_grid[:1, None, None])
+    y, worst = [_turn(f[0].conj().T, b, both_sides) for f, b in zip(u, x0)], 0.0
+    for t0, t1 in zip(np.r_[t_grid[0], t_grid[:-1]], t_grid):
+        ends = np.linspace(t0, t1, 1 + int(np.ceil((t1 - t0) / _WINDOW
+                                                   * (1 - 1e-12))))
+        pending = [(a, b, 0) for a, b in zip(ends[:-1], ends[1:])]
+        while pending:
+            a, b, depth = pending.pop(0)
+            u = frames(a + (b - a) * _collocation()[0])
+            step = _window(y, u, rhs, b - a, both_sides, allowance)
+            if step is not None:
+                y, worst = [v[-1] for v in step[0]], max(worst, step[1])
+            elif depth < _MAX_HALVINGS:
+                pending[:0] = [(a, (a + b) / 2, depth + 1),
+                               ((a + b) / 2, b, depth + 1)]
+            else:
+                raise DivergenceError(
+                    f"mean-field window at t={a:.6g} fails after {_MAX_HALVINGS}"
+                    f" halvings: no contraction, or error over the allowance")
+        yield t1, [_turn(f[-1], b, both_sides) for f, b in zip(u, y)], worst
 
 
 @dataclass
 class Trajectory:
     """Recorded times, states and conservation diagnostics of one flow;
     ``gram_drift`` is the Gram drift of a frame and NaN for other states,
-    ``spectrum_drift`` that of the density's spectrum from the start."""
+    ``spectrum_drift`` that of the density's spectrum from the start;
+    ``integration_error`` is the largest window error estimate."""
 
     times: np.ndarray
     states: list
@@ -385,6 +384,7 @@ class Trajectory:
     trace: np.ndarray
     min_eigenvalue: np.ndarray
     config: HFConfig
+    integration_error: float
 
     def final(self):
         return self.states[-1]
@@ -402,12 +402,16 @@ class Trajectory:
         return "\n".join(lines) + "\n"
 
 
-def _record(stream, system: ModeSystem, config: HFConfig, density,
-            gram_drift=None) -> Trajectory:
-    """Trajectory of a state stream, measured through ``density(state)``;
-    the Gram drift column is ``gram_drift(t, state)``, NaN without it."""
+def _record(x0, system: ModeSystem, t_grid, mean_field, config,
+            density, gram_drift=None, both_sides: bool = False) -> Trajectory:
+    """Trajectory of the flow whose right-hand side is the free term plus
+    ``mean_field(x, kernel)``, measured through ``density(state)``; the Gram
+    drift column is ``gram_drift(t, state)``, NaN without it."""
+    config, kernel = config or HFConfig(), system._flow_kernel()
     times, states, rows, spec0 = [], [], [], None
-    for t, state in stream:
+    for t, (state,), error in _interaction_stream(
+            [x0], lambda t: [system.sector_frame(1, t)], t_grid,
+            lambda x: [mean_field(x[0], kernel)], config.dt ** 4, both_sides):
         dens = density(state)
         spec = np.linalg.eigvalsh(dens)
         spec0 = spec if spec0 is None else spec0
@@ -418,7 +422,7 @@ def _record(stream, system: ModeSystem, config: HFConfig, density,
                      float(np.max(np.abs(spec - spec0))),
                      float(np.real(np.trace(dens))), float(spec.min())))
     columns = (np.array(col) for col in zip(*rows))
-    return Trajectory(np.array(times), states, *columns, config)
+    return Trajectory(np.array(times), states, *columns, config, error)
 
 
 def evolve_hf_orbitals(orbitals: OrbitalSet, system: ModeSystem, t_grid,
@@ -439,13 +443,11 @@ def evolve_hf_orbitals(orbitals: OrbitalSet, system: ModeSystem, t_grid,
         if drift > _GRAM_TOL:
             raise DivergenceError(
                 f"orbital Gram drift {drift:.2e} at t={t} exceeds "
-                f"{_GRAM_TOL:.0e}; reduce the step size dt={config.dt}")
+                f"{_GRAM_TOL:.0e}; lower the allowance dt={config.dt}")
         return drift
 
-    stream = _hf_stream(orbitals.as_normalized(), system, t_grid,
-                        _mean_field_kappa, config.dt)
-    traj = _record(stream, system, config, lambda psi: psi @ psi.conj().T,
-                   gram_drift)
+    traj = _record(orbitals.as_normalized(), system, t_grid, _mean_field_kappa,
+                   config, lambda psi: psi @ psi.conj().T, gram_drift)
     traj.states = [OrbitalSet(factor * psi, scale=orbitals.scale)
                    for psi in traj.states]
     return traj
@@ -455,18 +457,15 @@ def evolve_hf_density(gamma0: np.ndarray | DensityMatrix, system: ModeSystem,
                       t_grid, config: HFConfig | None = None) -> Trajectory:
     """Integrate the density-matrix flow i dgamma/dt = [h + V(gamma), gamma]
     (:func:`hf_rhs_density`)."""
-    config = config or HFConfig()
     g0 = gamma0.mat if isinstance(gamma0, DensityMatrix) else np.asarray(gamma0)
-    stream = _hf_stream(g0, system, t_grid, _mean_field_density, config.dt,
-                        both_sides=True)
-    return _record(stream, system, config, lambda g: g)
+    return _record(g0, system, t_grid, _mean_field_density, config,
+                   lambda g: g, both_sides=True)
 
 
 def evolve_kappa(kappa0: KappaFactor | np.ndarray, system: ModeSystem, t_grid,
                  config: HFConfig | None = None) -> Trajectory:
     """Integrate the factorized flow i dkappa/dt = (h + V(kappa kappa†)) kappa
     (:func:`hf_rhs_kappa`)."""
-    config = config or HFConfig()
     k0 = kappa0.mat if isinstance(kappa0, KappaFactor) else np.asarray(kappa0)
-    stream = _hf_stream(k0, system, t_grid, _mean_field_kappa, config.dt)
-    return _record(stream, system, config, lambda k: k @ k.conj().T)
+    return _record(k0, system, t_grid, _mean_field_kappa, config,
+                   lambda k: k @ k.conj().T)

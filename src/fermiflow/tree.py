@@ -474,7 +474,9 @@ def loop_remainder(a: PSectorOperator, orbitals: OrbitalSet,
 
 @dataclass
 class GapReport:
-    """Mean-field pairing versus the truncated plain-kernel series."""
+    """Mean-field pairing versus the truncated plain-kernel series;
+    ``hf_integration_error`` is the largest window error estimate of the
+    mean-field flow."""
 
     p: int
     t: float
@@ -485,6 +487,7 @@ class GapReport:
     gap_exchange: float
     quad_error: float
     terms: np.ndarray
+    hf_integration_error: float
 
 
 def hf_vs_tree_gap(a: PSectorOperator, gamma, system: ModeSystem, t: float,
@@ -499,8 +502,9 @@ def hf_vs_tree_gap(a: PSectorOperator, gamma, system: ModeSystem, t: float,
     g = gamma.mat if isinstance(gamma, DensityMatrix) else np.asarray(gamma)
     series = tree_series(a, g, t, quad, system,
                          override_time_guard=override_time_guard)
-    gamma_t = evolve_hf_density(g, system, [0.0, t] if t else [0.0],
-                                HFConfig(dt=hf_dt)).final()
+    flow = evolve_hf_density(g, system, [0.0, t] if t else [0.0],
+                             HFConfig(dt=hf_dt))
+    gamma_t = flow.final()
     a_t = free_evolve_op(a, system, t)
     hf_value = complex(np.trace(a_t.mat @ quasi_free_marginal(gamma_t,
                                                               a.p).mat))
@@ -511,7 +515,8 @@ def hf_vs_tree_gap(a: PSectorOperator, gamma, system: ModeSystem, t: float,
                      tree_sum_exchange=tree_sum_x,
                      gap_exchange=abs(hf_value - tree_sum_x),
                      quad_error=float(np.sum(series.quad_errors)),
-                     terms=series.terms)
+                     terms=series.terms,
+                     hf_integration_error=flow.integration_error)
 
 
 def count_elementary_terms(p: int, k: int, l: int) -> int:

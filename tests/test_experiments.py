@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from fermiflow import exact, experiments, sector
+from fermiflow import exact, experiments, hf, sector
 from fermiflow.cli import main
 from fermiflow.errors import ConfigError
 from fermiflow.experiments import (EXPERIMENTS, ExperimentConfig,
@@ -401,8 +401,16 @@ def test_cli_divergence_exit(tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
-def test_cli_gram_drift_exits_as_divergence(tmp_path, capsys):
-    raw = count_time_config("conservation", [{"N": 3, "t": 200}],
+def grow_the_frame(monkeypatch):
+    """Replace the orbital flow's mean-field part by a growth term, so that
+    the frame's Gram matrix drifts as exp(0.2 t) times the identity."""
+    monkeypatch.setattr(hf, "_mean_field_kappa",
+                        lambda kappa, kernel: 0.1 * kappa)
+
+
+def test_cli_gram_drift_exits_as_divergence(tmp_path, capsys, monkeypatch):
+    grow_the_frame(monkeypatch)
+    raw = count_time_config("conservation", [{"N": 3, "t": 0.5}],
                             integrator={"dt": 0.5})
     path = write_config(tmp_path, raw)
     assert main(["run", path]) == 3
@@ -435,7 +443,8 @@ def test_run_pins_blas_to_one_thread_and_restores_the_callers_count(
     assert seen == [1] and get() == caller
     assert "# blas_threads: 1\n" in report.to_csv()
     # a run that raises restores the count too: this one exits 3
-    raw = count_time_config("conservation", [{"N": 3, "t": 200}],
+    grow_the_frame(monkeypatch)
+    raw = count_time_config("conservation", [{"N": 3, "t": 0.5}],
                             integrator={"dt": 0.5})
     assert main(["run", write_config(tmp_path, raw)]) == 3
     assert "Gram drift" in capsys.readouterr().err
@@ -536,6 +545,25 @@ def test_convergence_reports_propagation_errors_and_slope_window():
                   if ln.startswith("#")]
     assert any("exact_propagation_error" in ln for ln in csv_header)
     assert any("fitted_slope_window" in ln for ln in csv_header)
+
+
+@pytest.mark.parametrize("name", ["convergence", "conservation",
+                                  "tree-truncation"])
+def test_reports_carry_the_mean_field_integration_error(name):
+    # the largest window estimate, held to the allowance dt**4 per unit
+    # time, goes into the metadata and leaves the data rows as they were
+    raw = workloads.config(name, 1)
+    cfg = ExperimentConfig.from_dict(raw)
+    first, second = (run(cfg, override_time_guard=True) for _ in range(2))
+    error = json.loads(first.metadata["hf_integration_error"])
+    dt = raw.get("integrator", {}).get("dt", 1e-3)
+    t = max(entry["t"] for entry in raw["sweep"])
+    assert np.isfinite(error) and 0 <= error <= dt ** 4 * t
+    assert first.metadata["hf_integration_error"] == (
+        second.metadata["hf_integration_error"])
+    rows = [[ln for ln in rep.to_csv().splitlines() if not ln.startswith("#")]
+            for rep in (first, second)]
+    assert rows[0] == rows[1] and len(rows[0]) > 1
 
 
 def package_env():

@@ -22,7 +22,7 @@ from fermiflow.graded import (
     state_from_density,
     superflow_observable,
 )
-from fermiflow.hf import HFConfig, quasi_free_marginal
+from fermiflow.hf import quasi_free_marginal
 from fermiflow.modes import ModeSystem
 from fermiflow.sector import (PSectorOperator, embedding_isometry,
                               lift_coefficients, one_body_sector,
@@ -420,19 +420,27 @@ def test_hierarchy_collision_is_dual_to_the_attached_insertion():
 
 
 def test_hierarchy_runs_its_collision_term(monkeypatch):
-    # four evaluations per RK4 step: 2 intervals of 4 steps each
-    calls = []
+    # the flow calls the tested collision term on all levels, and nothing
+    # else: with it returning zeros, every level rotates freely
+    calls, silent = [], []
 
-    def counted(sigma, system, collision=hierarchy_collision):
+    def spy(sigma, system, collision=hierarchy_collision):
         calls.append(len(sigma))
-        return collision(sigma, system)
+        return ([np.zeros_like(s) for s in sigma] if silent
+                else collision(sigma, system))
 
-    monkeypatch.setattr(graded, "hierarchy_collision", counted)
+    monkeypatch.setattr(graded, "hierarchy_collision", spy)
     rng = np.random.default_rng(22)
     rho = state_from_density(projected_density(rng, 4, 2))
-    hierarchy_evolve(rho, ModeSystem.chain(4, 0.5), [0.0, 0.25, 0.5],
-                     HFConfig(dt=0.0625))
-    assert calls == [3] * (4 * 8)
+    system, t = ModeSystem.chain(4, 0.5), 0.5
+    hierarchy_evolve(rho, system, [0.0, 0.25, t])
+    assert calls and set(calls) == {3}
+    silent.append(True)
+    out = hierarchy_evolve(rho, system, [0.0, 0.25, t]).final()
+    for p in range(3):
+        lift = sector_propagator(system, p, t)
+        want = lift @ rho.block(p, p) @ lift.conj().T
+        assert np.linalg.norm(out.block(p, p) - want, 2) < 1e-12
 
 
 def test_hierarchy_bad_time_grid_is_bad_input():

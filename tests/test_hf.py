@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
@@ -325,30 +327,40 @@ class TestFlows:
         assert np.max(np.abs(final() - ref)) < 1e-8
 
     def test_each_flow_runs_its_tested_right_hand_side(self, monkeypatch):
-        # the mean-field part of the tested right-hand side, four
-        # evaluations per RK4 step: 2 intervals of 4 steps each
-        calls = {}
+        # each flow calls the mean-field part of its tested right-hand
+        # side, and nothing else: with that part returning zeros, the flow
+        # is exact free motion
+        calls, silent = {}, []
         for name in ("_mean_field_density", "_mean_field_kappa"):
-            def counted(x, kernel, name=name, part=getattr(hf, name)):
+            def spy(x, kernel, name=name, part=getattr(hf, name)):
                 calls[name] = calls.get(name, 0) + 1
-                return part(x, kernel)
-            monkeypatch.setattr(hf, name, counted)
+                return np.zeros_like(x) if silent else part(x, kernel)
+            monkeypatch.setattr(hf, name, spy)
         gamma0 = self.orbs.density()
-        for evolve, start, name in (
-                (evolve_hf_orbitals, self.orbs, "_mean_field_kappa"),
-                (evolve_hf_density, gamma0, "_mean_field_density"),
-                (evolve_kappa, KappaFactor.from_density(gamma0),
-                 "_mean_field_kappa")):
+        kappa0 = KappaFactor.from_density(gamma0)
+        t, grid = 0.5, [0.0, 0.25, 0.5]
+        free = expm(-1j * t * self.sys.h)
+        for evolve, start, name, want in (
+                (evolve_hf_orbitals, self.orbs, "_mean_field_kappa",
+                 free @ self.orbs.matrix),
+                (evolve_hf_density, gamma0, "_mean_field_density",
+                 free @ gamma0 @ free.conj().T),
+                (evolve_kappa, kappa0, "_mean_field_kappa",
+                 free @ kappa0.mat)):
+            silent.clear()
             calls.clear()
-            evolve(start, self.sys, [0.0, 0.25, 0.5], HFConfig(dt=0.0625))
-            assert calls == {name: 4 * 8}
+            evolve(start, self.sys, grid)
+            assert set(calls) == {name} and calls[name] > 0
+            silent.append(True)
+            final = evolve(start, self.sys, grid).final()
+            final = getattr(final, "matrix", final)
+            assert np.max(np.abs(final - want)) < 1e-12
 
     def test_one_free_propagator_per_distinct_stage_time(self, monkeypatch):
         # the stream's free propagator is the free frame, built once at the
-        # start and then for a whole chunk of steps in one call; k2 and k3
-        # share t + h/2, and k4's t + h is the next step's k1, so an
-        # interval of n steps that fits one chunk is one call over its 2n
-        # stage times after its start
+        # start and then once per collocation window, over its n nodes and
+        # its end: an interval of 0.25 is two windows of 0.125, and every
+        # node time is built once
         builds = []
         sector_frame = ModeSystem.sector_frame
 
@@ -357,20 +369,23 @@ class TestFlows:
             return sector_frame(system, m, t)
 
         monkeypatch.setattr(ModeSystem, "sector_frame", counted)
-        grid, steps = [0.0, 0.25, 0.5], 4
+        nodes = hf._collocation()[0].ravel()
+        want = np.concatenate([[0.0]] + [0.125 * (w + nodes)
+                                         for w in range(4)])
         gamma0 = self.orbs.density()
         for evolve, start in ((evolve_hf_orbitals, self.orbs),
                               (evolve_hf_density, gamma0),
                               (evolve_kappa, KappaFactor.from_density(gamma0))):
             builds.clear()
-            evolve(start, self.sys, grid, HFConfig(dt=0.0625))
-            assert [len(times) for times in builds] == [1] + [2 * steps] * 2
-            assert np.allclose(np.concatenate(builds), np.arange(17) / 32)
+            evolve(start, self.sys, [0.0, 0.25, 0.5])
+            assert [len(times) for times in builds] == [1] + [hf._NODES + 1] * 4
+            times = np.concatenate(builds)
+            assert np.allclose(times, want, rtol=0, atol=1e-15)
+            assert len(np.unique(times)) == len(times)
 
     def test_stage_frames_stay_bounded_per_call(self, monkeypatch):
-        # a long interval is cut into chunks: no call builds more than the
-        # 2 * chunk + 1 stage frames of one chunk, and each stage time is
-        # built once
+        # a long interval is cut into windows of at most _WINDOW: no call
+        # builds more than the n + 1 frames of one window
         sizes = []
         sector_frame = ModeSystem.sector_frame
 
@@ -379,12 +394,11 @@ class TestFlows:
             return sector_frame(system, m, t)
 
         monkeypatch.setattr(ModeSystem, "sector_frame", counted)
-        chunk = hf._chunk_steps(self.sys.d ** 2)
         evolve_kappa(KappaFactor.from_density(self.orbs.density()), self.sys,
                      [0.0, 1.0], HFConfig(dt=1e-3))
-        assert sizes[0] == 1 and 1 < len(sizes) - 1 == -(-1000 // chunk)
-        assert max(sizes) <= 2 * chunk + 1
-        assert sum(sizes) == 2 * 1000 + 1
+        windows = round(1.0 / hf._WINDOW)
+        assert sizes == [1] + [hf._NODES + 1] * windows
+        assert max(sizes) <= hf._NODES + 1
 
     def test_self_pair_value_never_enters_the_flows(self):
         # w(0) cancels between direct and exchange, and the flows' pair
@@ -436,16 +450,30 @@ class TestFlows:
         assert np.max(np.abs(traj.final().matrix - want)) < 1e-12
 
     def test_fourth_order_convergence(self):
-        t = 0.5
-        finals = []
-        for dt in (4e-2, 2e-2, 1e-2):
-            traj = evolve_hf_density(self.orbs.density(), self.sys, [0.0, t],
-                                     HFConfig(dt=dt))
-            finals.append(traj.final())
-        err_coarse = np.max(np.abs(finals[0] - finals[2]))
-        err_fine = np.max(np.abs(finals[1] - finals[2]))
-        # RK4: halving dt shrinks the defect by about 2^4
-        assert err_coarse / err_fine > 10
+        # one window long enough that its error is measurable: the error
+        # estimate is within 10x of the true error of the collocation
+        # solution at its nodes, and the Gauss end value is more accurate
+        t = 1.0
+        gamma0 = self.orbs.density()
+        kappa0 = KappaFactor.from_density(gamma0).mat
+        kernel = self.sys._flow_kernel()
+        times = t * hf._collocation()[0].ravel()
+        u = self.sys.sector_frame(1, times[:, None, None])
+        start = self.sys.sector_frame(1, 0.0).conj().T @ kappa0
+        (ys,), estimate = hf._window(
+            [start], [u], lambda x: [hf._mean_field_kappa(x[0], kernel)],
+            t, both_sides=False, allowance=np.inf)
+        sol = solve_ivp(flat_flow(hf_rhs_kappa, self.sys, kappa0.shape),
+                        (0.0, t), np.concatenate([kappa0.real.ravel(),
+                                                  kappa0.imag.ravel()]),
+                        method="DOP853", rtol=1e-13, atol=1e-15, t_eval=times)
+        ref = (sol.y[:kappa0.size] + 1j * sol.y[kappa0.size:]).T.reshape(
+            (len(times),) + kappa0.shape)
+        node_error = np.max(np.abs(u[:-1] @ ys[:-1] - ref[:-1]))
+        end_error = np.max(np.abs(u[-1] @ ys[-1] - ref[-1]))
+        assert node_error >= 1e-10
+        assert node_error / 10 <= estimate <= 10 * node_error
+        assert end_error <= estimate
 
     def test_nonzero_grid_start(self):
         t_grid = [0.3, 0.5]
@@ -456,12 +484,19 @@ class TestFlows:
         assert np.max(np.abs(traj_b.final().matrix
                              - traj_a.final().matrix)) < 1e-10
 
-    def test_gram_drift_is_divergence_not_bad_input(self):
+    def test_gram_drift_is_divergence_not_bad_input(self, monkeypatch):
+        # a mean-field part that is not Hermitian grows the frame: its Gram
+        # matrix is exp(0.2 t) times the identity
         system = ModeSystem.chain(6)
         orbs = OrbitalSet.ground_state(system, 3)
+        # the long coarse run drifts by round-off only
+        traj = evolve_hf_orbitals(orbs, system, [0, 200], HFConfig(dt=0.5))
+        assert np.max(traj.gram_drift) < 1e-8
+        monkeypatch.setattr(hf, "_mean_field_kappa",
+                            lambda kappa, kernel: 0.1 * kappa)
         with pytest.raises(DivergenceError,
-                           match=r"Gram drift 5\.45e-06 at t=200\.0"):
-            evolve_hf_orbitals(orbs, system, [0, 200], HFConfig(dt=0.5))
+                           match=r"Gram drift 2\.02e-02 at t=0\.1"):
+            evolve_hf_orbitals(orbs, system, [0, 0.1], HFConfig(dt=0.5))
 
     def test_csv_shape(self):
         traj = evolve_hf_orbitals(self.orbs, self.sys, [0.0, 0.1],
@@ -472,6 +507,48 @@ class TestFlows:
                             "min_eigenvalue")
         assert len(lines) == 3
         assert len(lines[1].split(",")) == 6
+
+
+def flow_finals(system, orbitals, grid):
+    """Final states of the orbital (normalized), density and kappa flows."""
+    gamma0 = orbitals.density()
+    return (evolve_hf_orbitals(orbitals, system, grid).final().as_normalized(),
+            evolve_hf_density(gamma0, system, grid).final(),
+            evolve_kappa(KappaFactor.from_density(gamma0), system,
+                         grid).final())
+
+
+@pytest.mark.parametrize("d, coupling, t", [(12, 1.0, 2.0), (8, 30.0, 2.0)])
+def test_flows_match_an_eighth_order_reference(d, coupling, t):
+    # every flow at the default allowance against DOP853 at rtol 1e-13
+    system = ModeSystem.chain(d, coupling)
+    orbs = OrbitalSet.random(np.random.default_rng(d), d, d // 2)
+    gamma0 = orbs.density()
+    starts = (orbs.as_normalized(), gamma0, KappaFactor.from_density(gamma0).mat)
+    rhs = (hf_rhs_kappa, hf_rhs_density, hf_rhs_kappa)
+    for start, f, final in zip(starts, rhs,
+                               flow_finals(system, orbs, [0.0, t])):
+        sol = solve_ivp(flat_flow(f, system, start.shape), (0.0, t),
+                        np.concatenate([start.real.ravel(),
+                                        start.imag.ravel()]),
+                        method="DOP853", rtol=1e-13, atol=1e-15)
+        ref = (sol.y[:start.size, -1]
+               + 1j * sol.y[start.size:, -1]).reshape(start.shape)
+        assert np.max(np.abs(final - ref)) < 1e-10
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(3, 6), st.floats(0.0, 3.0), st.floats(0.05, 1.5),
+       st.lists(st.floats(0.01, 0.99), min_size=1, max_size=6, unique=True),
+       st.integers(0, 2 ** 16))
+def test_grid_points_do_not_move_the_final_state(d, coupling, t, cuts, seed):
+    # the windows follow the grid, and each holds its error at round-off
+    system = ModeSystem.chain(d, coupling)
+    orbs = OrbitalSet.random(np.random.default_rng(seed), d, max(1, d // 2))
+    grid = np.unique(np.concatenate([[0.0, t], t * np.array(cuts)]))
+    for coarse, fine in zip(flow_finals(system, orbs, [0.0, t]),
+                            flow_finals(system, orbs, grid)):
+        assert np.max(np.abs(coarse - fine)) <= 1e-13
 
 
 class TestValidation:
