@@ -369,7 +369,7 @@ def _report(cfg: ExperimentConfig, columns, rows, seconds,
 def run_convergence(cfg: ExperimentConfig,
                     override_time_guard: bool = False) -> ExperimentReport:
     """Trace-norm gap between exact and mean-field marginals over a sweep."""
-    errors, hf_errors = [], [0.0]
+    errors, hf = [], [(0.0, 0)]
 
     def rows_of(entry, rng, system):
         n, t, p = entry["N"], entry["t"], entry["p"]
@@ -379,7 +379,7 @@ def run_convergence(cfg: ExperimentConfig,
         errors.append(error)
         flow = evolve_hf_orbitals(orbitals, system, [0.0, t] if t else [0.0],
                                   cfg.integrator)
-        hf_errors.append(flow.integration_error)
+        hf.append((flow.integration_error, flow.sweeps))
         fitted = quasi_free_marginal(flow.final().density(), p)
         return [(n, p, t, trace_norm(exact.mat - fitted.mat), p * p / n)]
 
@@ -390,13 +390,14 @@ def run_convergence(cfg: ExperimentConfig,
                    [row + (slope,) for row in rows], seconds,
                    exact_propagation_error=json.dumps(errors),
                    fitted_slope_window=window,
-                   hf_integration_error=json.dumps(max(hf_errors)))
+                   hf_integration_error=json.dumps(max(e for e, _ in hf)),
+                   hf_sweeps=json.dumps(sum(s for _, s in hf)))
 
 
 def run_tree_truncation(cfg: ExperimentConfig,
                         override_time_guard: bool = False) -> ExperimentReport:
     """Partial sums of the loop-free series against the mean-field pairing."""
-    hf_errors = [0.0]
+    hf = [(0.0, 0)]
 
     def rows_of(entry, rng, system):
         n, t = entry["N"], entry["t"]
@@ -407,7 +408,7 @@ def run_tree_truncation(cfg: ExperimentConfig,
         gap = hf_vs_tree_gap(a, gamma, system, t, cfg.quadrature,
                              override_time_guard=override_time_guard,
                              hf_dt=cfg.integrator.dt)
-        hf_errors.append(gap.hf_integration_error)
+        hf.append((gap.hf_integration_error, gap.hf_sweeps))
         return [(n, t, order, float(partial.real),
                  float(abs(partial - gap.hf_value)),
                  float(series.quad_errors[order]))
@@ -416,7 +417,8 @@ def run_tree_truncation(cfg: ExperimentConfig,
     rows, seconds = _sweep(cfg, rows_of)
     return _report(cfg, ("N", "t", "K", "partial_sum", "hf_gap",
                          "quad_error"), rows, seconds,
-                   hf_integration_error=json.dumps(max(hf_errors)))
+                   hf_integration_error=json.dumps(max(e for e, _ in hf)),
+                   hf_sweeps=json.dumps(sum(s for _, s in hf)))
 
 
 def run_egorov(cfg: ExperimentConfig,
@@ -447,7 +449,7 @@ def run_egorov(cfg: ExperimentConfig,
 def run_conservation(cfg: ExperimentConfig,
                      override_time_guard: bool = False) -> ExperimentReport:
     """Invariant drifts along all three mean-field formulations."""
-    cross, hf_errors = [], [0.0]
+    cross, hf = [], [(0.0, 0)]
 
     def rows_of(entry, rng, system):
         n = entry["N"]
@@ -462,7 +464,7 @@ def run_conservation(cfg: ExperimentConfig,
             "kappa": evolve_kappa(KappaFactor.from_density(gamma0), system,
                                   grid, cfg.integrator),
         }
-        hf_errors.extend(traj.integration_error for traj in flows.values())
+        hf.extend((f.integration_error, f.sweeps) for f in flows.values())
         kappa = flows["kappa"].final()
         cross.append(repr(trace_norm(kappa @ kappa.conj().T
                                      - flows["density"].final())))
@@ -477,7 +479,8 @@ def run_conservation(cfg: ExperimentConfig,
     return _report(cfg, ("formulation", "t", "energy_drift", "gram_drift",
                          "trace_drift", "spectrum_drift"), rows, seconds,
                    kappa_vs_density_trace_gap=json.dumps(cross),
-                   hf_integration_error=json.dumps(max(hf_errors)))
+                   hf_integration_error=json.dumps(max(e for e, _ in hf)),
+                   hf_sweeps=json.dumps(sum(s for _, s in hf)))
 
 
 def run_graph_count(cfg: ExperimentConfig,

@@ -249,11 +249,13 @@ class HierarchyTrajectory:
 
 def hierarchy_collision(sigma: list, system: ModeSystem) -> list:
     """Collision terms -i tr_{p+1}[W, sigma[p+1]] of the levels sigma[0..top];
-    zero on level 0, where one particle has no pair, and on the free top."""
-    out = [np.zeros_like(s) for s in sigma]
+    zero on level 0, where one particle has no pair, and on the free top.
+    A level may be one matrix or a stack of them along leading axes."""
+    out = [np.zeros(s.shape, complex) for s in sigma]
     for p in range(1, len(sigma) - 1):
-        out[p] = -1j * contract_pair_commutator(
-            sigma[p + 1], system._lift_coefficients(p + 1), system.d, p + 1)
+        for node in np.ndindex(sigma[p + 1].shape[:-2]):
+            out[p][node] = -1j * contract_pair_commutator(
+                sigma[p + 1][node], system._lift_coefficients(p + 1), system.d, p + 1)
     return out
 
 
@@ -265,7 +267,7 @@ def hierarchy_evolve(rho: GradedState, system: ModeSystem, t_grid,
     pair commutator of the block one level above; the top level is free.
     The blocks run as one list through the interaction-picture stream of
     the mean-field flows, each rotated by its own sector frame, and the
-    collision term runs once per collocation node.
+    collision term runs once per Picard sweep, on all collocation nodes.
     """
     if not rho.is_gauge_invariant():
         raise UnsupportedError("hierarchy flow needs a gauge-invariant state")

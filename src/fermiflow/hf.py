@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from math import comb, factorial
+from math import comb, factorial, isclose
 
 import numpy as np
 
@@ -178,9 +178,11 @@ class KappaFactor:
 
 
 def mean_field_potential(a: np.ndarray, wmat: np.ndarray) -> np.ndarray:
-    """Direct-minus-exchange potential V(A); A need not be Hermitian."""
+    """Direct-minus-exchange potential V(A); A need not be Hermitian, and a
+    stack of matrices along leading axes gives the stack of potentials."""
     out = -(wmat * a)
-    out.ravel()[::len(a) + 1] += wmat.dot(a.diagonal())
+    diagonal = np.einsum("...ii->...i", out)[..., None]    # a writeable view
+    diagonal += wmat @ a.diagonal(0, -2, -1)[..., None]
     return out
 
 
@@ -188,14 +190,14 @@ def _mean_field_density(g: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """The mean-field part -i[V(g), g] of :func:`hf_rhs_density`, with V on
     the pair kernel ``kernel``: what the density flow runs."""
     v = mean_field_potential(g, kernel)
-    return -1j * (v.dot(g) - g.dot(v))
+    return -1j * (v @ g - g @ v)
 
 
 def _mean_field_kappa(kappa: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """The mean-field part -i V(kappa kappa†) kappa of :func:`hf_rhs_kappa`,
     with V on ``kernel``: what the orbital and factor flows run."""
-    return -1j * mean_field_potential(kappa.dot(kappa.conj().T),
-                                      kernel).dot(kappa)
+    return -1j * mean_field_potential(
+        kappa @ kappa.conj().swapaxes(-1, -2), kernel) @ kappa
 
 
 def hf_rhs_density(gamma: np.ndarray | DensityMatrix,
@@ -289,36 +291,40 @@ _ROUNDOFF = 64 * np.finfo(float).eps   # relative update and error floor
 @cache
 def _collocation():
     """On a unit window: node times s_j and the end; rows integrating the
-    nodes' Lagrange basis to each s_j and to 1 (the Gauss weights); and the
+    nodes' Lagrange basis to each s_j and to 1 (the Gauss weights); the
     last two Legendre coefficients, exact by quadrature, times the largest
-    |∫_0^{s_j} P_n(2s - 1) ds|. Built on first use, as is numpy.polynomial."""
+    |∫_0^{s_j} P_n(2s - 1) ds|; and rows extrapolating values at 0 and s_j
+    to 1 + s_j and 2. Built on first use, as is numpy.polynomial."""
     from numpy.polynomial.legendre import leggauss, legint, legval, legvander
     x, w = leggauss(_NODES)
     to_legendre = legvander(x, _NODES - 1).T * w * (np.arange(_NODES)[:, None] + .5)
     p = legval(x, legint(np.eye(_NODES + 1), lbnd=-1)).T / 2
+    src, dst = np.r_[-1.0, x], np.r_[x + 2, 3.0]   # no LAPACK solve: +0.3 MB RSS
+    ahead = (np.prod(dst[:, None] - src, 1)[:, None] / (dst[:, None] - src)
+             / np.prod(src[:, None] - src + np.eye(_NODES + 1), 1))
     return (np.append((1 + x) / 2, 1.0)[:, None, None],
             np.vstack([p[:, :_NODES] @ to_legendre, w / 2]),
-            to_legendre[-2:] * np.max(np.abs(p[:, _NODES])))
+            to_legendre[-2:] * np.max(np.abs(p[:, _NODES])), ahead)
 
 
 def _turn(f, x, both_sides: bool):
     return f @ x @ f.conj().swapaxes(-1, -2) if both_sides else f @ x
 
 
-def _window(y0, u: list, rhs, span: float, both_sides: bool, allowance):
-    """The blocks y at the nodes and end of a window, by Picard sweeps to
-    round-off on y_j = y_0 + span Σ_k S_jk G_k, G = u† rhs(u y (u†)) (u),
-    and the node error estimate: G's first neglected Legendre coefficient,
-    extrapolated from the last two, integrated. None if the sweeps stop
-    contracting or the estimate exceeds allowance·span and round-off."""
-    _, integrate, tail = _collocation()
+def _window(y0, u, rhs, span: float, both_sides: bool, allowance, start=None):
+    """The blocks y at the nodes and end of a window, by Picard sweeps from
+    ``start`` (y_0 if None) to round-off on y_j = y_0 + span Σ_k S_jk G_k,
+    G = u† rhs(u y (u†)) (u), rhs taking the node stacks, and the node error
+    estimate: G's first neglected Legendre coefficient, extrapolated from the
+    last two, integrated. None if the sweeps stop contracting or the estimate
+    exceeds allowance·span and round-off."""
+    _, integrate, tail, _ = _collocation()
     roundoff = _ROUNDOFF * max(np.max(np.abs(b)) for b in y0)
-    ys, prev = [np.broadcast_to(b, (_NODES + 1,) + b.shape) for b in y0], np.inf
+    ys, prev = start or [np.stack([b] * (_NODES + 1)) for b in y0], np.inf
     while prev > roundoff:
         xs = [_turn(f[:_NODES], y[:_NODES], both_sides) for f, y in zip(u, ys)]
-        lab = zip(*(rhs(x) for x in zip(*xs)))       # once per node
-        gs = [_turn(f[:_NODES].conj().swapaxes(1, 2), np.stack(g),
-                    both_sides).reshape(_NODES, -1) for f, g in zip(u, lab)]
+        gs = [_turn(f[:_NODES].conj().swapaxes(1, 2), g,
+                    both_sides).reshape(_NODES, -1) for f, g in zip(u, rhs(xs))]
         new = [b + span * (integrate @ g).reshape(y.shape)
                for b, g, y in zip(y0, gs, ys)]
         delta = max(np.max(np.abs(a - b)) for a, b in zip(new, ys))
@@ -336,8 +342,9 @@ def _interaction_stream(x0: list, frames, t_grid, rhs, allowance: float,
     dx/dt = -i H0 x + rhs(x) unless ``both_sides``, for x a list of blocks:
     y = u† x (u) moves, so the free rotation is exact, in frames u solving
     du/dt = -i H0 u that ``frames`` gives at a (T, 1, 1) array of times, once
-    per window of at most ``_WINDOW``; a refused window is halved. ``error``
-    is the largest estimate so far."""
+    per window of at most ``_WINDOW``; a refused window is halved, one as
+    long as the last accepted starts from its extrapolation. ``error`` is
+    the largest estimate so far."""
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if t_grid.ndim != 1 or len(t_grid) < 1:
         raise ShapeError("t_grid must be a non-empty 1d array")
@@ -345,6 +352,7 @@ def _interaction_stream(x0: list, frames, t_grid, rhs, allowance: float,
         raise RangeError("t_grid must be finite")
     if len(t_grid) > 1 and np.min(np.diff(t_grid)) <= 0:
         raise RangeError("t_grid must be strictly increasing")
+    ahead, carried = _collocation()[3], (0.0, None)
     # every recorded state, the first included (a pass with no window), is
     # rotated out of y by its frame, so the frames' rounding is common to all
     u = frames(t_grid[:1, None, None])
@@ -356,8 +364,11 @@ def _interaction_stream(x0: list, frames, t_grid, rhs, allowance: float,
         while pending:
             a, b, depth = pending.pop(0)
             u = frames(a + (b - a) * _collocation()[0])
-            step = _window(y, u, rhs, b - a, both_sides, allowance)
+            step = _window(y, u, rhs, b - a, both_sides, allowance,
+                           carried[1] if isclose(carried[0], b - a) else None)
             if step is not None:
+                carried = b - a, [np.tensordot(ahead, np.concatenate(
+                    [y0[None], v[:_NODES]]), 1) for y0, v in zip(y, step[0])]
                 y, worst = [v[-1] for v in step[0]], max(worst, step[1])
             elif depth < _MAX_HALVINGS:
                 pending[:0] = [(a, (a + b) / 2, depth + 1),
@@ -371,10 +382,10 @@ def _interaction_stream(x0: list, frames, t_grid, rhs, allowance: float,
 
 @dataclass
 class Trajectory:
-    """Recorded times, states and conservation diagnostics of one flow;
-    ``gram_drift`` is the Gram drift of a frame and NaN for other states,
-    ``spectrum_drift`` that of the density's spectrum from the start;
-    ``integration_error`` is the largest window error estimate."""
+    """Recorded times, states and conservation diagnostics of one flow:
+    ``gram_drift`` of a frame (NaN for other states), ``spectrum_drift`` of
+    the density's spectrum from the start, ``integration_error`` the largest
+    window error estimate, ``sweeps`` the Picard sweeps, one rhs call each."""
 
     times: np.ndarray
     states: list
@@ -385,6 +396,7 @@ class Trajectory:
     min_eigenvalue: np.ndarray
     config: HFConfig
     integration_error: float
+    sweeps: int
 
     def final(self):
         return self.states[-1]
@@ -407,11 +419,12 @@ def _record(x0, system: ModeSystem, t_grid, mean_field, config,
     """Trajectory of the flow whose right-hand side is the free term plus
     ``mean_field(x, kernel)``, measured through ``density(state)``; the Gram
     drift column is ``gram_drift(t, state)``, NaN without it."""
-    config, kernel = config or HFConfig(), system._flow_kernel()
+    config, kernel, sweeps = config or HFConfig(), system._flow_kernel(), []
     times, states, rows, spec0 = [], [], [], None
     for t, (state,), error in _interaction_stream(
             [x0], lambda t: [system.sector_frame(1, t)], t_grid,
-            lambda x: [mean_field(x[0], kernel)], config.dt ** 4, both_sides):
+            lambda x: sweeps.append(1) or [mean_field(x[0], kernel)],
+            config.dt ** 4, both_sides):
         dens = density(state)
         spec = np.linalg.eigvalsh(dens)
         spec0 = spec if spec0 is None else spec0
@@ -422,7 +435,7 @@ def _record(x0, system: ModeSystem, t_grid, mean_field, config,
                      float(np.max(np.abs(spec - spec0))),
                      float(np.real(np.trace(dens))), float(spec.min())))
     columns = (np.array(col) for col in zip(*rows))
-    return Trajectory(np.array(times), states, *columns, config, error)
+    return Trajectory(np.array(times), states, *columns, config, error, len(sweeps))
 
 
 def evolve_hf_orbitals(orbitals: OrbitalSet, system: ModeSystem, t_grid,

@@ -476,7 +476,7 @@ def loop_remainder(a: PSectorOperator, orbitals: OrbitalSet,
 class GapReport:
     """Mean-field pairing versus the truncated plain-kernel series;
     ``hf_integration_error`` is the largest window error estimate of the
-    mean-field flow."""
+    mean-field flow, ``hf_sweeps`` its number of Picard sweeps."""
 
     p: int
     t: float
@@ -488,6 +488,7 @@ class GapReport:
     quad_error: float
     terms: np.ndarray
     hf_integration_error: float
+    hf_sweeps: int
 
 
 def hf_vs_tree_gap(a: PSectorOperator, gamma, system: ModeSystem, t: float,
@@ -516,7 +517,8 @@ def hf_vs_tree_gap(a: PSectorOperator, gamma, system: ModeSystem, t: float,
                      gap_exchange=abs(hf_value - tree_sum_x),
                      quad_error=float(np.sum(series.quad_errors)),
                      terms=series.terms,
-                     hf_integration_error=flow.integration_error)
+                     hf_integration_error=flow.integration_error,
+                     hf_sweeps=flow.sweeps)
 
 
 def count_elementary_terms(p: int, k: int, l: int) -> int:

@@ -279,6 +279,22 @@ def test_conservation_rows_and_cross_check():
     assert float(cross[0]) < 1e-7
 
 
+def test_conservation_flows_start_windows_from_the_last(monkeypatch):
+    # each Picard sweep calls the flow's tested mean-field part once, on
+    # all nodes; starting each window from the previous one's polynomial
+    # takes 108 sweeps over the three flows, against 220 from constant
+    # starts
+    calls = []
+    for name in ("_mean_field_density", "_mean_field_kappa"):
+        def spy(x, kernel, part=getattr(hf, name)):
+            calls.append(len(x))
+            return part(x, kernel)
+        monkeypatch.setattr(hf, name, spy)
+    report = run(ExperimentConfig.from_dict(workloads.config("conservation", 1)))
+    assert len(calls) == json.loads(report.metadata["hf_sweeps"]) <= 120
+    assert set(calls) == {hf._NODES}
+
+
 def test_conservation_reads_the_spectra_its_flows_recorded(monkeypatch):
     eigvalsh, calls = np.linalg.eigvalsh, []
     monkeypatch.setattr(np.linalg, "eigvalsh",
@@ -561,6 +577,9 @@ def test_reports_carry_the_mean_field_integration_error(name):
     assert np.isfinite(error) and 0 <= error <= dt ** 4 * t
     assert first.metadata["hf_integration_error"] == (
         second.metadata["hf_integration_error"])
+    sweeps = json.loads(first.metadata["hf_sweeps"])
+    assert isinstance(sweeps, int) and sweeps > 0
+    assert first.metadata["hf_sweeps"] == second.metadata["hf_sweeps"]
     rows = [[ln for ln in rep.to_csv().splitlines() if not ln.startswith("#")]
             for rep in (first, second)]
     assert rows[0] == rows[1] and len(rows[0]) > 1

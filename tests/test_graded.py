@@ -419,6 +419,23 @@ def test_hierarchy_collision_is_dual_to_the_attached_insertion():
         assert abs(np.trace(lab @ a) - want) < 1e-12 * max(1.0, abs(want))
 
 
+@pytest.mark.parametrize("d", [4, 8])
+def test_hierarchy_collision_takes_a_stack_of_nodes(d):
+    # the stream calls the collision term once per sweep, on every level's
+    # stack of node values: node by node, it is the 2-d call
+    rng = np.random.default_rng(40 + d)
+    system, nodes = ModeSystem.chain(d, 0.7), 6
+    stacks = [np.array([random_block(rng, d, p, p) for _ in range(nodes)])
+              for p in range(4)]
+    got = hierarchy_collision(stacks, system)
+    assert [g.shape for g in got] == [s.shape for s in stacks]
+    for node in range(nodes):
+        want = hierarchy_collision([s[node] for s in stacks], system)
+        for level, single in zip(got, want):
+            assert (np.max(np.abs(level[node] - single))
+                    <= 1e-15 * max(np.max(np.abs(single)), 1.0))
+
+
 def test_hierarchy_runs_its_collision_term(monkeypatch):
     # the flow calls the tested collision term on all levels, and nothing
     # else: with it returning zeros, every level rotates freely

@@ -162,6 +162,30 @@ class TestRhsOracles:
                              - (hf_rhs_kappa(kappa, sys)
                                 + 1j * sys.h @ kappa))) < 1e-13
 
+    @pytest.mark.parametrize("d", [4, 8])
+    def test_mean_field_parts_take_a_stack_of_nodes(self, d):
+        # one call on the stack of a window's node values gives, node by
+        # node, what one call per node gives; the density flow's Picard
+        # iterates need not be Hermitian, so neither are these inputs
+        rng = np.random.default_rng(40 + d)
+        kernel = ModeSystem.chain(d, coupling=1.3)._flow_kernel()
+
+        def stack(cols):
+            shape = (hf._NODES, d, cols)
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        densities = np.array([random_density(rng, d)
+                              for _ in range(hf._NODES)])
+        for part, inputs in (
+                (mean_field_potential, (stack(d), densities)),
+                (hf._mean_field_density, (stack(d), densities)),
+                (hf._mean_field_kappa, (stack(d), stack(d // 2)))):
+            for x in inputs:
+                got = part(x, kernel)
+                want = np.array([part(node, kernel) for node in x])
+                assert got.shape == want.shape
+                assert (np.max(np.abs(got - want))
+                        <= 1e-15 * np.max(np.abs(want)))
+
 
 class TestEnergy:
     def test_matches_double_sum(self):
@@ -475,6 +499,38 @@ class TestFlows:
         assert node_error / 10 <= estimate <= 10 * node_error
         assert end_error <= estimate
 
+    def test_a_carried_start_solves_the_same_window(self):
+        # the rows that extrapolate a window's polynomial are exact on
+        # degree 6, and a start from them, like the constant start, is only
+        # a first iterate: the sweeps reach the same collocation solution,
+        # in fewer sweeps
+        nodes, _, _, ahead = hf._collocation()
+        sextic = np.polynomial.Polynomial([1.0, -2.0, 0.0, 3.0, 0.0, 0.0, 1.0])
+        src, dst = np.r_[0.0, nodes.ravel()[:-1]], 1 + nodes.ravel()
+        assert np.max(np.abs(ahead @ sextic(src) - sextic(dst))) < 1e-12 * 64
+        kernel, span = self.sys._flow_kernel(), hf._WINDOW
+        calls = []
+
+        def rhs(x):
+            calls.append(1)
+            return [hf._mean_field_kappa(x[0], kernel)]
+        kappa0 = KappaFactor.from_density(self.orbs.density()).mat
+        y0 = self.sys.sector_frame(1, 0.0).conj().T @ kappa0
+        (first,), _ = hf._window(
+            [y0], [self.sys.sector_frame(1, span * nodes)], rhs, span,
+            False, np.inf)
+        carried = [np.tensordot(ahead, np.concatenate(
+            [y0[None], first[:hf._NODES]]), 1)]
+        u = [self.sys.sector_frame(1, span * (1 + nodes))]
+        calls.clear()
+        (cold,), _ = hf._window([first[-1]], u, rhs, span, False, np.inf)
+        cold_sweeps = len(calls)
+        calls.clear()
+        (warm,), _ = hf._window([first[-1]], u, rhs, span, False, np.inf,
+                                carried)
+        assert np.max(np.abs(warm - cold)) <= 1e-14 * np.max(np.abs(cold))
+        assert len(calls) < cold_sweeps
+
     def test_nonzero_grid_start(self):
         t_grid = [0.3, 0.5]
         traj_a = evolve_hf_orbitals(self.orbs, self.sys, [0.0, 0.3, 0.5],
@@ -535,6 +591,28 @@ def test_flows_match_an_eighth_order_reference(d, coupling, t):
         ref = (sol.y[:start.size, -1]
                + 1j * sol.y[start.size:, -1]).reshape(start.shape)
         assert np.max(np.abs(final - ref)) < 1e-10
+
+
+def test_warm_start_keeps_the_state_with_fewer_sweeps(monkeypatch):
+    # a strong-coupling density flow whose windows are halved: started
+    # from the previous window's polynomial where the lengths agree, it
+    # ends where the constant start of every window ends, in fewer node
+    # evaluations, one mean-field call on all nodes per counted sweep
+    system = ModeSystem.chain(8, coupling=300.0)
+    gamma0 = OrbitalSet.random(np.random.default_rng(300), 8, 4).density()
+    nodes, part, window = [], hf._mean_field_density, hf._window
+    monkeypatch.setattr(hf, "_mean_field_density",
+                        lambda g, kernel: nodes.append(len(g))
+                        or part(g, kernel))
+    warm = evolve_hf_density(gamma0, system, [0.0, 0.5])
+    warm_nodes = sum(nodes)
+    assert warm.sweeps == len(nodes) and set(nodes) == {hf._NODES}
+    nodes.clear()
+    monkeypatch.setattr(hf, "_window", lambda *args: window(*args[:6]))
+    cold = evolve_hf_density(gamma0, system, [0.0, 0.5])
+    assert cold.sweeps == len(nodes)
+    assert np.max(np.abs(warm.final() - cold.final())) <= 1e-13
+    assert warm_nodes < sum(nodes)
 
 
 @settings(max_examples=20, deadline=None)
