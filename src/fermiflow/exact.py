@@ -10,7 +10,10 @@ is built to move a state. Each step stops on the a-posteriori Krylov
 estimate of Hochbruck & Lubich (1997), and a time whose step would need
 more than ``KRYLOV_CAP`` vectors is split into equal substeps. The dense
 matrix, with its cached eigendecomposition, is built only where an
-operator is conjugated (:func:`heisenberg_evolve`).
+operator is conjugated (:func:`heisenberg_evolve`). A p-particle observable
+is second-quantized in one gather and one scatter over the subset-pair
+table that :func:`~fermiflow.sector.marginal` contracts, whose adjoint it
+is up to its scale.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ import numpy as np
 
 from .errors import CapacityError, RangeError, ValidationError
 from .modes import ModeSystem
-from .sector import (PSectorOperator, SectorState, marginal, project_lift,
-                     sector_basis, slater)
+from .sector import (PSectorOperator, SectorState, _marginal_table,
+                     marginal, sector_basis, slater)
 
 KRYLOV_CAP = 30            # Lanczos vectors per substep
 MAX_SUBSTEPS = 1024        # equal substeps before a time is refused
@@ -171,6 +174,12 @@ def second_quantize(a: PSectorOperator, n: int) -> PSectorOperator:
     for n < p the operator is zero by definition. The normalization makes
     Slater expectations match traces against the quasi-free reduced
     densities of the one-particle density matrix.
+
+    Up to its scale it is the adjoint of :func:`~fermiflow.sector.marginal`,
+    read off the same table of disjoint (p, n-p)-subset pairs with the same signs: for
+    each (n-p)-subset beta, the entry (alpha ∪ beta, alpha' ∪ beta) adds
+    sign(alpha, beta) sign(alpha', beta) a[alpha, alpha'], and the sum is
+    scaled by p!/n^p. One gather and one scatter, no intermediate sector.
     """
     if n < 1:
         raise RangeError("target sector needs at least one particle")
@@ -178,11 +187,22 @@ def second_quantize(a: PSectorOperator, n: int) -> PSectorOperator:
     dim = sector_basis(d, n).dim
     if n < p:
         return PSectorOperator(d, n, np.zeros((dim, dim), dtype=complex))
-    mat = a.mat
-    for m in range(p + 1, n + 1):
-        mat = project_lift(mat, d, m)
-    prefactor = factorial(p) * comb(n, p) / float(n) ** p
-    return PSectorOperator(d, n, prefactor * mat)
+    alpha, beta, union, signs = _marginal_table(d, n, p)
+    # group the pairs by beta: each beta meets C(d - n + p, p) alphas
+    order = np.argsort(beta, kind="stable")
+    alpha, union, signs = (v[order].reshape(comb(d, n - p), -1)
+                           for v in (alpha, union, signs))
+    scaled = factorial(p) / float(n) ** p * signs
+    gather = alpha[:, :, None] * comb(d, p) + alpha[:, None, :]
+    flat = (union[:, :, None] * dim + union[:, None, :]).reshape(-1)
+    mat = np.empty((dim, dim), dtype=complex)
+    for part, out in ((a.mat.real, mat.real), (a.mat.imag, mat.imag)):
+        values = part.take(gather)
+        values *= scaled[:, :, None]
+        values *= signs[:, None, :]
+        out[...] = np.bincount(flat, values.reshape(-1),
+                               dim * dim).reshape(dim, dim)
+    return PSectorOperator(d, n, mat)
 
 
 def heisenberg_observable(a: PSectorOperator, system: ModeSystem, n: int,

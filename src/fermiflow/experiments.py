@@ -46,6 +46,8 @@ CONSERVATION_SAMPLES = 6
 
 
 def _require_keys(raw: dict, allowed, required, where: str):
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be an object")
     for key in raw:
         if key not in allowed:
             raise ConfigError(f"unknown key '{key}' in {where}")
@@ -154,8 +156,6 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a JSON object")
         allowed = {"experiment", "system", "sweep", "integrator", "quadrature",
                    "seed", "orbitals", "output"}
         _require_keys(raw, allowed, {"experiment", "system", "sweep", "seed"},
@@ -163,16 +163,12 @@ class ExperimentConfig:
         experiment = raw["experiment"]
         if experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment '{experiment}'")
-        if not isinstance(raw["system"], dict):
-            raise ConfigError("system must be an object")
         system = SystemSpec.from_dict(raw["system"])
         sweep_raw = raw["sweep"]
         if not isinstance(sweep_raw, list) or not sweep_raw:
             raise ConfigError("sweep must be a non-empty list")
         sweep = []
         for i, entry in enumerate(sweep_raw):
-            if not isinstance(entry, dict):
-                raise ConfigError(f"sweep[{i}] must be an object")
             if experiment == "graph-count":
                 sweep.append(_validate_order_entry(entry, i))
             else:
@@ -196,6 +192,8 @@ class ExperimentConfig:
             raise ConfigError(f"invalid numeric settings: {err}") from err
         seed = _as_int(raw["seed"], "seed")
         orbitals = raw.get("orbitals", "ground")
+        if not isinstance(orbitals, str):
+            raise ConfigError("orbitals must be a string")
         if orbitals not in ORBITAL_PRESETS:
             raise ConfigError(f"unknown orbital preset '{orbitals}'")
         output_raw = raw.get("output", {})
@@ -240,7 +238,7 @@ def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config: {err}") from err
     try:
         raw = json.loads(text)
@@ -407,7 +405,7 @@ def run_tree_truncation(cfg: ExperimentConfig,
                              override_time_guard=override_time_guard)
         gap = hf_vs_tree_gap(a, gamma, system, t, cfg.quadrature,
                              override_time_guard=override_time_guard,
-                             hf_dt=cfg.integrator.dt)
+                             config=cfg.integrator)
         hf.append((gap.hf_integration_error, gap.hf_sweeps))
         return [(n, t, order, float(partial.real),
                  float(abs(partial - gap.hf_value)),

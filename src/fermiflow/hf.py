@@ -258,10 +258,6 @@ class MarginalRelationReport:
     plain_gap: float            # ||gamma^(p) - Gamma^(p)||_1
     bound: float                # p**2 / N
 
-    @property
-    def bound_satisfied(self) -> bool:
-        return self.plain_gap <= self.bound + 1e-12
-
 
 def marginal_relation_check(orbitals: OrbitalSet, p: int) -> MarginalRelationReport:
     """Compare the quasi-free marginal of gamma with the Slater contraction."""

@@ -139,18 +139,6 @@ class ModeSystem:
             _read_only(v) for v in (*one_body_entries(self.h, self.d, n),
                                     self._pair_diagonal(n) / n)))
 
-    def pair_operator(self) -> np.ndarray:
-        """Dense two-mode pair operator: diagonal with entries w(i - j)."""
-        return np.diag(self.wmat.reshape(-1)).astype(complex)
-
-    def swap_operator(self) -> np.ndarray:
-        """Exchange operator E on the two-mode space: E(x ⊗ y) = y ⊗ x."""
-        e = np.zeros((self.d * self.d, self.d * self.d))
-        for i in range(self.d):
-            for j in range(self.d):
-                e[j * self.d + i, i * self.d + j] = 1.0
-        return e
-
     def _derive(self, key, build):
         """The cached value of ``build()`` under ``key``, built on first use."""
         if key not in self._derived:

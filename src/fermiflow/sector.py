@@ -10,10 +10,12 @@ where P_- is the antisymmetrizing projector; these states are orthonormal.
 Fermionic signs follow from applying creation operators in ascending mode
 order. One cached table of disjoint subset pairs, with one sign convention,
 serves the reduced density matrices (contracted inside the sector, without
-the d**n tensor), the split coisometries of the graded algebra, the lift
-maps of the interaction expansions and the second-quantized one-body hops.
-The module also provides compound matrices by Laplace recursion, and the
-full tensor-product bridges that only the tests use, as oracles.
+the d**n tensor), their adjoint, the second quantization of
+:func:`fermiflow.exact.second_quantize`, the split coisometries of the
+graded algebra, the lift maps of the interaction expansions and the
+second-quantized one-body hops. The module also provides compound matrices
+by Laplace recursion. Nothing here forms a d**n tensor-product array; the
+full-space bridges that check these maps live with the tests.
 """
 
 from __future__ import annotations
@@ -21,37 +23,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial
+from math import comb
 
 import numpy as np
 
 from .errors import CapacityError, RangeError, ShapeError, ValidationError
 
-MAX_FULL_TENSOR = 4_000_000     # largest d**n expanded densely as a vector
-MAX_DENSE_MATRIX_DIM = 4096     # largest d**p for dense full-space matrices
-MAX_PERMUTATION_ORDER = 8
+MAX_FULL_TENSOR = 4_000_000     # largest dense work array, in entries
 MAX_SECTOR_DIM = 1 << 20        # largest C(d, n) enumerated as a basis
 MAX_SECTOR_MODES = 63           # modes that fit an int64 bitmask
 
 _DEGENERATE_FRAME_TOL = 1e-8
-
-
-def permutation_sign(perm) -> int:
-    """Sign of a permutation given as a tuple of images of 0..n-1."""
-    seen = [False] * len(perm)
-    sign = 1
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 @dataclass
@@ -114,11 +96,6 @@ class SectorState:
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
 
-    def to_full_tensor(self) -> np.ndarray:
-        """Expand into the full d**n tensor-product space (flat vector)."""
-        iso = embedding_isometry(self.d, self.n)
-        return np.asarray(iso @ self.coeffs).reshape(-1)
-
 
 @dataclass
 class PSectorOperator:
@@ -160,66 +137,6 @@ def gram(phi: np.ndarray) -> np.ndarray:
     return phi.conj().T @ phi
 
 
-def antisymmetrize(tensor: np.ndarray, scaled: bool = False) -> np.ndarray:
-    """Apply the antisymmetrizer to a p-index tensor with equal axis sizes.
-
-    With ``scaled=False`` this is the orthogonal projector P_-; with
-    ``scaled=True`` the result is multiplied by p! (the signed sum over
-    permutations without the 1/p! average).
-    """
-    t = np.asarray(tensor, dtype=complex)
-    p = t.ndim
-    if p == 0:
-        raise ShapeError("antisymmetrize needs at least one tensor index")
-    if len(set(t.shape)) != 1:
-        raise ShapeError(f"all axes must have equal length, got {t.shape}")
-    if p > MAX_PERMUTATION_ORDER:
-        raise CapacityError(f"refusing to sum over {p}! permutations")
-    out = np.zeros_like(t)
-    for perm in itertools.permutations(range(p)):
-        out += permutation_sign(perm) * np.transpose(t, perm)
-    if not scaled:
-        out /= factorial(p)
-    return out
-
-
-@lru_cache(maxsize=None)
-def embedding_isometry(d: int, n: int):
-    """Sparse isometry from the n-particle sector into the d**n full space.
-
-    Column S holds the coefficients of sqrt(n!) P_- e_{i_1} ⊗ ... ⊗ e_{i_n}
-    for the ascending subset S = {i_1 < ... < i_n}. This is an oracle that
-    only the tests reach; it is the one place that imports ``scipy.sparse``,
-    so the package itself runs on numpy alone.
-    """
-    import scipy.sparse as sp
-
-    if d ** max(n, 1) > MAX_FULL_TENSOR:
-        raise CapacityError(f"full tensor space d**n = {d}**{n} too large")
-    basis = sector_basis(d, n)
-    if n == 0:
-        return sp.csr_matrix(np.ones((1, 1)))
-    rows, cols, vals = [], [], []
-    strides = d ** np.arange(n - 1, -1, -1)
-    amp = 1.0 / np.sqrt(factorial(n))
-    for col in range(basis.dim):
-        occ = basis.occ[col]
-        for perm in itertools.permutations(range(n)):
-            modes = occ[list(perm)]
-            rows.append(int(np.dot(modes, strides)))
-            cols.append(col)
-            vals.append(permutation_sign(perm) * amp)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(d ** n, basis.dim))
-
-
-def antisym_projector_dense(d: int, p: int) -> np.ndarray:
-    """Dense antisymmetrizing projector on the full d**p space (tests/oracles)."""
-    if d ** p > MAX_DENSE_MATRIX_DIM:
-        raise CapacityError(f"dense projector for d**p = {d}**{p} too large")
-    iso = embedding_isometry(d, p)
-    return np.asarray((iso @ iso.conj().T).todense())
-
-
 def slater(phi: np.ndarray) -> SectorState:
     """Slater determinant state of the orbital columns of phi.
 
@@ -253,8 +170,10 @@ def _marginal_table(d: int, n: int, p: int):
     """Disjoint (p, n-p)-subset pairs (alpha, beta): their rows in the p- and
     (n-p)-sectors, the row of alpha ∪ beta in the n-sector, and the sign
     (-1)^#{(a, b) in alpha x beta : a > b} that sorts the concatenation,
-    alpha-major. At n - p = 1 each beta is one of the d - p modes outside
-    alpha: by mode these pairs give the lifts, by alpha the one-body hops."""
+    alpha-major. Grouped by beta they give the second quantization of a
+    p-particle operator. At n - p = 1 each beta is one of the d - p modes
+    outside alpha: by mode these pairs give the lifts, by alpha the one-body
+    hops."""
     small, rest = sector_basis(d, p), sector_basis(d, n - p)
     rows, cols = np.nonzero(small.masks[:, None] & rest.masks[None, :] == 0)
     union = np.searchsorted(sector_basis(d, n).masks,
@@ -349,18 +268,6 @@ def one_body_entries(a: np.ndarray, d: int, n: int):
     return union[k], union[l], signs[k] * signs[l] * a[modes[k], modes[l]]
 
 
-def one_body_sector(a: np.ndarray, d: int, n: int) -> np.ndarray:
-    """Sector matrix of the one-body operator sum_i a_i (n-particle space)."""
-    a = np.asarray(a, dtype=complex)
-    if a.shape != (d, d):
-        raise ShapeError(f"one-body kernel must be {d}x{d}")
-    dim = sector_basis(d, n).dim
-    out = np.zeros((dim, dim), dtype=complex)
-    rows, cols, values = one_body_entries(a, d, n)
-    np.add.at(out, (rows, cols), values)
-    return out
-
-
 def pair_diagonal_sector(wmat: np.ndarray, d: int, n: int) -> np.ndarray:
     """Diagonal of sum_{i<j} w(x_i - x_j) in the subset basis.
 
@@ -430,12 +337,6 @@ def _lift_sum(x, gather, weights, scatter, dim: int, m: int) -> np.ndarray:
     out = np.bincount(scatter, parts, 2 * dim * dim)
     out *= 1.0 / m
     return out.view(complex).reshape(dim, dim)
-
-
-def project_lift(x: np.ndarray, d: int, m: int) -> np.ndarray:
-    """Sector matrix of P_- (X ⊗ 1) P_- given X on the (m-1)-sector."""
-    _, small, big, signs = lift_tables(d, m)
-    return _lift_sum(x, small, signs, big, comb(d, m), m)
 
 
 def project_lift_pair_commutator(x: np.ndarray, coefficients: np.ndarray,

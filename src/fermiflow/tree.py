@@ -8,15 +8,17 @@ couples two already-present particles (a closed loop). Pure attachment
 chains form the leading series; every loop costs one inverse particle
 number when the result is lifted back to the N-particle space.
 
-Everything here is evaluated directly on antisymmetric sectors: free
-rotations are minor matrices of the one-particle propagator, attachment
-steps use the sparse coisometry tables from :mod:`fermiflow.sector`, and
-loop steps act through the diagonal pair sum. Nested Gauss-Legendre nodes
-over the ordered time simplex share their prefix evaluations, so one sweep
-yields every order at once; the sweep holds its operands in the eigenbasis
-of the free sector Hamiltonians, where free evolution is an elementwise
-phase, every rotation is a real product with an eigen-minor matrix, and no
-propagator is built.
+The loop-free series is evaluated directly on antisymmetric sectors:
+attachment steps use the sparse coisometry tables from
+:mod:`fermiflow.sector`, and nested Gauss-Legendre nodes over the ordered
+time simplex share their prefix evaluations, so one sweep yields every
+order at once. The sweep holds its operands in the eigenbasis of the free
+sector Hamiltonians, where free evolution is an elementwise phase, every
+rotation is a real product with an eigen-minor matrix, and no propagator
+is built. Loops enter only through the exact remainder of
+:func:`loop_remainder`; the fixed-time recursion over both kinds of
+insertion, on dense sector propagators, is the oracle in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -28,28 +30,12 @@ from math import comb, pi
 import numpy as np
 from numpy.polynomial.legendre import leggauss  # loaded lazily otherwise
 
-from .errors import NumericError, RangeError, ShapeError, ValidationError
+from .errors import NumericError, RangeError, ValidationError
 from .exact import heisenberg_observable, second_quantize
 from .hf import (DensityMatrix, HFConfig, OrbitalSet, evolve_hf_density,
                  quasi_free_marginal)
 from .modes import ModeSystem
 from .sector import PSectorOperator, project_lift_pair_commutator, slater
-
-KERNEL_PLAIN = "plain"
-KERNEL_EXCHANGE = "exchange"
-
-# On the antisymmetric subspace a transposition acts as -1, so the
-# exchange-corrected pair kernel w(x-y)(1 - swap) acts there as exactly
-# twice the plain kernel; every projected insertion picks up this factor.
-_KERNEL_FACTORS = {KERNEL_PLAIN: 1.0, KERNEL_EXCHANGE: 2.0}
-
-
-def _kernel_factor(kernel: str) -> float:
-    try:
-        return _KERNEL_FACTORS[kernel]
-    except KeyError:
-        raise ValidationError(f"unknown insertion kernel {kernel!r}") from None
-
 
 @dataclass
 class QuadratureSpec:
@@ -84,33 +70,6 @@ class TheoryConstants:
         return cls(kappa=system.kappa)
 
 
-@dataclass
-class TreeOperator:
-    """One expansion operator at fixed insertion times.
-
-    ``times`` holds (t, t_1, ..., t_k) with t >= t_1 >= ... >= t_k >= 0;
-    ``matrix`` is the sector matrix on p + k - l particles. Loop numbers
-    outside [0, k] give the zero operator.
-    """
-
-    d: int
-    p: int
-    k: int
-    l: int
-    times: tuple
-    matrix: np.ndarray
-
-    @property
-    def particles(self) -> int:
-        return self.p + self.k - self.l
-
-    def sector_op(self) -> PSectorOperator:
-        return PSectorOperator(self.d, self.particles, self.matrix)
-
-    def is_zero(self) -> bool:
-        return self.matrix.size == 0 or not np.any(self.matrix)
-
-
 def _zero_sector_matrix(d: int, m: int) -> np.ndarray:
     dim = comb(d, m) if 0 <= m <= d else 0
     return np.zeros((dim, dim), dtype=complex)
@@ -129,78 +88,6 @@ def free_evolve_op(a: PSectorOperator, system: ModeSystem,
         raise ValidationError("observable and system mode counts differ")
     f = sector_propagator(system, a.p, t)
     return PSectorOperator(a.d, a.p, f.conj().T @ a.mat @ f)
-
-
-def _attach_insertion(x: np.ndarray, m: int, system: ModeSystem, s: float,
-                      factor: float) -> np.ndarray:
-    """i P_- [sum_i K_{i m}(s), X ⊗ 1] P_- for X on the (m-1)-sector.
-
-    The insertion kernel is evaluated in the free Heisenberg picture at
-    time s: rotate the operand forward, commute, rotate back. This is the
-    propagator route, in site basis with dense sector propagators; it is
-    the independent oracle of the eigenframe sweep in
-    :func:`_integrate_orders`.
-    """
-    f_small = sector_propagator(system, m - 1, s)
-    f_big = sector_propagator(system, m, s)
-    z = f_small @ x @ f_small.conj().T
-    lifted = project_lift_pair_commutator(z, system._lift_coefficients(m),
-                                          system.d, m)
-    return (1j * factor) * (f_big.conj().T @ lifted @ f_big)
-
-
-def _loop_insertion(x: np.ndarray, m: int, system: ModeSystem, s: float,
-                    factor: float) -> np.ndarray:
-    """i P_- [sum_{i<j} K_{ij}(s), X] P_- for X already on the m-sector."""
-    f = sector_propagator(system, m, s)
-    z = f @ x @ f.conj().T
-    diag = system._pair_diagonal(m)
-    comm = diag[:, None] * z - z * diag[None, :]
-    return (1j * factor) * (f.conj().T @ comm @ f)
-
-
-def G_recursive(a: PSectorOperator, k: int, l: int, t: float, times,
-                system: ModeSystem, kernel: str = KERNEL_PLAIN) -> TreeOperator:
-    """Build the order-(k, l) expansion operator at fixed insertion times.
-
-    Each level j applies, at time times[j-1], the attachment commutator to
-    the (j-1, l) operator and the loop commutator to the (j-1, l-1) one;
-    the base case is the freely evolved observable at time t. It runs the
-    propagator route (:func:`_attach_insertion`, :func:`_loop_insertion`),
-    so it is the oracle of the integrated sweep at fixed times.
-    """
-    factor = _kernel_factor(kernel)
-    if k < 0:
-        raise RangeError("expansion order must be non-negative")
-    times = tuple(float(s) for s in times)
-    if len(times) != k:
-        raise ShapeError(f"expected {k} insertion times, got {len(times)}")
-    bounds = (t,) + times
-    if any(lo > hi + 1e-15 for hi, lo in zip(bounds, bounds[1:])) or \
-            (k > 0 and times[-1] < -1e-15):
-        raise RangeError("insertion times must descend inside [0, t]")
-
-    if l < 0 or l > k:
-        return TreeOperator(a.d, a.p, k, l, (t,) + times,
-                            _zero_sector_matrix(a.d, a.p + k - l))
-
-    table = {(0, 0): free_evolve_op(a, system, t).mat}
-    for j in range(1, k + 1):
-        s = times[j - 1]
-        for lam in range(0, min(j, l) + 1):
-            m = a.p + j - lam
-            if m > system.d or m < 1:
-                table[(j, lam)] = _zero_sector_matrix(a.d, m)
-                continue
-            acc = _zero_sector_matrix(a.d, m)
-            prev = table.get((j - 1, lam))
-            if prev is not None and prev.size:
-                acc += _attach_insertion(prev, m, system, s, factor)
-            prev_loop = table.get((j - 1, lam - 1))
-            if prev_loop is not None and prev_loop.size and m >= 2:
-                acc += _loop_insertion(prev_loop, m, system, s, factor)
-            table[(j, lam)] = acc
-    return TreeOperator(a.d, a.p, k, l, (t,) + times, table[(k, l)])
 
 
 def _gl_nodes(n: int):
@@ -235,7 +122,9 @@ def _integrate_orders(a: PSectorOperator, K: int, t: float, nodes: int,
     products (:func:`_rotate`), which take and give the transpose, so every
     operand is held as x̃ᵀ and the phase factors are transposed to match.
     The base is (ē ⊗ e) ∘ (V_pᵀ A V_p) at time t, and each total returns to
-    site basis once, as V_m x̃ V_mᵀ.
+    site basis once, as V_m x̃ V_mᵀ. The oracle is the propagator route in
+    ``tests/oracles.py``, which rebuilds every chain at the same nodes
+    through dense site-basis propagators, no prefix shared.
     """
     if K < 0:
         raise RangeError("truncation order must be non-negative")
@@ -276,6 +165,9 @@ def _integrate_orders(a: PSectorOperator, K: int, t: float, nodes: int,
 
     if K > 0 and t != 0.0:
         descend(1, t, totals[0])
+    # descend reaches itself through its closure; break that cycle here, or
+    # the operands it holds wait for the next cyclic garbage collection
+    del descend
     for k, x in enumerate(totals):
         totals[k] = _rotate(rotations[k][1], x)
         if not np.all(np.isfinite(totals[k])):
@@ -294,23 +186,6 @@ def _coarse_and_fine(a: PSectorOperator, K: int, t: float,
 
 def _spectral_norm(x: np.ndarray) -> float:
     return float(np.linalg.norm(x, 2))
-
-
-def integrate_tree_term(a: PSectorOperator, k: int, t: float,
-                        quad: QuadratureSpec, system: ModeSystem,
-                        return_error: bool = False):
-    """Ordered-time integral of the order-k loop-free operator.
-
-    The error estimate compares the result against a sweep with twice the
-    nodes per level and is reported in operator norm.
-    """
-    if k > quad.k_max:
-        raise RangeError(f"order {k} exceeds the configured maximum {quad.k_max}")
-    coarse, fine = _coarse_and_fine(a, k, t, quad, system)
-    op = PSectorOperator(a.d, a.p + k, fine[k])
-    if not return_error:
-        return op
-    return op, _spectral_norm(coarse[k] - fine[k])
 
 
 def check_time_guard(system: ModeSystem, t: float, override: bool) -> list:
@@ -354,14 +229,6 @@ class TreeSeries:
     @property
     def total(self) -> complex:
         return complex(self.partial_sums[-1])
-
-    def term_table(self, kernel: str = KERNEL_PLAIN):
-        """Rows (k, term_value_re, term_value_im, quad_error_est)."""
-        scale = _kernel_factor(kernel)
-        vals = self.terms if kernel == KERNEL_PLAIN else self.terms_exchange
-        return [(k, float(v.real), float(v.imag),
-                 float(self.quad_errors[k] * scale ** k))
-                for k, v in enumerate(vals)]
 
 
 def _geometric_tail(norms, vanishing: bool) -> tuple:
@@ -493,18 +360,18 @@ class GapReport:
 
 def hf_vs_tree_gap(a: PSectorOperator, gamma, system: ModeSystem, t: float,
                    quad: QuadratureSpec, override_time_guard: bool = False,
-                   hf_dt: float = 1e-3) -> GapReport:
+                   config: HFConfig | None = None) -> GapReport:
     """Gap between the evolved mean-field pairing and the truncated series.
 
     The mean-field side pairs the freely evolved observable with the
     antisymmetrized power of the mean-field-evolved density; the series
     side sums the integrated loop-free terms against the initial density.
+    ``config`` sets the integrator of the mean-field flow, as for every flow.
     """
     g = gamma.mat if isinstance(gamma, DensityMatrix) else np.asarray(gamma)
     series = tree_series(a, g, t, quad, system,
                          override_time_guard=override_time_guard)
-    flow = evolve_hf_density(g, system, [0.0, t] if t else [0.0],
-                             HFConfig(dt=hf_dt))
+    flow = evolve_hf_density(g, system, [0.0, t] if t else [0.0], config)
     gamma_t = flow.final()
     a_t = free_evolve_op(a, system, t)
     hf_value = complex(np.trace(a_t.mat @ quasi_free_marginal(gamma_t,

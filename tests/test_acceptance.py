@@ -164,7 +164,8 @@ def test_mean_field_gap_scaling(capsys):
         a = PSectorOperator(d, 1, system.h / np.linalg.norm(system.h, 2))
         gamma = OrbitalSet.ground_state(system, n).density()
         gap = hf_vs_tree_gap(a, gamma, system, 0.2, quad,
-                             override_time_guard=True, hf_dt=1e-3)
+                             override_time_guard=True,
+                             config=HFConfig(dt=1e-3))
         products.append(abs(gap.gap_exchange) * n)
     spread = max(products) / min(products)
     ok = spread < 1.5

@@ -15,9 +15,9 @@ from fermiflow.exact import (build_hamiltonian, evolve_exact,
                              second_quantize)
 from fermiflow.modes import ModeSystem
 from fermiflow.sector import (PSectorOperator, SectorState,
-                              antisym_projector_dense, embedding_isometry,
-                              one_body_sector, pair_diagonal_sector,
-                              sector_basis, slater)
+                              pair_diagonal_sector, sector_basis, slater)
+from oracles import (antisym_projector_dense, embedding_isometry,
+                     one_body_sector, to_full_tensor)
 
 
 def haar_frame(rng, d, n):
@@ -210,7 +210,7 @@ def test_evolved_marginal_matches_full_tensor_oracle():
     got, error = evolved_marginal(phi, sys, t, p)
     assert error <= 1e-12
 
-    state_full = slater(phi).to_full_tensor()
+    state_full = to_full_tensor(slater(phi))
     h_full = first_quantized_hamiltonian(sys, n)
     evolved = expm(-1j * t * h_full) @ state_full
     m = evolved.reshape(d ** p, d ** (n - p))
@@ -221,40 +221,40 @@ def test_evolved_marginal_matches_full_tensor_oracle():
     np.testing.assert_allclose(got.trace(), 1.0, atol=1e-12)
 
 
-def test_second_quantize_matches_projector_oracle():
-    rng = np.random.default_rng(47)
-    d, p, n = 4, 1, 3
-    a_small = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    a_small = 0.5 * (a_small + a_small.conj().T)
-    a = PSectorOperator(d, p, a_small)
-    got = second_quantize(a, n)
-
-    iso_p = embedding_isometry(d, p)
-    a_full = dense(iso_p) @ a.mat @ dense(iso_p.conj().T)
-    big = np.kron(a_full, np.eye(d ** (n - p)))
-    proj = antisym_projector_dense(d, n)
-    iso_n = embedding_isometry(d, n)
-    pref = factorial(p) * comb(n, p) / n ** p
-    want = pref * dense(iso_n.conj().T) @ proj @ big @ proj @ dense(iso_n)
-    np.testing.assert_allclose(got.mat, want, atol=1e-12)
+def quantized_sectors():
+    """(d, p, n) with 1 <= p <= n <= d and a dense d**n space of at most
+    1296, small enough for the dense projector products below."""
+    return st.integers(1, 8).flatmap(lambda d: st.integers(1, d).filter(
+        lambda n: d ** n <= 1296).flatmap(lambda n: st.tuples(
+            st.just(d), st.integers(1, n), st.just(n))))
 
 
-def test_second_quantize_two_body_matches_projector_oracle():
-    rng = np.random.default_rng(53)
-    d, p, n = 4, 2, 3
+@settings(max_examples=40, deadline=None)
+@given(quantized_sectors(), st.integers(0, 10_000))
+def test_second_quantize_matches_projector_oracle(sectors, seed):
+    # (p!/n^p) C(n, p) S_n† P_- (A ⊗ 1^(n-p)) P_- S_n, with A the full-space
+    # embedding of a random non-Hermitian p-sector operator
+    d, p, n = sectors
+    rng = np.random.default_rng(seed)
     dim = sector_basis(d, p).dim
-    a_small = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    a = PSectorOperator(d, p, a_small)
+    a = PSectorOperator(d, p, rng.normal(size=(dim, dim))
+                        + 1j * rng.normal(size=(dim, dim)))
     got = second_quantize(a, n)
 
     iso_p = embedding_isometry(d, p)
     a_full = dense(iso_p) @ a.mat @ dense(iso_p.conj().T)
     big = np.kron(a_full, np.eye(d ** (n - p)))
-    proj = antisym_projector_dense(d, n)
-    iso_n = embedding_isometry(d, n)
+    right = antisym_projector_dense(d, n) @ dense(embedding_isometry(d, n))
     pref = factorial(p) * comb(n, p) / n ** p
-    want = pref * dense(iso_n.conj().T) @ proj @ big @ proj @ dense(iso_n)
-    np.testing.assert_allclose(got.mat, want, atol=1e-12)
+    want = pref * right.conj().T @ big @ right
+    np.testing.assert_allclose(got.mat, want, rtol=0, atol=1e-12)
+
+
+def test_second_quantize_builds_no_lift_table():
+    sector.lift_tables.cache_clear()
+    a = PSectorOperator(8, 1, np.diag(np.arange(8.0)))
+    second_quantize(a, 4)
+    assert sector.lift_tables.cache_info().currsize == 0
 
 
 def test_second_quantize_identity():

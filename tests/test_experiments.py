@@ -87,6 +87,19 @@ def test_missing_and_invalid_fields_rejected():
         ExperimentConfig.from_dict(base_config(system={"coupling": -1.0}))
     with pytest.raises(ConfigError, match="numeric settings"):
         ExperimentConfig.from_dict(base_config(integrator={"dt": 0.0}))
+    # a section of the wrong JSON type is refused as a config error
+    wrong_types = [("integrator", 5), ("integrator", []),
+                   ("integrator", None), ("quadrature", ""),
+                   ("quadrature", [1]), ("output", []), ("system", 1.0)]
+    for section, value in wrong_types:
+        with pytest.raises(ConfigError, match=f"^{section} must be an object"):
+            ExperimentConfig.from_dict(base_config(**{section: value}))
+    with pytest.raises(ConfigError, match=r"^sweep\[0\] must be an object"):
+        ExperimentConfig.from_dict(base_config(sweep=[[1]]))
+    with pytest.raises(ConfigError, match="^config must be an object"):
+        ExperimentConfig.from_dict([base_config()])
+    with pytest.raises(ConfigError, match="orbitals must be a string"):
+        ExperimentConfig.from_dict(base_config(orbitals=["ground"]))
 
 
 def test_sweep_entry_validation():
@@ -168,12 +181,10 @@ def test_convergence_rows_decrease():
     assert report.rows[1][4] == pytest.approx(1.0 / 3.0)
 
 
-def test_marginals_never_expand_the_full_tensor(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the d**n coefficient tensor was built")
-
-    monkeypatch.setattr(sector, "embedding_isometry", refuse)
-    monkeypatch.setattr(sector.SectorState, "to_full_tensor", refuse)
+def test_marginals_never_expand_the_full_tensor():
+    # the d**n bridges live only in the tests' oracle module
+    assert not hasattr(sector, "embedding_isometry")
+    assert not hasattr(sector.SectorState, "to_full_tensor")
     orbitals = OrbitalSet.random(np.random.default_rng(5), 8, 4)
     got = sector.marginal(orbitals.to_state(), 2)
     assert got.trace() == pytest.approx(1.0)
@@ -375,6 +386,12 @@ def test_cli_config_error_exit(tmp_path, capsys):
     path = write_config(tmp_path, base_config(bogus=1))
     assert main(["run", path]) == 2
     assert "unknown key" in capsys.readouterr().err
+    # a config file that is not UTF-8 text
+    latin1 = tmp_path / "latin1.json"
+    text = json.dumps(base_config(orbitals="gründ"), ensure_ascii=False)
+    latin1.write_bytes(text.encode("latin-1"))
+    assert main(["run", str(latin1)]) == 2
+    assert "cannot read config" in capsys.readouterr().err
 
 
 def test_cli_refuses_a_sector_too_large_to_enumerate(tmp_path, capsys,

@@ -24,10 +24,10 @@ from fermiflow.graded import (
 )
 from fermiflow.hf import quasi_free_marginal
 from fermiflow.modes import ModeSystem
-from fermiflow.sector import (PSectorOperator, embedding_isometry,
-                              lift_coefficients, one_body_sector,
+from fermiflow.sector import (PSectorOperator, lift_coefficients,
                               project_lift_pair_commutator)
 from fermiflow.tree import QuadratureSpec, sector_propagator
+from oracles import embedding_isometry, one_body_sector
 
 
 def random_block(rng, d, p, q):

@@ -17,7 +17,8 @@ from fermiflow.hf import (DensityMatrix, HFConfig, KappaFactor, OrbitalSet,
                           marginal_relation_check, mean_field_potential,
                           quasi_free_marginal)
 from fermiflow.modes import ModeSystem, hopping_hamiltonian, soft_coulomb
-from fermiflow.sector import embedding_isometry, marginal, trace_norm
+from fermiflow.sector import marginal, trace_norm
+from oracles import embedding_isometry, pair_operator, swap_operator
 
 
 def random_density(rng, d, trace=1.0):
@@ -72,8 +73,8 @@ class TestMeanFieldPotential:
         rng = np.random.default_rng(7)
         d = 4
         sys = ModeSystem.chain(d, coupling=0.9)
-        w_full = sys.pair_operator()
-        swap = sys.swap_operator()
+        w_full = pair_operator(sys)
+        swap = swap_operator(sys)
 
         def contract_second(big):
             return np.trace(big.reshape(d, d, d, d), axis1=1, axis2=3)
@@ -274,7 +275,7 @@ class TestMarginalRelation:
         orbs = OrbitalSet.random(np.random.default_rng(42), 8, 4)
         report = marginal_relation_check(orbs, 2)
         assert report.bound == pytest.approx(1.0)
-        assert report.bound_satisfied
+        assert report.plain_gap <= report.bound + 1e-12
 
     def test_contraction_route_agrees(self):
         # independent route: contraction marginal of the Slater state

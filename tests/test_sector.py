@@ -17,17 +17,16 @@ from fermiflow.errors import (CapacityError, RangeError, ShapeError,
                              ValidationError)
 from fermiflow.modes import ModeSystem
 from fermiflow.sector import (MAX_SECTOR_DIM, MAX_SECTOR_MODES,
-                              PSectorOperator, SectorState,
-                              antisymmetrize, antisym_projector_dense,
-                              compound_matrix,
-                              contract_pair_commutator, embedding_isometry,
-                              gram, interaction_weights, lift_coefficients,
-                              lift_tables, marginal,
-                              one_body_entries, one_body_sector,
+                              PSectorOperator, SectorState, compound_matrix,
+                              contract_pair_commutator, gram,
+                              interaction_weights, lift_coefficients,
+                              lift_tables, marginal, one_body_entries,
                               pair_diagonal_sector,
-                              permutation_sign, project_lift,
                               project_lift_pair_commutator, sector_basis,
                               slater, trace_norm)
+from oracles import (antisym_projector_dense, antisymmetrize,
+                     embedding_isometry, one_body_sector, permutation_sign,
+                     to_full_tensor)
 
 
 def dense_antisymmetrizer(d, p):
@@ -188,7 +187,7 @@ def test_slater_matches_tensor_antisymmetrization_oracle():
     for k in range(1, n):
         prod = np.multiply.outer(prod, phi[:, k])
     want = np.sqrt(factorial(n)) * antisymmetrize(prod).reshape(-1)
-    got = slater(phi).to_full_tensor()
+    got = to_full_tensor(slater(phi))
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -240,7 +239,7 @@ def check_marginal_against_dense_partial_trace(d, n, p, seed):
     coeffs = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
     state = SectorState(basis, coeffs / np.linalg.norm(coeffs))
     got = marginal(state, p)
-    want = dense_partial_trace(state.to_full_tensor(), d, n, p)
+    want = dense_partial_trace(to_full_tensor(state), d, n, p)
     np.testing.assert_allclose(got.mat, want, rtol=0, atol=1e-13)
     assert abs(got.trace() - 1.0) < 1e-13
 
@@ -429,22 +428,6 @@ def dense_lift_oracle(x, d, m, lifted_full):
     return lifted_full(np.kron(x_full, np.eye(d)), bridge)
 
 
-@settings(max_examples=30, deadline=None)
-@given(lift_sectors(), st.integers(0, 10_000))
-def test_project_lift_matches_dense_oracle(sectors, seed):
-    d, m = sectors
-    x = random_complex(np.random.default_rng(seed), comb(d, m - 1))
-    want = dense_lift_oracle(x, d, m, lambda k, b: b.conj().T @ k @ b)
-    np.testing.assert_allclose(project_lift(x, d, m), want, atol=1e-12)
-
-
-def test_project_lift_identity_is_identity():
-    d, m = 5, 3
-    eye_small = np.eye(sector_basis(d, m - 1).dim)
-    got = project_lift(eye_small, d, m)
-    np.testing.assert_allclose(got, np.eye(sector_basis(d, m).dim), atol=1e-13)
-
-
 def pair_interaction_full(wmat, d, m):
     """Oracle: sum_{i<m} W_{i,m} as a dense d**m matrix (last slot is m)."""
     dim = d ** m
@@ -529,8 +512,6 @@ def test_lift_kernels_match_the_per_mode_loop(d):
         wbar = interaction_weights(sys.wmat, d, m)
         coefficients = lift_coefficients(sys.wmat, d, m)
         x, rho = random_complex(rng, small), random_complex(rng, big)
-        np.testing.assert_array_equal(project_lift(x, d, m),
-                                      per_mode_loop(d, m, x, None))
         np.testing.assert_array_equal(
             project_lift_pair_commutator(x, coefficients, d, m),
             per_mode_loop(d, m, x, wbar))

@@ -10,6 +10,7 @@ coupling and of the inverse particle number.
 """
 
 import dataclasses
+import gc
 import itertools
 from functools import reduce
 from math import comb
@@ -30,17 +31,17 @@ from fermiflow.graded import (hierarchy_evolve, state_from_density,
 from fermiflow.hf import (HFConfig, KappaFactor, OrbitalSet,
                           evolve_hf_density, evolve_hf_orbitals, evolve_kappa)
 from fermiflow.modes import ModeSystem, hopping_hamiltonian, soft_coulomb
-from fermiflow.sector import (PSectorOperator, antisym_projector_dense,
-                              embedding_isometry, lift_coefficients,
+from fermiflow.sector import (PSectorOperator, lift_coefficients,
                               pair_diagonal_sector,
                               project_lift_pair_commutator, slater)
-from fermiflow.tree import (KERNEL_EXCHANGE, KERNEL_PLAIN, G_recursive,
-                            QuadratureSpec, TheoryConstants, TreeOperator,
-                            _attach_insertion, _integrate_orders,
+from fermiflow.tree import (QuadratureSpec, TheoryConstants,
+                            _coarse_and_fine, _integrate_orders,
                             check_time_guard, count_elementary_terms,
-                            free_evolve_op, hf_vs_tree_gap,
-                            integrate_tree_term, loop_remainder,
+                            free_evolve_op, hf_vs_tree_gap, loop_remainder,
                             sector_propagator, tree_series)
+from oracles import (KERNEL_EXCHANGE, KERNEL_PLAIN, G_recursive, TreeOperator,
+                     _attach_insertion, antisym_projector_dense,
+                     embedding_isometry)
 
 
 def random_hermitian(rng, d):
@@ -330,8 +331,8 @@ def test_zero_coupling_kills_all_insertions():
     system = ModeSystem.chain(4, coupling=0.0)
     a = PSectorOperator(4, 1, random_hermitian(rng, 4))
     assert G_recursive(a, 1, 0, 0.3, (0.1,), system).is_zero()
-    op = integrate_tree_term(a, 2, 0.3, QuadratureSpec(4, 2), system)
-    assert np.linalg.norm(op.mat) == 0.0
+    _, fine = _coarse_and_fine(a, 2, 0.3, QuadratureSpec(4, 2), system)
+    assert np.linalg.norm(fine[2]) == 0.0
 
 
 def test_time_ordering_is_validated():
@@ -376,8 +377,9 @@ def test_integration_matches_naive_nested_loops():
         for i2 in range(nodes):
             g = G_recursive(a, 2, 0, t, (xs[i1], inner_x[i2]), system)
             brute += ws[i1] * inner_w[i2] * g.matrix
-    got = integrate_tree_term(a, 2, t, QuadratureSpec(5, 2), system)
-    np.testing.assert_allclose(got.mat, brute, atol=1e-13)
+    # the fine sweep of a five-node spec runs ten nodes per level
+    _, fine = _coarse_and_fine(a, 2, t, QuadratureSpec(5, 2), system)
+    np.testing.assert_allclose(fine[2], brute, atol=1e-13)
 
 
 def propagator_route_orders(a, K, t, nodes, system):
@@ -463,22 +465,37 @@ def test_no_dense_propagator_inside_a_time_loop(monkeypatch):
     hierarchy_evolve(state_from_density(gamma), system, [0.0, 0.1], config)
 
 
+def test_sweep_leaves_no_reference_cycle():
+    # the sweep's operands are freed when it returns, not at the next
+    # cyclic collection, so repeated runs do not pile them up
+    rng = np.random.default_rng(31)
+    system = ModeSystem.chain(5)
+    a = PSectorOperator(5, 1, random_hermitian(rng, 5))
+    gc.collect()
+    gc.disable()
+    try:
+        for K, t in ((2, 0.3), (0, 0.3), (2, 0.0)):
+            _integrate_orders(a, K, t, 2, system)
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_quadrature_node_doubling_converges():
     rng = np.random.default_rng(22)
     system = ModeSystem.chain(5, coupling=1.0)
     a = PSectorOperator(5, 1, random_hermitian(rng, 5))
+    coarse, fine = _coarse_and_fine(a, 3, 0.5, QuadratureSpec(6, 3), system)
     for k in (1, 2, 3):
-        _, err = integrate_tree_term(a, k, 0.5, QuadratureSpec(6, 3), system,
-                                     return_error=True)
-        assert err < 1e-9
+        assert np.linalg.norm(coarse[k] - fine[k], 2) < 1e-9
 
 
 def test_integration_at_zero_time_vanishes():
     rng = np.random.default_rng(23)
     system = ModeSystem.chain(4, coupling=1.0)
     a = PSectorOperator(4, 1, random_hermitian(rng, 4))
-    op = integrate_tree_term(a, 1, 0.0, QuadratureSpec(4, 1), system)
-    assert np.linalg.norm(op.mat) == 0.0
+    _, fine = _coarse_and_fine(a, 1, 0.0, QuadratureSpec(4, 1), system)
+    assert np.linalg.norm(fine[1]) == 0.0
 
 
 def test_integration_order_and_capacity_guards():
@@ -486,9 +503,9 @@ def test_integration_order_and_capacity_guards():
     system = ModeSystem.chain(4, coupling=1.0)
     a = PSectorOperator(4, 1, random_hermitian(rng, 4))
     with pytest.raises(RangeError):
-        integrate_tree_term(a, 3, 0.3, QuadratureSpec(4, 2), system)
+        _integrate_orders(a, -1, 0.3, 4, system)
     with pytest.raises(RangeError):
-        integrate_tree_term(a, 4, 0.3, QuadratureSpec(4, 6), system)
+        _coarse_and_fine(a, 4, 0.3, QuadratureSpec(4, 6), system)
     with pytest.raises(RangeError):
         QuadratureSpec(1, 2)
     with pytest.raises(RangeError):
@@ -507,9 +524,9 @@ def test_residual_scales_with_coupling_squared():
         ham = build_hamiltonian(system, n)
         heis = heisenberg_evolve(second_quantize(a, n), ham, t)
         total = np.zeros_like(heis.mat)
-        for k in range(3):
-            term = integrate_tree_term(a, k, t, quad, system)
-            total += second_quantize(term, n).mat
+        _, fine = _coarse_and_fine(a, 2, t, quad, system)
+        for k, term in enumerate(fine):
+            total += second_quantize(PSectorOperator(d, 1 + k, term), n).mat
         return np.linalg.norm(heis.mat - total, 2)
 
     ratio = residual(1.0) / residual(0.5)
@@ -527,9 +544,9 @@ def test_loop_corrections_close_the_residual():
     ham = build_hamiltonian(system, n)
     heis = heisenberg_evolve(second_quantize(a, n), ham, t)
     total = np.zeros_like(heis.mat)
-    for k in range(3):
-        total += second_quantize(integrate_tree_term(a, k, t, quad, system),
-                                 n).mat
+    _, fine = _coarse_and_fine(a, 2, t, quad, system)
+    for k, term in enumerate(fine):
+        total += second_quantize(PSectorOperator(d, 1 + k, term), n).mat
     base = np.linalg.norm(heis.mat - total, 2)
 
     nodes = 10
@@ -592,24 +609,10 @@ def test_series_report_structure():
     np.testing.assert_allclose(series.partial_sums, np.cumsum(series.terms))
     np.testing.assert_allclose(series.terms_exchange,
                                series.terms * 2.0 ** np.arange(4))
-    table = series.term_table()
-    assert [row[0] for row in table] == [0, 1, 2, 3]
-    assert all(len(row) == 4 for row in table)
+    assert series.quad_errors.shape == (4,)
     assert np.all(series.quad_errors < 1e-8)
     assert any("override" in w for w in series.warnings)
     assert series.tail_estimate < abs(series.terms[0])
-
-
-def test_term_table_rejects_unknown_kernel():
-    system = ModeSystem.chain(4, coupling=1.0)
-    a = PSectorOperator(4, 1, random_hermitian(np.random.default_rng(28), 4))
-    gamma = OrbitalSet.ground_state(system, 2).density()
-    series = tree_series(a, gamma, 0.1, QuadratureSpec(3, 2), system,
-                         override_time_guard=True)
-    exchange = series.term_table(KERNEL_EXCHANGE)
-    assert [row[1] for row in exchange] == list(series.terms_exchange.real)
-    with pytest.raises(ValidationError):
-        series.term_table("bogus")
 
 
 def test_series_truncation_at_mode_capacity_has_zero_tail():
