@@ -250,6 +250,26 @@ def test_second_quantize_matches_projector_oracle(sectors, seed):
     np.testing.assert_allclose(got.mat, want, rtol=0, atol=1e-12)
 
 
+def test_second_quantize_two_body_matches_projector_oracle():
+    # fixed two-body case p = 2 < n = 3 of the oracle above, seeded so a
+    # regression reproduces without hypothesis
+    rng = np.random.default_rng(53)
+    d, p, n = 4, 2, 3
+    dim = sector_basis(d, p).dim
+    a_small = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    a = PSectorOperator(d, p, a_small)
+    got = second_quantize(a, n)
+
+    iso_p = embedding_isometry(d, p)
+    a_full = dense(iso_p) @ a.mat @ dense(iso_p.conj().T)
+    big = np.kron(a_full, np.eye(d ** (n - p)))
+    proj = antisym_projector_dense(d, n)
+    iso_n = embedding_isometry(d, n)
+    pref = factorial(p) * comb(n, p) / n ** p
+    want = pref * dense(iso_n.conj().T) @ proj @ big @ proj @ dense(iso_n)
+    np.testing.assert_allclose(got.mat, want, atol=1e-12)
+
+
 def test_second_quantize_builds_no_lift_table():
     sector.lift_tables.cache_clear()
     a = PSectorOperator(8, 1, np.diag(np.arange(8.0)))
