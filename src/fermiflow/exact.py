@@ -23,10 +23,10 @@ from math import comb, factorial
 
 import numpy as np
 
-from .errors import CapacityError, RangeError, ValidationError
+from .errors import CapacityError, NumericError, RangeError, ValidationError
 from .modes import ModeSystem
-from .sector import (PSectorOperator, SectorState, _marginal_table,
-                     marginal, sector_basis, slater)
+from .sector import (PSectorOperator, SectorState, _pair_groups, marginal,
+                     sector_basis, slater)
 
 KRYLOV_CAP = 30            # Lanczos vectors per substep
 MAX_SUBSTEPS = 1024        # equal substeps before a time is refused
@@ -102,6 +102,8 @@ def _krylov_step(apply, psi: np.ndarray, tau: float):
         w -= overlaps @ span
         w -= (span @ w.conj()).conj() @ span
         alpha[m - 1], beta[m - 1] = overlaps[m - 1].real, np.linalg.norm(w)
+        if not (np.isfinite(alpha[m - 1]) and np.isfinite(beta[m - 1])):
+            raise NumericError("non-finite Lanczos coefficient")
         tri = (np.diag(alpha[:m]) + np.diag(beta[:m - 1], 1)
                + np.diag(beta[:m - 1], -1))
         vals, vecs = np.linalg.eigh(tri)
@@ -187,11 +189,7 @@ def second_quantize(a: PSectorOperator, n: int) -> PSectorOperator:
     dim = sector_basis(d, n).dim
     if n < p:
         return PSectorOperator(d, n, np.zeros((dim, dim), dtype=complex))
-    alpha, beta, union, signs = _marginal_table(d, n, p)
-    # group the pairs by beta: each beta meets C(d - n + p, p) alphas
-    order = np.argsort(beta, kind="stable")
-    alpha, union, signs = (v[order].reshape(comb(d, n - p), -1)
-                           for v in (alpha, union, signs))
+    alpha, union, signs = _pair_groups(d, n, p)
     scaled = factorial(p) / float(n) ** p * signs
     gather = alpha[:, :, None] * comb(d, p) + alpha[:, None, :]
     flat = (union[:, :, None] * dim + union[:, None, :]).reshape(-1)

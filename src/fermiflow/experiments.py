@@ -191,6 +191,8 @@ class ExperimentConfig:
         except RangeError as err:
             raise ConfigError(f"invalid numeric settings: {err}") from err
         seed = _as_int(raw["seed"], "seed")
+        if seed < 0:
+            raise ConfigError("seed must be non-negative")
         orbitals = raw.get("orbitals", "ground")
         if not isinstance(orbitals, str):
             raise ConfigError("orbitals must be a string")

@@ -255,7 +255,7 @@ def hierarchy_collision(sigma: list, system: ModeSystem) -> list:
     for p in range(1, len(sigma) - 1):
         for node in np.ndindex(sigma[p + 1].shape[:-2]):
             out[p][node] = -1j * contract_pair_commutator(
-                sigma[p + 1][node], system._lift_coefficients(p + 1), system.d, p + 1)
+                sigma[p + 1][node], system._lift(p + 1), system.d, p + 1)
     return out
 
 

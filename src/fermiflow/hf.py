@@ -28,7 +28,8 @@ from math import comb, factorial, isclose
 
 import numpy as np
 
-from .errors import (DivergenceError, RangeError, ShapeError, ValidationError)
+from .errors import (CapacityError, DivergenceError, RangeError, ShapeError,
+                     ValidationError)
 from .modes import ModeSystem
 from .sector import (PSectorOperator, compound_matrix, gram, marginal, slater,
                      trace_norm)
@@ -280,6 +281,7 @@ def marginal_relation_check(orbitals: OrbitalSet, p: int) -> MarginalRelationRep
 
 _NODES = 6          # Gauss-Legendre nodes of a window
 _WINDOW = 0.125     # longest window
+_MAX_WINDOWS = 1 << 16   # most windows in one interval of the time grid
 _MAX_HALVINGS = 7   # halvings of a window before the flow counts as divergent
 _ROUNDOFF = 64 * np.finfo(float).eps   # relative update and error floor
 
@@ -348,14 +350,17 @@ def _interaction_stream(x0: list, frames, t_grid, rhs, allowance: float,
         raise RangeError("t_grid must be finite")
     if len(t_grid) > 1 and np.min(np.diff(t_grid)) <= 0:
         raise RangeError("t_grid must be strictly increasing")
+    windows = np.ceil(np.diff(t_grid, prepend=t_grid[0]) / _WINDOW
+                      * (1 - 1e-12))
+    if np.max(windows) > _MAX_WINDOWS:
+        raise CapacityError(f"an interval needs over {_MAX_WINDOWS} windows")
     ahead, carried = _collocation()[3], (0.0, None)
     # every recorded state, the first included (a pass with no window), is
     # rotated out of y by its frame, so the frames' rounding is common to all
     u = frames(t_grid[:1, None, None])
     y, worst = [_turn(f[0].conj().T, b, both_sides) for f, b in zip(u, x0)], 0.0
-    for t0, t1 in zip(np.r_[t_grid[0], t_grid[:-1]], t_grid):
-        ends = np.linspace(t0, t1, 1 + int(np.ceil((t1 - t0) / _WINDOW
-                                                   * (1 - 1e-12))))
+    for t0, t1, count in zip(np.r_[t_grid[0], t_grid[:-1]], t_grid, windows):
+        ends = np.linspace(t0, t1, 1 + int(count))
         pending = [(a, b, 0) for a, b in zip(ends[:-1], ends[1:])]
         while pending:
             a, b, depth = pending.pop(0)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import RangeError, ShapeError, ValidationError
-from .sector import (compound_matrix, lift_coefficients, one_body_entries,
+from .sector import (compound_matrix, lift_entries, one_body_entries,
                      pair_diagonal_sector, sector_basis)
 
 HERMITICITY_TOL = 1e-12
@@ -51,7 +51,7 @@ class ModeSystem:
     The system is immutable: ``h`` and ``w`` are read-only copies of the
     inputs, so the data derived from them and kept in ``_derived`` (the
     pair kernel ``wmat`` and the flow kernel, the per-sector lift
-    coefficients, pair diagonals and eigensystems, the sparse sector
+    entries, pair diagonals and eigensystems, the sparse sector
     Hamiltonians and the dense ones of
     :func:`~fermiflow.exact.build_hamiltonian`) can never go stale.
 
@@ -118,11 +118,14 @@ class ModeSystem:
         mode, so w(0) never acts there."""
         return float(np.max(np.abs(self.w[1:]), initial=0.0))
 
-    def _lift_coefficients(self, m: int) -> np.ndarray:
-        """Read-only pair-commutator coefficients of the (m-1) ⊗ 1 → m lift,
-        as :func:`~fermiflow.sector.lift_coefficients` gives them."""
-        return self._derive(("lift_coefficients", m), lambda: _read_only(
-            lift_coefficients(self.wmat, self.d, m)))
+    def _lift(self, m: int):
+        """Pair-commutator entries of the (m-1) ⊗ 1 → m lift from
+        :func:`~fermiflow.sector.lift_entries`, held only here; the positions
+        stay writeable, as take and bincount copy a read-only index array."""
+        def build():
+            *positions, coefficients = lift_entries(self.wmat, self.d, m)
+            return (*positions, _read_only(coefficients))
+        return self._derive(("lift", m), build)
 
     def _pair_diagonal(self, m: int) -> np.ndarray:
         """Read-only diagonal of the pair sum on the m-sector, as

@@ -170,17 +170,25 @@ def _marginal_table(d: int, n: int, p: int):
     """Disjoint (p, n-p)-subset pairs (alpha, beta): their rows in the p- and
     (n-p)-sectors, the row of alpha ∪ beta in the n-sector, and the sign
     (-1)^#{(a, b) in alpha x beta : a > b} that sorts the concatenation,
-    alpha-major. Grouped by beta they give the second quantization of a
-    p-particle operator. At n - p = 1 each beta is one of the d - p modes
-    outside alpha: by mode these pairs give the lifts, by alpha the one-body
-    hops."""
+    beta-major with the alphas of each beta ascending (:func:`_pair_groups`).
+    Grouped by beta they give the second quantization of a p-particle
+    operator, at n - p = 1 the lifts (beta the added mode) and at p = 1 the
+    one-body hops (alpha the hopping mode)."""
     small, rest = sector_basis(d, p), sector_basis(d, n - p)
-    rows, cols = np.nonzero(small.masks[:, None] & rest.masks[None, :] == 0)
+    cols, rows = np.nonzero(rest.masks[:, None] & small.masks[None, :] == 0)
     union = np.searchsorted(sector_basis(d, n).masks,
                             small.masks[rows] | rest.masks[cols])
     below = rest.occupation_onehot() @ np.triu(np.ones((d, d)), 1)
     inversions = (small.occupation_onehot() @ below.T)[rows, cols]
     return rows, cols, union, 1.0 - 2.0 * (inversions % 2)
+
+
+def _pair_groups(d: int, n: int, p: int):
+    """Views (C(d, n-p), C(d-n+p, p)) of the alpha rows, union rows and signs
+    of :func:`_marginal_table`: row beta holds its pairs, alphas ascending."""
+    rows, _, union, signs = _marginal_table(d, n, p)
+    return (v.reshape(comb(d, n - p), comb(d - n + p, p))
+            for v in (rows, union, signs))
 
 
 def marginal(state: SectorState, p: int) -> PSectorOperator:
@@ -256,13 +264,12 @@ def compound_matrix(a: np.ndarray, m: int) -> np.ndarray:
 
 def one_body_entries(a: np.ndarray, d: int, n: int):
     """Entries (rows, cols, values) of sum_{k,l} a[k,l] c†_k c_l on the
-    n-sector where a[k, l] != 0, from the (n-1, 1) pairs of the marginal
+    n-sector where a[k, l] != 0, from the (1, n-1) pairs of the marginal
     table: for an (n-1)-subset beta and modes k, l outside it, the hop
-    c†_k c_l sends beta ∪ {l} to sign(beta, k) sign(beta, l) (beta ∪ {k})."""
+    c†_k c_l sends beta ∪ {l} to sign(k, beta) sign(l, beta) (beta ∪ {k})."""
     if n == 0:
         return np.zeros(0, int), np.zeros(0, int), np.zeros(0, a.dtype)
-    _, modes, union, signs = (v.reshape(-1, d - n + 1)
-                              for v in _marginal_table(d, n, n - 1))
+    modes, union, signs = _pair_groups(d, n, 1)
     group, i, j = np.nonzero((a != 0)[modes[:, :, None], modes[:, None, :]])
     k, l = (group, i), (group, j)
     return union[k], union[l], signs[k] * signs[l] * a[modes[k], modes[l]]
@@ -290,42 +297,25 @@ def pair_diagonal_sector(wmat: np.ndarray, d: int, n: int) -> np.ndarray:
 # onto the m-particle sector sends |alpha⟩ ⊗ e_i to
 # (1/sqrt(m)) (-1)^(m-1-pos(i)) |alpha ∪ {i}⟩.
 
-@lru_cache(maxsize=None)
-def lift_tables(d: int, m: int):
-    """Entries (alpha_a, alpha_b, i) of the (m-1) ⊗ 1 → m sector coisometry
-    on both sides of an operator, mode-major, from the (m-1, 1)-subset pairs
-    of the marginal table: ``alpha[i]``, the ascending (m-1)-sector rows
-    without mode i, and per entry, once for its real and once for its
-    imaginary part, the positions in the float view of the flat indices
-    alpha_a C(d, m-1) + alpha_b and S_a C(d, m) + S_b of S = alpha ∪ {i},
-    and the sign s_a s_b, where s = (-1)^(m-1-pos(i))."""
+def lift_entries(wmat: np.ndarray, d: int, m: int):
+    """Entries (alpha_a, alpha_b, i) of the pair commutator on both sides of
+    the (m-1) ⊗ 1 → m coisometry, mode-major as the (m-1, 1) pair groups
+    run, once per real and imaginary part: the float-view positions of
+    alpha_a C(d, m-1) + alpha_b and of S_a C(d, m) + S_b, S = alpha ∪ {i},
+    and s_a s_b (wbar[alpha_a, i] - wbar[alpha_b, i]), s = (-1)^(m-1-pos(i)).
+    Uncached: ``ModeSystem._lift`` holds them."""
     if m < 1:
         raise RangeError("lift needs a target sector with at least one particle")
-    rows, modes, union, signs = _marginal_table(d, m, m - 1)
-    order = np.argsort(modes, kind="stable")
-    alpha, target, sign = (v[order].reshape(d, comb(d - 1, m - 1))
-                           for v in (rows, union, signs))
+    alpha, target, sign = _pair_groups(d, m, m - 1)
+    wbar = sector_basis(d, m - 1).occupation_onehot() @ wmat
+    w = wbar[alpha, np.arange(d)[:, None]]
 
     def parts(v, dim):
         flat = v[:, :, None] * dim + v[:, None, :]
         return (2 * flat[..., None] + np.arange(2)).reshape(-1)
-    return (alpha, parts(alpha, comb(d, m - 1)), parts(target, comb(d, m)),
-            np.repeat(sign[:, :, None] * sign[:, None, :], 2))
-
-
-def interaction_weights(wmat: np.ndarray, d: int, m: int) -> np.ndarray:
-    """wbar[alpha, i] = sum over occupied x of w(x - i), per (m-1)-subset."""
-    onehot = sector_basis(d, m - 1).occupation_onehot()
-    return onehot @ wmat
-
-
-def lift_coefficients(wmat: np.ndarray, d: int, m: int) -> np.ndarray:
-    """Per-entry coefficients s_a s_b (wbar[alpha_a, i] - wbar[alpha_b, i])
-    of the pair commutator on the :func:`lift_tables` entries, each once per
-    part, with wbar from :func:`interaction_weights`."""
-    alpha, _, _, signs = lift_tables(d, m)
-    w = interaction_weights(wmat, d, m)[alpha, np.arange(d)[:, None]]
-    return signs * np.repeat(w[:, :, None] - w[:, None, :], 2)
+    return (parts(alpha, comb(d, m - 1)), parts(target, comb(d, m)),
+            np.repeat(sign[:, :, None] * sign[:, None, :]
+                      * (w[:, :, None] - w[:, None, :]), 2))
 
 
 def _lift_sum(x, gather, weights, scatter, dim: int, m: int) -> np.ndarray:
@@ -339,23 +329,23 @@ def _lift_sum(x, gather, weights, scatter, dim: int, m: int) -> np.ndarray:
     return out.view(complex).reshape(dim, dim)
 
 
-def project_lift_pair_commutator(x: np.ndarray, coefficients: np.ndarray,
-                                 d: int, m: int) -> np.ndarray:
+def project_lift_pair_commutator(x: np.ndarray, entries, d: int,
+                                 m: int) -> np.ndarray:
     """Sector matrix of P_- [sum_i W_{i,m}, X ⊗ 1] P_-.
 
-    X lives on the (m-1)-sector; the coefficients must come from
-    :func:`lift_coefficients` for the same geometry.
+    X lives on the (m-1)-sector; the entries must come from
+    :func:`lift_entries` for the same geometry.
     """
-    _, small, big, _ = lift_tables(d, m)
+    small, big, coefficients = entries
     return _lift_sum(x, small, coefficients, big, comb(d, m), m)
 
 
-def contract_pair_commutator(rho: np.ndarray, coefficients: np.ndarray,
-                             d: int, m: int) -> np.ndarray:
+def contract_pair_commutator(rho: np.ndarray, entries, d: int,
+                             m: int) -> np.ndarray:
     """Sector matrix of tr_m [sum_i W_{i,m}, rho] given rho on the m-sector.
 
     This is the adjoint of :func:`project_lift_pair_commutator`; it is the
     collision term feeding the (m-1)-particle level of a reduced hierarchy.
     """
-    _, small, big, _ = lift_tables(d, m)
+    small, big, coefficients = entries
     return _lift_sum(rho, big, coefficients, small, comb(d, m - 1), m)

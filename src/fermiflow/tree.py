@@ -63,7 +63,8 @@ class TheoryConstants:
 
     @property
     def t_report(self) -> float:
-        return 1.0 / (2 ** 11 * pi * self.kappa ** 2)
+        # kappa ** 2 raises past 1.3e154; the product overflows to radius 0
+        return 1.0 / (2 ** 11 * pi * (self.kappa * self.kappa))
 
     @classmethod
     def from_system(cls, system: ModeSystem) -> "TheoryConstants":
@@ -142,7 +143,7 @@ def _integrate_orders(a: PSectorOperator, K: int, t: float, nodes: int,
         m, total = a.p + level, totals[level]
         (lam_small, v_small, _), (lam_big, _, vt_big) = \
             rotations[level - 1:level + 1]
-        coefficients = system._lift_coefficients(m)
+        entries = system._lift(m)
         s = upper * x01
         # the phases of both sectors for every child in one call, split into
         # the row and column factors of ē ⊗ e and of i w e ⊗ ē per child
@@ -155,7 +156,7 @@ def _integrate_orders(a: PSectorOperator, K: int, t: float, nodes: int,
             z = small_rows[j] * x_prev
             z *= small[j]
             lifted = project_lift_pair_commutator(
-                _rotate(v_small, z), coefficients, system.d, m)
+                _rotate(v_small, z), entries, system.d, m)
             y = _rotate(vt_big, lifted)
             y *= big_rows[j]
             y *= big_cols[j]

@@ -208,8 +208,7 @@ def _attach_insertion(x: np.ndarray, m: int, system: ModeSystem, s: float,
     f_small = sector_propagator(system, m - 1, s)
     f_big = sector_propagator(system, m, s)
     z = f_small @ x @ f_small.conj().T
-    lifted = project_lift_pair_commutator(z, system._lift_coefficients(m),
-                                          system.d, m)
+    lifted = project_lift_pair_commutator(z, system._lift(m), system.d, m)
     return (1j * factor) * (f_big.conj().T @ lifted @ f_big)
 
 

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from fermiflow import exact, sector
-from fermiflow.errors import CapacityError, RangeError, ValidationError
+from fermiflow.errors import (CapacityError, NumericError, RangeError,
+                             ValidationError)
 from fermiflow.exact import (build_hamiltonian, evolve_exact,
                              evolved_marginal, heisenberg_evolve,
                              second_quantize)
@@ -159,6 +160,15 @@ def test_time_beyond_the_substep_budget_is_refused():
                      1e9)
 
 
+def test_overflowing_lanczos_step_is_a_numeric_failure():
+    # at this coupling the Krylov products overflow: refused as numerics,
+    # not left to eigh on a non-finite tridiagonal matrix
+    phi = haar_frame(np.random.default_rng(5), 6, 3)
+    with np.errstate(all="ignore"), pytest.raises(NumericError,
+                                                  match="non-finite Lanczos"):
+        evolve_exact(slater(phi), ModeSystem.chain(6, coupling=1e200), 0.3)
+
+
 def test_zero_state_evolves_to_zero():
     sys = ModeSystem.chain(6)
     zero = SectorState(sector_basis(6, 3), np.zeros(20))
@@ -270,11 +280,17 @@ def test_second_quantize_two_body_matches_projector_oracle():
     np.testing.assert_allclose(got.mat, want, atol=1e-12)
 
 
-def test_second_quantize_builds_no_lift_table():
-    sector.lift_tables.cache_clear()
+def test_second_quantize_builds_no_lift_table(monkeypatch):
+    # one pass over the subset-pair table as built, beta-major: no lift
+    # entries and no sort of the pairs, also when the table is built anew
+    def refuse(*args, **kwargs):
+        raise AssertionError("second_quantize built lift entries or sorted")
+
+    sector._marginal_table.cache_clear()
+    monkeypatch.setattr(sector, "lift_entries", refuse)
+    monkeypatch.setattr(np, "argsort", refuse)
     a = PSectorOperator(8, 1, np.diag(np.arange(8.0)))
     second_quantize(a, 4)
-    assert sector.lift_tables.cache_info().currsize == 0
 
 
 def test_second_quantize_identity():

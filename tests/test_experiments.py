@@ -77,6 +77,8 @@ def test_missing_and_invalid_fields_rejected():
         ExperimentConfig.from_dict(base_config(experiment="banana"))
     with pytest.raises(ConfigError, match="seed must be an integer"):
         ExperimentConfig.from_dict(base_config(seed=1.5))
+    with pytest.raises(ConfigError, match="seed must be non-negative"):
+        ExperimentConfig.from_dict(base_config(seed=-1))
     with pytest.raises(ConfigError, match="non-empty list"):
         ExperimentConfig.from_dict(base_config(sweep=[]))
     with pytest.raises(ConfigError, match="output format"):
@@ -431,6 +433,24 @@ def test_cli_divergence_exit(tmp_path, capsys):
     path = write_config(tmp_path, raw)
     with np.errstate(all="ignore"):
         assert main(["run", path]) == 3
+    assert "numeric failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment, coupling",
+                         [("tree-truncation", 1e308), ("egorov", 1e200)])
+def test_cli_coupling_beyond_the_squared_range_exits_as_divergence(
+        tmp_path, capsys, experiment, coupling):
+    # kappa**2 overflows here: the reported radius reads 0, so the guard
+    # refuses every t > 0, and an overridden run fails as numerics
+    raw = count_time_config(experiment, [{"N": 2, "t": 0.1}],
+                            system={"coupling": coupling},
+                            quadrature={"nodes_per_level": 2, "k_max": 2})
+    path = write_config(tmp_path, raw)
+    assert main(["run", path, "--out", "-"]) == 2
+    assert "radius 0.000e+00" in capsys.readouterr().err
+    with np.errstate(all="ignore"):
+        assert main(["run", path, "--out", "-",
+                     "--override-time-guard"]) == 3
     assert "numeric failure" in capsys.readouterr().err
 
 

@@ -181,7 +181,7 @@ def test_fock_route_uses_no_sector_lift(monkeypatch, n):
     def refuse(*args):
         raise AssertionError("the Fock route reached a sector-side table")
 
-    monkeypatch.setattr(sector, "lift_tables", refuse)
+    monkeypatch.setattr(sector, "lift_entries", refuse)
     monkeypatch.setattr(sector, "_marginal_table", refuse)
     monkeypatch.setattr(exact, "second_quantize", refuse)
     monkeypatch.setattr(fock, "second_quantize", refuse)

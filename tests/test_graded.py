@@ -24,7 +24,7 @@ from fermiflow.graded import (
 )
 from fermiflow.hf import quasi_free_marginal
 from fermiflow.modes import ModeSystem
-from fermiflow.sector import (PSectorOperator, lift_coefficients,
+from fermiflow.sector import (PSectorOperator, lift_entries,
                               project_lift_pair_commutator)
 from fermiflow.tree import QuadratureSpec, sector_propagator
 from oracles import embedding_isometry, one_body_sector
@@ -413,7 +413,7 @@ def test_hierarchy_collision_is_dual_to_the_attached_insertion():
         h_p = one_body_sector(system.h, d, p)
         lab = -1j * (h_p @ sigma[p] - sigma[p] @ h_p) + coll[p]
         insertion = project_lift_pair_commutator(
-            a, lift_coefficients(system.wmat, d, p + 1), d, p + 1)
+            a, lift_entries(system.wmat, d, p + 1), d, p + 1)
         want = (np.trace(sigma[p] @ (1j * (h_p @ a - a @ h_p)))
                 + np.trace(sigma[p + 1] @ (1j * insertion)))
         assert abs(np.trace(lab @ a) - want) < 1e-12 * max(1.0, abs(want))

@@ -8,8 +8,8 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from fermiflow import hf
-from fermiflow.errors import (DivergenceError, RangeError, ShapeError,
-                             ValidationError)
+from fermiflow.errors import (CapacityError, DivergenceError, RangeError,
+                             ShapeError, ValidationError)
 from fermiflow.hf import (DensityMatrix, HFConfig, KappaFactor, OrbitalSet,
                           energy_functional, evolve_hf_density,
                           evolve_hf_orbitals, evolve_kappa, hf_energy,
@@ -424,6 +424,18 @@ class TestFlows:
         windows = round(1.0 / hf._WINDOW)
         assert sizes == [1] + [hf._NODES + 1] * windows
         assert max(sizes) <= hf._NODES + 1
+
+    @pytest.mark.parametrize("flow", [evolve_hf_orbitals, evolve_hf_density])
+    def test_an_interval_of_too_many_windows_is_refused(self, flow,
+                                                       monkeypatch):
+        # refused up front, before any window runs
+        monkeypatch.setattr(hf, "_window", None)
+        start = self.orbs if flow is evolve_hf_orbitals else self.orbs.density()
+        with pytest.raises(CapacityError, match="windows"):
+            flow(start, self.sys, [0.0, 1.0, 1e300])
+        span = hf._WINDOW * hf._MAX_WINDOWS
+        with pytest.raises(CapacityError):
+            flow(start, self.sys, [0.0, 1.01 * span])
 
     def test_self_pair_value_never_enters_the_flows(self):
         # w(0) cancels between direct and exchange, and the flows' pair

@@ -18,9 +18,8 @@ from fermiflow.errors import (CapacityError, RangeError, ShapeError,
 from fermiflow.modes import ModeSystem
 from fermiflow.sector import (MAX_SECTOR_DIM, MAX_SECTOR_MODES,
                               PSectorOperator, SectorState, compound_matrix,
-                              contract_pair_commutator, gram,
-                              interaction_weights, lift_coefficients,
-                              lift_tables, marginal, one_body_entries,
+                              contract_pair_commutator, gram, lift_entries,
+                              marginal, one_body_entries,
                               pair_diagonal_sector,
                               project_lift_pair_commutator, sector_basis,
                               slater, trace_norm)
@@ -448,8 +447,7 @@ def test_project_lift_pair_commutator_matches_dense_oracle(sectors, seed):
     want = dense_lift_oracle(
         x, d, m, lambda k, b: (b.conj().T @ w_full) @ k @ b
         - b.conj().T @ k @ (w_full @ b))
-    got = project_lift_pair_commutator(x, lift_coefficients(sys.wmat, d, m),
-                                       d, m)
+    got = project_lift_pair_commutator(x, lift_entries(sys.wmat, d, m), d, m)
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -457,12 +455,12 @@ def test_contract_is_adjoint_of_lift_commutator():
     rng = np.random.default_rng(29)
     d, m = 5, 3
     sys = ModeSystem.chain(d)
-    coefficients = lift_coefficients(sys.wmat, d, m)
+    entries = lift_entries(sys.wmat, d, m)
     small, big = sector_basis(d, m - 1), sector_basis(d, m)
     x = random_complex(rng, small.dim)
     rho = random_complex(rng, big.dim)
-    lift = project_lift_pair_commutator(x, coefficients, d, m)
-    contr = contract_pair_commutator(rho, coefficients, d, m)
+    lift = project_lift_pair_commutator(x, entries, d, m)
+    contr = contract_pair_commutator(rho, entries, d, m)
     lhs = np.trace(lift.conj().T @ rho)
     rhs = np.trace(x.conj().T @ contr)
     np.testing.assert_allclose(lhs, rhs, atol=1e-11)
@@ -481,6 +479,11 @@ def nested_loop_blocks(d, m):
             sign[i].append((-1.0) ** (m - 1 - pos))
     return [(np.array(a, dtype=int), np.array(t, dtype=int), np.array(s))
             for a, t, s in zip(alpha, target, sign)]
+
+
+def interaction_weights(wmat, d, m):
+    """wbar[alpha, i] = sum over occupied x of w(x - i), per (m-1)-subset."""
+    return sector_basis(d, m - 1).occupation_onehot() @ wmat
 
 
 def per_mode_loop(d, m, x, weights, adjoint=False):
@@ -510,13 +513,13 @@ def test_lift_kernels_match_the_per_mode_loop(d):
     for m in range(1, d + 1):
         small, big = sector_basis(d, m - 1).dim, sector_basis(d, m).dim
         wbar = interaction_weights(sys.wmat, d, m)
-        coefficients = lift_coefficients(sys.wmat, d, m)
+        entries = lift_entries(sys.wmat, d, m)
         x, rho = random_complex(rng, small), random_complex(rng, big)
         np.testing.assert_array_equal(
-            project_lift_pair_commutator(x, coefficients, d, m),
+            project_lift_pair_commutator(x, entries, d, m),
             per_mode_loop(d, m, x, wbar))
         np.testing.assert_array_equal(
-            contract_pair_commutator(rho, coefficients, d, m),
+            contract_pair_commutator(rho, entries, d, m),
             per_mode_loop(d, m, rho, wbar, adjoint=True))
 
 
@@ -527,23 +530,27 @@ def float_parts(flat):
 
 @pytest.mark.parametrize("d", [1, 2, 5, 8])
 def test_lift_tables_match_nested_loop(d):
+    # the entry tables of lift_entries, block by added mode
+    sys = ModeSystem.chain(d, coupling=0.7)
     for m in range(1, d + 1):
         small, big = sector_basis(d, m - 1).dim, sector_basis(d, m).dim
-        alpha, small_parts, big_parts, signs = lift_tables(d, m)
-        assert alpha.shape == (d, comb(d - 1, m - 1))
+        wbar = interaction_weights(sys.wmat, d, m)
+        small_parts, big_parts, coefficients = lift_entries(sys.wmat, d, m)
         for i, (a_idx, s_idx, sg) in enumerate(nested_loop_blocks(d, m)):
+            assert len(a_idx) == comb(d - 1, m - 1)
             n = 2 * len(a_idx) ** 2
             entries = slice(i * n, (i + 1) * n)
-            np.testing.assert_array_equal(alpha[i], a_idx)
             np.testing.assert_array_equal(
                 small_parts[entries],
                 float_parts(np.add.outer(small * a_idx, a_idx).ravel()))
             np.testing.assert_array_equal(
                 big_parts[entries],
                 float_parts(np.add.outer(big * s_idx, s_idx).ravel()))
-            np.testing.assert_array_equal(signs[entries],
-                                          np.repeat(np.outer(sg, sg), 2))
-        assert len(signs) == 2 * d * comb(d - 1, m - 1) ** 2
+            wcol = wbar[a_idx, i]
+            np.testing.assert_array_equal(
+                coefficients[entries],
+                np.repeat(np.outer(sg, sg) * np.subtract.outer(wcol, wcol), 2))
+        assert len(coefficients) == 2 * d * comb(d - 1, m - 1) ** 2
 
 
 def test_lift_tables_cover_each_big_state_m_times():
@@ -551,7 +558,8 @@ def test_lift_tables_cover_each_big_state_m_times():
     # diagonal m times
     d, m = 6, 3
     big = sector_basis(d, m)
-    counts = np.bincount(lift_tables(d, m)[2], minlength=2 * big.dim ** 2)
+    scatter = lift_entries(ModeSystem.chain(d).wmat, d, m)[1]
+    counts = np.bincount(scatter, minlength=2 * big.dim ** 2)
     shared = big.occupation_onehot() @ big.occupation_onehot().T
     np.testing.assert_array_equal(counts.reshape(big.dim, big.dim, 2),
                                   np.repeat(shared[..., None], 2, axis=2))

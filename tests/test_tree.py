@@ -12,6 +12,7 @@ coupling and of the inverse particle number.
 import dataclasses
 import gc
 import itertools
+import weakref
 from functools import reduce
 from math import comb
 
@@ -31,7 +32,7 @@ from fermiflow.graded import (hierarchy_evolve, state_from_density,
 from fermiflow.hf import (HFConfig, KappaFactor, OrbitalSet,
                           evolve_hf_density, evolve_hf_orbitals, evolve_kappa)
 from fermiflow.modes import ModeSystem, hopping_hamiltonian, soft_coulomb
-from fermiflow.sector import (PSectorOperator, lift_coefficients,
+from fermiflow.sector import (PSectorOperator, lift_entries,
                               pair_diagonal_sector,
                               project_lift_pair_commutator, slater)
 from fermiflow.tree import (QuadratureSpec, TheoryConstants,
@@ -172,15 +173,32 @@ def test_wmat_is_built_once_and_read_only():
 
 
 @pytest.mark.parametrize("name, definition",
-                         [("_lift_coefficients", lift_coefficients),
+                         [("_lift", lift_entries),
                           ("_pair_diagonal", pair_diagonal_sector)])
 def test_pair_tables_are_built_once_and_read_only(name, definition):
     system = ModeSystem.chain(5, coupling=1.0)
     table = getattr(system, name)(3)
     assert getattr(system, name)(3) is table
-    np.testing.assert_array_equal(table, definition(system.wmat, 5, 3))
+    want = definition(system.wmat, 5, 3)
+    if name == "_lift":
+        # only the coefficients are read-only: numpy's take and bincount
+        # would copy read-only positions on every call
+        for got, ref in zip(table, want):
+            np.testing.assert_array_equal(got, ref)
+        assert table[0].flags.writeable and table[1].flags.writeable
+        table, want = table[2], want[2]
+    np.testing.assert_array_equal(table, want)
     with pytest.raises(ValueError):
         table[0] = 7.0
+
+
+def test_lift_entries_die_with_their_system():
+    # the system is their only owner: no module-level cache keeps them
+    system = ModeSystem.chain(5, coupling=1.0)
+    held = [weakref.ref(array) for array in system._lift(3)]
+    del system
+    gc.collect()
+    assert all(ref() is None for ref in held)
 
 
 def test_eigensystem_adjoints_are_built_once_and_read_only():
