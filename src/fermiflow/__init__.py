@@ -17,13 +17,13 @@ from .fock import (FockContext, deformation_check, egorov_check,
 from .graded import (GradedObservable, GradedState, graded_poisson,
                      graded_product, hierarchy_evolve, state_from_density,
                      superflow_observable)
-from .hf import (HFConfig, KappaFactor, OrbitalSet, evolve_hf_density,
-                 evolve_hf_orbitals, evolve_kappa, hf_energy,
-                 marginal_relation_check, quasi_free_marginal)
+from .hf import (HFConfig, OrbitalSet, density_root, evolve_hf_density,
+                 evolve_hf_orbitals, evolve_kappa, marginal_relation_check,
+                 quasi_free_marginal)
 from .modes import ModeSystem
 from .sector import (PSectorOperator, SectorState, marginal, sector_basis,
                      slater, trace_norm)
-from .tree import (QuadratureSpec, TheoryConstants, count_elementary_terms,
-                   hf_vs_tree_gap, loop_remainder, tree_series)
+from .tree import (QuadratureSpec, count_elementary_terms, hf_vs_tree_gap,
+                   loop_remainder, reported_radius, tree_series)
 
 __version__ = "0.1.0"

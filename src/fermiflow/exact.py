@@ -9,16 +9,15 @@ matrix-vector product two ``np.bincount`` sums, so no dense sector matrix
 is built to move a state. Each step stops on the a-posteriori Krylov
 estimate of Hochbruck & Lubich (1997), and a time whose step would need
 more than ``KRYLOV_CAP`` vectors is split into equal substeps. The dense
-matrix, with its cached eigendecomposition, is built only where an
-operator is conjugated (:func:`heisenberg_evolve`). A p-particle observable
-is second-quantized in one gather and one scatter over the subset-pair
-table that :func:`~fermiflow.sector.marginal` contracts, whose adjoint it
-is up to its scale.
+matrix is built only where an operator is conjugated, and diagonalised on
+each call of :func:`heisenberg_evolve`. A p-particle observable is
+second-quantized in one gather and one scatter over the subset-pair table
+that :func:`~fermiflow.sector.marginal` contracts, whose adjoint it is up
+to its scale.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb, factorial
 
 import numpy as np
@@ -38,36 +37,13 @@ def _check_time(t: float):
         raise RangeError(f"evolution time t={t} is not finite")
 
 
-@dataclass
-class ManyBodyHamiltonian:
-    """Dense sector Hamiltonian on n of d modes with a cached
-    eigendecomposition, for conjugating operators."""
-
-    d: int
-    n: int
-    mat: np.ndarray
-    _eig: tuple | None = field(default=None, repr=False, compare=False)
-
-    def _eigensystem(self):
-        if self._eig is None:
-            vals, vecs = np.linalg.eigh(self.mat)
-            self._eig = (vals, vecs)
-        return self._eig
-
-    def propagator(self, t: float) -> np.ndarray:
-        """Dense sector propagator exp(-i t H)."""
-        _check_time(t)
-        vals, vecs = self._eigensystem()
-        return (vecs * np.exp(-1j * t * vals)) @ vecs.conj().T
-
-
 def _sector_entries(system: ModeSystem, n: int):
     if not 1 <= n <= system.d:
         raise RangeError(f"particle number n={n} outside [1, {system.d}]")
     return system._sector_hamiltonian(n)
 
 
-def build_hamiltonian(system: ModeSystem, n: int) -> ManyBodyHamiltonian:
+def build_hamiltonian(system: ModeSystem, n: int) -> PSectorOperator:
     """The dense form of sum_i h_i + (1/n) sum_{i<j} w(x_i - x_j) on the
     n-sector, built from the system's sparse entries once per system: the
     result is cached there, with ``mat`` read-only."""
@@ -81,7 +57,7 @@ def build_hamiltonian(system: ModeSystem, n: int) -> ManyBodyHamiltonian:
         if np.max(np.abs(mat - mat.conj().T)) > 1e-12:
             raise ValidationError("assembled Hamiltonian lost hermiticity")
         mat.setflags(write=False)
-        return ManyBodyHamiltonian(d=system.d, n=n, mat=mat)
+        return PSectorOperator(system.d, n, mat)
     return system._derive(("dense_hamiltonian", n), build)
 
 
@@ -160,12 +136,15 @@ def evolve_exact(state: SectorState, system: ModeSystem, t: float):
     return SectorState(basis=state.basis, coeffs=coeffs), error
 
 
-def heisenberg_evolve(op: PSectorOperator, hamiltonian: ManyBodyHamiltonian,
+def heisenberg_evolve(op: PSectorOperator, hamiltonian: PSectorOperator,
                       t: float) -> PSectorOperator:
-    """Heisenberg picture: exp(+i t H) A exp(-i t H)."""
-    if op.p != hamiltonian.n:
+    """Heisenberg picture: exp(+i t H) A exp(-i t H), the propagator from an
+    ``eigh`` of the Hamiltonian taken on each call."""
+    if op.p != hamiltonian.p:
         raise ValidationError("observable must act on the Hamiltonian's sector")
-    u = hamiltonian.propagator(t)
+    _check_time(t)
+    vals, vecs = np.linalg.eigh(hamiltonian.mat)
+    u = (vecs * np.exp(-1j * t * vals)) @ vecs.conj().T
     return PSectorOperator(op.d, op.p, u.conj().T @ op.mat @ u)
 
 

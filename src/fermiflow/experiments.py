@@ -26,12 +26,12 @@ from numpy.random import default_rng  # numpy loads it lazily, on first use
 from .errors import ConfigError, RangeError
 from .exact import evolved_marginal
 from .fock import egorov_check
-from .hf import (HFConfig, KappaFactor, OrbitalSet, evolve_hf_density,
+from .hf import (HFConfig, OrbitalSet, density_root, evolve_hf_density,
                  evolve_hf_orbitals, evolve_kappa, quasi_free_marginal)
 from .modes import ModeSystem
 from .sector import PSectorOperator, trace_norm
-from .tree import (QuadratureSpec, TheoryConstants, _term_count_bounds,
-                   count_elementary_terms, hf_vs_tree_gap, tree_series)
+from .tree import (QuadratureSpec, _term_count_bounds, count_elementary_terms,
+                   hf_vs_tree_gap, reported_radius, tree_series)
 
 REPORT_VERSION = "0.1.0"
 EXPERIMENTS = ("convergence", "tree-truncation", "egorov", "conservation",
@@ -374,8 +374,7 @@ def run_convergence(cfg: ExperimentConfig,
     def rows_of(entry, rng, system):
         n, t, p = entry["N"], entry["t"], entry["p"]
         orbitals = ORBITAL_PRESETS[cfg.orbitals](rng, system, n)
-        exact, error = evolved_marginal(orbitals.as_orthonormal(), system,
-                                        t, p)
+        exact, error = evolved_marginal(orbitals.matrix, system, t, p)
         errors.append(error)
         flow = evolve_hf_orbitals(orbitals, system, [0.0, t] if t else [0.0],
                                   cfg.integrator)
@@ -437,7 +436,7 @@ def run_egorov(cfg: ExperimentConfig,
     slope, _ = _fit_slope([r[0] for r in rows], [r[2] for r in rows])
     system = cfg.system.build(cfg.sweep[0]["N"])
     kappa = system.kappa
-    metadata = ({"t_report": repr(TheoryConstants(kappa).t_report),
+    metadata = ({"t_report": repr(reported_radius(kappa)),
                  "kappa": repr(kappa),
                  "kappa_minus": repr(system.kappa_minus)} if kappa > 0 else {})
     return _report(cfg, ("N", "t", "norm_difference", "slope_fit",
@@ -461,8 +460,8 @@ def run_conservation(cfg: ExperimentConfig,
                                           cfg.integrator),
             "density": evolve_hf_density(gamma0, system, grid,
                                          cfg.integrator),
-            "kappa": evolve_kappa(KappaFactor.from_density(gamma0), system,
-                                  grid, cfg.integrator),
+            "kappa": evolve_kappa(density_root(gamma0), system, grid,
+                                  cfg.integrator),
         }
         hf.extend((f.integration_error, f.sweeps) for f in flows.values())
         kappa = flows["kappa"].final()

@@ -24,8 +24,7 @@ from math import factorial, sqrt
 import numpy as np
 
 from .errors import CapacityError, NumericError, RangeError, ValidationError
-from .exact import (ManyBodyHamiltonian, build_hamiltonian,
-                    heisenberg_evolve, second_quantize)
+from .exact import build_hamiltonian, heisenberg_evolve, second_quantize
 from .graded import GradedObservable, graded_poisson, superflow_observable
 from .modes import ModeSystem
 from .sector import PSectorOperator, sector_basis
@@ -208,7 +207,7 @@ def egorov_check(a: PSectorOperator, system: ModeSystem, t: float, n: int,
 
     lifted = quantise(GradedObservable.from_sector_op(a), ctx, n)
     lhs = heisenberg_evolve(PSectorOperator(system.d, n, lifted),
-                            ManyBodyHamiltonian(system.d, n, ham_sector), t).mat
+                            PSectorOperator(system.d, n, ham_sector), t).mat
 
     flow = superflow_observable(a, system, t, quad, override_time_guard=True)
     rhs = np.zeros_like(lhs)

@@ -138,7 +138,7 @@ def state_from_density(gamma, p_max: int | None = None) -> GradedState:
     instead: below the rank it trims the sequence, above it the extra
     blocks are (numerically) zero.
     """
-    g = np.asarray(getattr(gamma, "mat", gamma), dtype=complex)
+    g = np.asarray(gamma, dtype=complex)
     d = g.shape[0]
     rank = int(np.linalg.matrix_rank(g, tol=1e-12))
     top = rank if p_max is None else min(p_max, d)

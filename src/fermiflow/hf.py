@@ -34,9 +34,6 @@ from .modes import ModeSystem
 from .sector import (PSectorOperator, compound_matrix, gram, marginal, slater,
                      trace_norm)
 
-ORTHONORMAL = "orthonormal"   # columns are an orthonormal frame
-NORMALIZED = "normalized"     # columns carry norm 1/sqrt(N); gamma = sum |psi><psi|
-
 _GRAM_TOL = 1e-6
 
 
@@ -59,15 +56,11 @@ def _check_fits(d: int, n: int):
 
 @dataclass
 class OrbitalSet:
-    """A frame of orbital columns with an explicit scale marker.
-
-    ``orthonormal`` columns form an orthonormal frame; ``normalized``
-    columns are the orthonormal frame divided by sqrt(N), so that the sum
-    of their rank-one projectors is the trace-one density matrix.
-    """
+    """An orthonormal frame of orbital columns (any other is refused); the
+    columns over sqrt(N) sum, as rank-one projectors, to the trace-one
+    density matrix."""
 
     matrix: np.ndarray
-    scale: str = ORTHONORMAL
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=complex)
@@ -77,14 +70,10 @@ class OrbitalSet:
         if n < 1:
             raise RangeError("an orbital set needs at least one column")
         _check_fits(d, n)
-        if self.scale not in (ORTHONORMAL, NORMALIZED):
-            raise ValidationError(f"unknown scale marker {self.scale!r}")
-        g = gram(self.matrix)
-        target = np.eye(n) if self.scale == ORTHONORMAL else np.eye(n) / n
-        if np.max(np.abs(g - target)) > _GRAM_TOL:
-            raise ValidationError(
-                f"columns do not match the {self.scale!r} scale marker "
-                f"(Gram deviation {np.max(np.abs(g - target)):.2e})")
+        deviation = np.max(np.abs(gram(self.matrix) - np.eye(n)))
+        if deviation > _GRAM_TOL:
+            raise ValidationError(f"columns are not orthonormal "
+                                  f"(Gram deviation {deviation:.2e})")
 
     @property
     def d(self) -> int:
@@ -94,14 +83,8 @@ class OrbitalSet:
     def n(self) -> int:
         return self.matrix.shape[1]
 
-    def as_orthonormal(self) -> np.ndarray:
-        if self.scale == ORTHONORMAL:
-            return self.matrix
-        return self.matrix * np.sqrt(self.n)
-
     def as_normalized(self) -> np.ndarray:
-        if self.scale == NORMALIZED:
-            return self.matrix
+        """The columns divided by sqrt(N)."""
         return self.matrix / np.sqrt(self.n)
 
     def density(self) -> np.ndarray:
@@ -109,73 +92,28 @@ class OrbitalSet:
         psi = self.as_normalized()
         return psi @ psi.conj().T
 
-    def to_state(self):
-        return slater(self.as_orthonormal())
-
-    def rescaled(self, scale: str) -> "OrbitalSet":
-        mat = self.as_orthonormal() if scale == ORTHONORMAL else self.as_normalized()
-        return OrbitalSet(mat, scale=scale)
-
     @classmethod
     def random(cls, rng: np.random.Generator, d: int, n: int) -> "OrbitalSet":
         """Haar-ish frame: QR of a complex Gaussian matrix."""
         _check_fits(d, n)
         raw = rng.normal(size=(d, n)) + 1j * rng.normal(size=(d, n))
         q, _ = np.linalg.qr(raw)
-        return cls(q, scale=ORTHONORMAL)
+        return cls(q)
 
     @classmethod
     def ground_state(cls, system: ModeSystem, n: int) -> "OrbitalSet":
         """The n lowest one-body eigenvectors (deterministic reference frame)."""
         _check_fits(system.d, n)
         _, vecs, _ = system._sector_rotation(1)
-        return cls(vecs[:, :n], scale=ORTHONORMAL)
+        return cls(vecs[:, :n])
 
 
-@dataclass
-class DensityMatrix:
-    """A positive-semidefinite one-particle density matrix, trace <= 1 + tol."""
-
-    mat: np.ndarray
-
-    def __post_init__(self):
-        self.mat = np.asarray(self.mat, dtype=complex)
-        d = self.mat.shape[0]
-        if self.mat.shape != (d, d):
-            raise ShapeError("density matrix must be square")
-        if np.max(np.abs(self.mat - self.mat.conj().T)) > 1e-10:
-            raise ValidationError("density matrix must be Hermitian")
-        eigs = np.linalg.eigvalsh(self.mat)
-        if eigs.min() < -1e-10:
-            raise ValidationError(f"density matrix not PSD (min eig {eigs.min():.2e})")
-        if eigs.sum() > 1.0 + 1e-10:
-            raise ValidationError(f"density matrix trace {eigs.sum():.6g} exceeds 1")
-
-    @property
-    def d(self) -> int:
-        return self.mat.shape[0]
-
-
-@dataclass
-class KappaFactor:
-    """Root factor of a density matrix: gamma = kappa kappa†."""
-
-    mat: np.ndarray
-
-    def __post_init__(self):
-        self.mat = np.asarray(self.mat, dtype=complex)
-        if self.mat.ndim != 2 or self.mat.shape[0] != self.mat.shape[1]:
-            raise ShapeError("kappa must be a square matrix")
-
-    def density(self) -> np.ndarray:
-        return self.mat @ self.mat.conj().T
-
-    @classmethod
-    def from_density(cls, gamma) -> "KappaFactor":
-        mat = gamma.mat if isinstance(gamma, DensityMatrix) else np.asarray(gamma)
-        vals, vecs = np.linalg.eigh(mat)
-        vals = np.clip(vals, 0.0, None)
-        return cls((vecs * np.sqrt(vals)) @ vecs.conj().T)
+def density_root(gamma: np.ndarray) -> np.ndarray:
+    """The Hermitian root kappa of a density matrix, gamma = kappa kappa†,
+    with negative eigenvalues of gamma clipped to zero."""
+    vals, vecs = np.linalg.eigh(np.asarray(gamma))
+    vals = np.clip(vals, 0.0, None)
+    return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
 def mean_field_potential(a: np.ndarray, wmat: np.ndarray) -> np.ndarray:
@@ -201,10 +139,9 @@ def _mean_field_kappa(kappa: np.ndarray, kernel: np.ndarray) -> np.ndarray:
         kappa @ kappa.conj().swapaxes(-1, -2), kernel) @ kappa
 
 
-def hf_rhs_density(gamma: np.ndarray | DensityMatrix,
-                   system: ModeSystem) -> np.ndarray:
+def hf_rhs_density(gamma: np.ndarray, system: ModeSystem) -> np.ndarray:
     """Right-hand side of i dgamma/dt = [h + V(gamma), gamma]."""
-    g = gamma.mat if isinstance(gamma, DensityMatrix) else np.asarray(gamma)
+    g = np.asarray(gamma)
     return (-1j * (system.h.dot(g) - g.dot(system.h))
             + _mean_field_density(g, system.wmat))
 
@@ -214,18 +151,11 @@ def hf_rhs_kappa(kappa: np.ndarray, system: ModeSystem) -> np.ndarray:
     return -1j * system.h.dot(kappa) + _mean_field_kappa(kappa, system.wmat)
 
 
-def hf_energy(orbitals: OrbitalSet, system: ModeSystem) -> float:
-    """Mean-field energy: one-body part plus half (direct - exchange).
-
-    Evaluated on the normalized-scale orbitals, so the value is the
-    conserved quantity of all three flows; the i = j self-pairs cancel
-    between direct and exchange.
-    """
-    return energy_functional(orbitals.density(), system)
-
-
 def energy_functional(gamma: np.ndarray, system: ModeSystem) -> float:
-    g = gamma.mat if isinstance(gamma, DensityMatrix) else np.asarray(gamma)
+    """Mean-field energy of a density: one-body part plus half (direct -
+    exchange), the conserved quantity of all three flows; the i = j
+    self-pairs cancel between direct and exchange."""
+    g = np.asarray(gamma)
     dens = np.real(np.diag(g))
     one_body = np.real(np.trace(system.h @ g))
     direct = dens @ system.wmat @ dens
@@ -233,15 +163,14 @@ def energy_functional(gamma: np.ndarray, system: ModeSystem) -> float:
     return float(one_body + 0.5 * (direct - exch))
 
 
-def quasi_free_marginal(gamma: np.ndarray | DensityMatrix,
-                        p: int) -> PSectorOperator:
+def quasi_free_marginal(gamma: np.ndarray, p: int) -> PSectorOperator:
     """Quasi-free p-particle reduced density: p! times the p-minors of gamma.
 
     This is the sector form of gamma^{⊗p} followed by the scaled
     antisymmetrizer; its trace is the sum of products of p distinct
     eigenvalues, hence at most one when tr gamma = 1.
     """
-    g = gamma.mat if isinstance(gamma, DensityMatrix) else np.asarray(gamma)
+    g = np.asarray(gamma)
     d = g.shape[0]
     if not 1 <= p <= d:
         raise RangeError(f"marginal order p={p} outside [1, {d}]")
@@ -263,8 +192,7 @@ class MarginalRelationReport:
 def marginal_relation_check(orbitals: OrbitalSet, p: int) -> MarginalRelationReport:
     """Compare the quasi-free marginal of gamma with the Slater contraction."""
     n = orbitals.n
-    state = orbitals.to_state()
-    contraction = marginal(state, p)
+    contraction = marginal(slater(orbitals.matrix), p)
     quasi = quasi_free_marginal(orbitals.density(), p)
     prefactor = factorial(p) * comb(n, p) / float(n) ** p
     return MarginalRelationReport(
@@ -292,7 +220,8 @@ def _collocation():
     nodes' Lagrange basis to each s_j and to 1 (the Gauss weights); the
     last two Legendre coefficients, exact by quadrature, times the largest
     |∫_0^{s_j} P_n(2s - 1) ds|; and rows extrapolating values at 0 and s_j
-    to 1 + s_j and 2. Built on first use, as is numpy.polynomial."""
+    to 1 + s_j and 2. Built on first use; numpy.polynomial.legendre is
+    already loaded then, as :mod:`fermiflow.tree` imports it."""
     from numpy.polynomial.legendre import leggauss, legint, legval, legvander
     x, w = leggauss(_NODES)
     to_legendre = legvander(x, _NODES - 1).T * w * (np.arange(_NODES)[:, None] + .5)
@@ -394,25 +323,12 @@ class Trajectory:
     gram_drift: np.ndarray
     spectrum_drift: np.ndarray
     trace: np.ndarray
-    min_eigenvalue: np.ndarray
     config: HFConfig
     integration_error: float
     sweeps: int
 
     def final(self):
         return self.states[-1]
-
-    def csv_rows(self):
-        for i, t in enumerate(self.times):
-            yield (t, self.energy[i], self.gram_drift[i],
-                   self.spectrum_drift[i], self.trace[i],
-                   self.min_eigenvalue[i])
-
-    def to_csv(self) -> str:
-        lines = ["t,energy,gram_drift,spectrum_drift,trace,min_eigenvalue"]
-        for row in self.csv_rows():
-            lines.append(",".join("%.17g" % v for v in row))
-        return "\n".join(lines) + "\n"
 
 
 def _record(x0, system: ModeSystem, t_grid, mean_field, config,
@@ -434,7 +350,7 @@ def _record(x0, system: ModeSystem, t_grid, mean_field, config,
         rows.append((energy_functional(dens, system),
                      gram_drift(t, state) if gram_drift else float("nan"),
                      float(np.max(np.abs(spec - spec0))),
-                     float(np.real(np.trace(dens))), float(spec.min())))
+                     float(np.real(np.trace(dens)))))
     columns = (np.array(col) for col in zip(*rows))
     return Trajectory(np.array(times), states, *columns, config, error, len(sweeps))
 
@@ -444,12 +360,12 @@ def evolve_hf_orbitals(orbitals: OrbitalSet, system: ModeSystem, t_grid,
     """Integrate the orbital flow, recording conservation diagnostics.
 
     This is the kappa flow (:func:`hf_rhs_kappa`) of the normalized frame,
-    rescaled to the input's scale when recorded. The flow preserves the
+    recorded as orthonormal frames. The flow preserves the
     Gram matrix; a recorded frame whose Gram matrix has drifted by more
     than the frame tolerance raises :class:`DivergenceError`.
     """
     config = config or HFConfig()
-    factor = np.sqrt(orbitals.n) if orbitals.scale == ORTHONORMAL else 1.0
+    factor = np.sqrt(orbitals.n)
     g0 = gram(orbitals.matrix)
 
     def gram_drift(t, psi):
@@ -462,24 +378,21 @@ def evolve_hf_orbitals(orbitals: OrbitalSet, system: ModeSystem, t_grid,
 
     traj = _record(orbitals.as_normalized(), system, t_grid, _mean_field_kappa,
                    config, lambda psi: psi @ psi.conj().T, gram_drift)
-    traj.states = [OrbitalSet(factor * psi, scale=orbitals.scale)
-                   for psi in traj.states]
+    traj.states = [OrbitalSet(factor * psi) for psi in traj.states]
     return traj
 
 
-def evolve_hf_density(gamma0: np.ndarray | DensityMatrix, system: ModeSystem,
-                      t_grid, config: HFConfig | None = None) -> Trajectory:
+def evolve_hf_density(gamma0: np.ndarray, system: ModeSystem, t_grid,
+                      config: HFConfig | None = None) -> Trajectory:
     """Integrate the density-matrix flow i dgamma/dt = [h + V(gamma), gamma]
     (:func:`hf_rhs_density`)."""
-    g0 = gamma0.mat if isinstance(gamma0, DensityMatrix) else np.asarray(gamma0)
-    return _record(g0, system, t_grid, _mean_field_density, config,
-                   lambda g: g, both_sides=True)
+    return _record(np.asarray(gamma0), system, t_grid, _mean_field_density,
+                   config, lambda g: g, both_sides=True)
 
 
-def evolve_kappa(kappa0: KappaFactor | np.ndarray, system: ModeSystem, t_grid,
+def evolve_kappa(kappa0: np.ndarray, system: ModeSystem, t_grid,
                  config: HFConfig | None = None) -> Trajectory:
     """Integrate the factorized flow i dkappa/dt = (h + V(kappa kappa†)) kappa
-    (:func:`hf_rhs_kappa`)."""
-    k0 = kappa0.mat if isinstance(kappa0, KappaFactor) else np.asarray(kappa0)
-    return _record(k0, system, t_grid, _mean_field_kappa, config,
-                   lambda k: k @ k.conj().T)
+    (:func:`hf_rhs_kappa`), from a root such as :func:`density_root` gives."""
+    return _record(np.asarray(kappa0), system, t_grid, _mean_field_kappa,
+                   config, lambda k: k @ k.conj().T)

@@ -135,12 +135,16 @@ class ModeSystem:
 
     def _sector_hamiltonian(self, n: int):
         """The n-sector Hamiltonian sum_i h_i + (1/n) sum_{i<j} w(x_i - x_j)
-        as read-only arrays (rows, cols, values, diagonal): the hops with
-        h[k, l] != 0, from :func:`~fermiflow.sector.one_body_entries` and
-        held only here, and the pair diagonal over n."""
-        return self._derive(("sector_hamiltonian", n), lambda: tuple(
-            _read_only(v) for v in (*one_body_entries(self.h, self.d, n),
-                                    self._pair_diagonal(n) / n)))
+        as arrays (rows, cols, values, diagonal): the hops with h[k, l] != 0,
+        from :func:`~fermiflow.sector.one_body_entries` and held only here,
+        and the pair diagonal over n. All are read-only but ``rows``, the
+        scatter index of every Lanczos product, which stays writeable, as
+        bincount copies a read-only index array on every call."""
+        def build():
+            rows, cols, values = one_body_entries(self.h, self.d, n)
+            return (rows, _read_only(cols), _read_only(values),
+                    _read_only(self._pair_diagonal(n) / n))
+        return self._derive(("sector_hamiltonian", n), build)
 
     def _derive(self, key, build):
         """The cached value of ``build()`` under ``key``, built on first use."""

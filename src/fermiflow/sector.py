@@ -122,8 +122,8 @@ class PSectorOperator:
 
 
 def trace_norm(x) -> float:
-    """Sum of singular values of a matrix or sector operator."""
-    mat = x.mat if isinstance(x, PSectorOperator) else np.asarray(x)
+    """Sum of singular values of a matrix."""
+    mat = np.asarray(x)
     if mat.ndim != 2:
         raise ShapeError("trace norm is defined for matrices")
     return float(np.sum(np.linalg.svd(mat, compute_uv=False)))

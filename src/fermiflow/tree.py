@@ -32,43 +32,48 @@ from numpy.polynomial.legendre import leggauss  # loaded lazily otherwise
 
 from .errors import NumericError, RangeError, ValidationError
 from .exact import heisenberg_observable, second_quantize
-from .hf import (DensityMatrix, HFConfig, OrbitalSet, evolve_hf_density,
-                 quasi_free_marginal)
+from .hf import HFConfig, OrbitalSet, evolve_hf_density, quasi_free_marginal
 from .modes import ModeSystem
 from .sector import PSectorOperator, project_lift_pair_commutator, slater
 
+MAX_NODES_PER_LEVEL = 256        # Gauss-Legendre nodes of the coarse sweep
+MAX_INSERTIONS = 1 << 20         # insertions of a coarse and a fine sweep
+
+
 @dataclass
 class QuadratureSpec:
-    """Nested Gauss-Legendre settings for ordered-time integrals."""
+    """Nested Gauss-Legendre settings for ordered-time integrals. A series
+    sweeps n = ``nodes_per_level`` and 2n nodes per level, sum_{k <= k_max}
+    (n^k + (2n)^k) insertions; more than ``MAX_NODES_PER_LEVEL`` nodes or
+    ``MAX_INSERTIONS`` insertions are refused before any node is built."""
 
     nodes_per_level: int = 6
     k_max: int = 3
 
     def __post_init__(self):
-        if self.nodes_per_level < 2:
+        n, k_max = self.nodes_per_level, self.k_max
+        if n < 2:
             raise RangeError("need at least two quadrature nodes per level")
-        if self.k_max < 0:
+        if n > MAX_NODES_PER_LEVEL:
+            raise RangeError(
+                f"more than {MAX_NODES_PER_LEVEL} quadrature nodes per level")
+        if k_max < 0:
             raise RangeError("truncation order must be non-negative")
+        insertions = 0
+        for k in range(1, k_max + 1):    # (2n)^k >= 4^k: a few passes at most
+            insertions += n ** k + (2 * n) ** k
+            if insertions > MAX_INSERTIONS:
+                raise RangeError(f"quadrature of {n} nodes to order {k_max} "
+                                 f"needs over {MAX_INSERTIONS} insertions")
 
 
-@dataclass
-class TheoryConstants:
-    """Interaction-strength constant and the reported small-time radius."""
-
-    kappa: float
-
-    def __post_init__(self):
-        if not self.kappa > 0:
-            raise RangeError("kappa must be positive")
-
-    @property
-    def t_report(self) -> float:
-        # kappa ** 2 raises past 1.3e154; the product overflows to radius 0
-        return 1.0 / (2 ** 11 * pi * (self.kappa * self.kappa))
-
-    @classmethod
-    def from_system(cls, system: ModeSystem) -> "TheoryConstants":
-        return cls(kappa=system.kappa)
+def reported_radius(kappa: float) -> float:
+    """The reported small-time radius 1/(2^11 pi kappa^2) of a positive
+    interaction strength kappa."""
+    if not kappa > 0:
+        raise RangeError("kappa must be positive")
+    # kappa ** 2 raises past 1.3e154; the product overflows to radius 0
+    return 1.0 / (2 ** 11 * pi * (kappa * kappa))
 
 
 def _zero_sector_matrix(d: int, m: int) -> np.ndarray:
@@ -197,14 +202,14 @@ def check_time_guard(system: ModeSystem, t: float, override: bool) -> list:
     """
     if system.kappa == 0.0:
         return []
-    constants = TheoryConstants.from_system(system)
-    if t <= constants.t_report:
+    radius = reported_radius(system.kappa)
+    if t <= radius:
         return []
     if not override:
         raise RangeError(
             f"time {t} exceeds the reported convergence radius "
-            f"{constants.t_report:.3e}; pass override_time_guard=True to proceed")
-    return [f"time {t} beyond reported radius {constants.t_report:.3e} (override)"]
+            f"{radius:.3e}; pass override_time_guard=True to proceed")
+    return [f"time {t} beyond reported radius {radius:.3e} (override)"]
 
 
 @dataclass
@@ -285,7 +290,7 @@ def tree_series(a: PSectorOperator, gamma, t: float, quad: QuadratureSpec,
     kernel multiplies each insertion by two on the antisymmetric subspace,
     so its order-k term is 2^k times the plain one; both are reported.
     """
-    g = gamma.mat if isinstance(gamma, DensityMatrix) else np.asarray(gamma)
+    g = np.asarray(gamma)
     terms, _, quad_errors, tail, warn = _series(
         a, t, quad, system, override_time_guard, system.d,
         lambda m, x: complex(np.trace(x @ quasi_free_marginal(g, m).mat)),
@@ -329,7 +334,7 @@ def loop_remainder(a: PSectorOperator, orbitals: OrbitalSet,
         _spectral_norm)
     residual = heisenberg_observable(a, system, n, t).mat - sum(terms)
     norm = _spectral_norm(residual)
-    state = slater(orbitals.as_orthonormal())
+    state = slater(orbitals.matrix)
     expectation = complex(state.coeffs.conj() @ residual @ state.coeffs)
     if np.isfinite(tail) and tail > norm and norm > 0:
         warn.append(
@@ -369,7 +374,7 @@ def hf_vs_tree_gap(a: PSectorOperator, gamma, system: ModeSystem, t: float,
     side sums the integrated loop-free terms against the initial density.
     ``config`` sets the integrator of the mean-field flow, as for every flow.
     """
-    g = gamma.mat if isinstance(gamma, DensityMatrix) else np.asarray(gamma)
+    g = np.asarray(gamma)
     series = tree_series(a, g, t, quad, system,
                          override_time_guard=override_time_guard)
     flow = evolve_hf_density(g, system, [0.0, t] if t else [0.0], config)

@@ -68,6 +68,17 @@ def test_hamiltonian_range_check():
         build_hamiltonian(sys, 5)
 
 
+def test_lanczos_scatter_index_is_the_one_writeable_array():
+    # np.bincount copies a read-only index array on every call, and each
+    # Lanczos product sums over rows twice; the rest of the cache is frozen
+    system = ModeSystem.chain(6)
+    rows, cols, values, diagonal = system._sector_hamiltonian(3)
+    assert system._sector_hamiltonian(3)[0] is rows
+    assert rows.flags.writeable
+    for array in (cols, values, diagonal):
+        assert not array.flags.writeable
+
+
 def test_half_filled_sector_hamiltonian_at_sixteen_modes_peaks_under_30_mb():
     # only the hops with h[k, l] != 0 are built and held, and no table of
     # every hop is kept beside them. The basis and pair tables are cleared

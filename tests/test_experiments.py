@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from fermiflow import exact, experiments, hf, sector
+from fermiflow import exact, experiments, hf, sector, tree
 from fermiflow.cli import main
 from fermiflow.errors import ConfigError
 from fermiflow.experiments import (EXPERIMENTS, ExperimentConfig,
@@ -89,6 +89,13 @@ def test_missing_and_invalid_fields_rejected():
         ExperimentConfig.from_dict(base_config(system={"coupling": -1.0}))
     with pytest.raises(ConfigError, match="numeric settings"):
         ExperimentConfig.from_dict(base_config(integrator={"dt": 0.0}))
+    # a quadrature too large to build, or whose sweeps are too long
+    for quadrature, message in (({"nodes_per_level": 10 ** 10},
+                                 "nodes per level"),
+                                ({"nodes_per_level": 6, "k_max": 6},
+                                 "insertions")):
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_dict(base_config(quadrature=quadrature))
     # a section of the wrong JSON type is refused as a config error
     wrong_types = [("integrator", 5), ("integrator", []),
                    ("integrator", None), ("quadrature", ""),
@@ -188,7 +195,7 @@ def test_marginals_never_expand_the_full_tensor():
     assert not hasattr(sector, "embedding_isometry")
     assert not hasattr(sector.SectorState, "to_full_tensor")
     orbitals = OrbitalSet.random(np.random.default_rng(5), 8, 4)
-    got = sector.marginal(orbitals.to_state(), 2)
+    got = sector.marginal(sector.slater(orbitals.matrix), 2)
     assert got.trace() == pytest.approx(1.0)
     report = run(ExperimentConfig.from_dict(count_time_config(
         "convergence", [{"N": 3, "t": 0.1, "p": 2}])))
@@ -415,6 +422,22 @@ def test_cli_refuses_more_modes_than_a_bitmask_holds(tmp_path, capsys):
     assert main(["run", path, "--out", "-"]) == 2
     assert "C(65, 2) has over 1048576 states or 63 modes" in (
         capsys.readouterr().err)
+
+
+def test_cli_refuses_an_oversized_quadrature(tmp_path, capsys, monkeypatch):
+    # a configuration error, exit 2, before any Gauss-Legendre node is built
+    def refuse(*args):
+        raise AssertionError("a quadrature was built")
+
+    monkeypatch.setattr(tree, "leggauss", refuse)
+    for experiment in ("tree-truncation", "egorov"):
+        for quadrature in ({"nodes_per_level": 10 ** 10},
+                           {"nodes_per_level": 2, "k_max": 10}):
+            path = write_config(tmp_path, count_time_config(
+                experiment, [{"N": 2, "t": 0.1}], quadrature=quadrature))
+            assert main(["run", path, "--out", "-",
+                         "--override-time-guard"]) == 2
+            assert "invalid numeric settings" in capsys.readouterr().err
 
 
 def test_cli_guard_requires_override(tmp_path, capsys):

@@ -10,14 +10,14 @@ from scipy.linalg import expm
 from fermiflow import hf
 from fermiflow.errors import (CapacityError, DivergenceError, RangeError,
                              ShapeError, ValidationError)
-from fermiflow.hf import (DensityMatrix, HFConfig, KappaFactor, OrbitalSet,
+from fermiflow.hf import (HFConfig, OrbitalSet, density_root,
                           energy_functional, evolve_hf_density,
-                          evolve_hf_orbitals, evolve_kappa, hf_energy,
+                          evolve_hf_orbitals, evolve_kappa,
                           hf_rhs_density, hf_rhs_kappa,
                           marginal_relation_check, mean_field_potential,
                           quasi_free_marginal)
 from fermiflow.modes import ModeSystem, hopping_hamiltonian, soft_coulomb
-from fermiflow.sector import marginal, trace_norm
+from fermiflow.sector import marginal, slater, trace_norm
 from oracles import embedding_isometry, pair_operator, swap_operator
 
 
@@ -105,9 +105,9 @@ class TestRhsOracles:
     def test_orbital_rhs_matches_literal_loop(self):
         rng = np.random.default_rng(11)
         sys = ModeSystem.chain(7, coupling=1.1)
-        orbs = OrbitalSet.random(rng, 7, 3).rescaled("normalized")
-        got = hf_rhs_kappa(orbs.matrix, sys)
-        want = orbital_rhs_loop(orbs.matrix, sys)
+        psi = OrbitalSet.random(rng, 7, 3).as_normalized()
+        got = hf_rhs_kappa(psi, sys)
+        want = orbital_rhs_loop(psi, sys)
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_orthonormal_scale_carries_inverse_n(self):
@@ -123,8 +123,8 @@ class TestRhsOracles:
     def test_density_rhs_is_commutator_of_orbital_rhs(self):
         rng = np.random.default_rng(13)
         sys = ModeSystem.chain(6, coupling=1.0)
-        orbs = OrbitalSet.random(rng, 6, 2).rescaled("normalized")
-        psi = orbs.matrix
+        orbs = OrbitalSet.random(rng, 6, 2)
+        psi = orbs.as_normalized()
         dpsi = hf_rhs_kappa(psi, sys)
         assert np.max(np.abs(dpsi - orbital_rhs_loop(psi, sys))) < 1e-12
         dgamma = dpsi @ psi.conj().T + psi @ dpsi.conj().T
@@ -133,10 +133,11 @@ class TestRhsOracles:
     def test_kappa_rhs_consistent_with_density(self):
         rng = np.random.default_rng(14)
         sys = ModeSystem.chain(5, coupling=0.9)
-        kappa = KappaFactor.from_density(random_density(rng, 5))
-        dk = hf_rhs_kappa(kappa.mat, sys)
-        dgamma = dk @ kappa.mat.conj().T + kappa.mat @ dk.conj().T
-        assert np.max(np.abs(hf_rhs_density(kappa.density(), sys) - dgamma)) < 1e-12
+        kappa = density_root(random_density(rng, 5))
+        dk = hf_rhs_kappa(kappa, sys)
+        dgamma = dk @ kappa.conj().T + kappa @ dk.conj().T
+        assert np.max(np.abs(hf_rhs_density(kappa @ kappa.conj().T, sys)
+                             - dgamma)) < 1e-12
 
     def test_single_particle_self_interaction_cancels(self):
         # direct and exchange coincide on a rank-one density, so one
@@ -155,7 +156,7 @@ class TestRhsOracles:
         sys = ModeSystem.chain(7, coupling=1.3)
         kernel = sys._flow_kernel()
         g = random_density(rng, 7)
-        kappa = KappaFactor.from_density(g).mat
+        kappa = density_root(g)
         free_g = -1j * (sys.h @ g - g @ sys.h)
         assert np.max(np.abs(hf._mean_field_density(g, kernel)
                              - (hf_rhs_density(g, sys) - free_g))) < 1e-13
@@ -193,7 +194,7 @@ class TestEnergy:
         rng = np.random.default_rng(21)
         sys = ModeSystem.chain(6, coupling=1.0)
         orbs = OrbitalSet.random(rng, 6, 3)
-        got = hf_energy(orbs, sys)
+        got = energy_functional(orbs.density(), sys)
         want = energy_double_sum(orbs.as_normalized(), sys)
         assert abs(got - want) < 1e-12
 
@@ -214,7 +215,7 @@ class TestEnergy:
         # frozen from the double-sum oracle above
         sys = ModeSystem.chain(6, coupling=1.0)
         orbs = OrbitalSet.ground_state(sys, 3)
-        got = hf_energy(orbs, sys)
+        got = energy_functional(orbs.density(), sys)
         assert abs(got - energy_double_sum(orbs.as_normalized(), sys)) < 1e-12
         assert abs(got - 0.32408538249384566) < 1e-9
 
@@ -281,7 +282,7 @@ class TestMarginalRelation:
         # independent route: contraction marginal of the Slater state
         rng = np.random.default_rng(43)
         orbs = OrbitalSet.random(rng, 6, 3)
-        contr = marginal(orbs.to_state(), 2)
+        contr = marginal(slater(orbs.matrix), 2)
         report = marginal_relation_check(orbs, 2)
         quasi = quasi_free_marginal(orbs.density(), 2)
         gap = trace_norm(quasi.mat - report.prefactor * contr.mat)
@@ -317,7 +318,7 @@ class TestFlows:
         cfg = HFConfig(dt=1e-3)
         traj_o = evolve_hf_orbitals(self.orbs, self.sys, t_grid, cfg)
         traj_g = evolve_hf_density(self.orbs.density(), self.sys, t_grid, cfg)
-        traj_k = evolve_kappa(KappaFactor.from_density(self.orbs.density()),
+        traj_k = evolve_kappa(density_root(self.orbs.density()),
                               self.sys, t_grid, cfg)
         g_o = traj_o.final().density()
         g_g = traj_g.final()
@@ -330,7 +331,7 @@ class TestFlows:
         # the orbital oracle is the literal per-orbital loop
         t, cfg = 0.4, HFConfig(dt=1e-3)
         gamma0 = self.orbs.density()
-        kappa0 = KappaFactor.from_density(gamma0).mat
+        kappa0 = density_root(gamma0)
         start, rhs, final = {
             "orbitals": (self.orbs.as_normalized(), orbital_rhs_loop,
                          lambda: evolve_hf_orbitals(self.orbs, self.sys,
@@ -362,7 +363,7 @@ class TestFlows:
                 return np.zeros_like(x) if silent else part(x, kernel)
             monkeypatch.setattr(hf, name, spy)
         gamma0 = self.orbs.density()
-        kappa0 = KappaFactor.from_density(gamma0)
+        kappa0 = density_root(gamma0)
         t, grid = 0.5, [0.0, 0.25, 0.5]
         free = expm(-1j * t * self.sys.h)
         for evolve, start, name, want in (
@@ -371,7 +372,7 @@ class TestFlows:
                 (evolve_hf_density, gamma0, "_mean_field_density",
                  free @ gamma0 @ free.conj().T),
                 (evolve_kappa, kappa0, "_mean_field_kappa",
-                 free @ kappa0.mat)):
+                 free @ kappa0)):
             silent.clear()
             calls.clear()
             evolve(start, self.sys, grid)
@@ -400,7 +401,7 @@ class TestFlows:
         gamma0 = self.orbs.density()
         for evolve, start in ((evolve_hf_orbitals, self.orbs),
                               (evolve_hf_density, gamma0),
-                              (evolve_kappa, KappaFactor.from_density(gamma0))):
+                              (evolve_kappa, density_root(gamma0))):
             builds.clear()
             evolve(start, self.sys, [0.0, 0.25, 0.5])
             assert [len(times) for times in builds] == [1] + [hf._NODES + 1] * 4
@@ -419,7 +420,7 @@ class TestFlows:
             return sector_frame(system, m, t)
 
         monkeypatch.setattr(ModeSystem, "sector_frame", counted)
-        evolve_kappa(KappaFactor.from_density(self.orbs.density()), self.sys,
+        evolve_kappa(density_root(self.orbs.density()), self.sys,
                      [0.0, 1.0], HFConfig(dt=1e-3))
         windows = round(1.0 / hf._WINDOW)
         assert sizes == [1] + [hf._NODES + 1] * windows
@@ -446,7 +447,7 @@ class TestFlows:
         systems = [ModeSystem(d, hopping_hamiltonian(d), w),
                    ModeSystem(d, hopping_hamiltonian(d), np.r_[1000.0, w[1:]])]
         gamma0 = self.orbs.density()
-        kappa0 = KappaFactor.from_density(gamma0)
+        kappa0 = density_root(gamma0)
         runs = [[[o.matrix for o in evolve_hf_orbitals(
                      self.orbs, sys, t_grid, cfg).states],
                  evolve_hf_density(gamma0, sys, t_grid, cfg).states,
@@ -474,7 +475,7 @@ class TestFlows:
         assert np.max(np.abs(traj.energy - traj.energy[0])) < 1e-8
 
     def test_kappa_flow_matches_density_spectrum(self):
-        traj = evolve_kappa(KappaFactor.from_density(self.orbs.density()),
+        traj = evolve_kappa(density_root(self.orbs.density()),
                             self.sys, np.linspace(0.0, 1.0, 5), HFConfig(dt=1e-3))
         assert np.max(traj.spectrum_drift) < 1e-8
         assert np.max(np.abs(traj.trace - 1.0)) < 1e-8
@@ -492,7 +493,7 @@ class TestFlows:
         # solution at its nodes, and the Gauss end value is more accurate
         t = 1.0
         gamma0 = self.orbs.density()
-        kappa0 = KappaFactor.from_density(gamma0).mat
+        kappa0 = density_root(gamma0)
         kernel = self.sys._flow_kernel()
         times = t * hf._collocation()[0].ravel()
         u = self.sys.sector_frame(1, times[:, None, None])
@@ -527,7 +528,7 @@ class TestFlows:
         def rhs(x):
             calls.append(1)
             return [hf._mean_field_kappa(x[0], kernel)]
-        kappa0 = KappaFactor.from_density(self.orbs.density()).mat
+        kappa0 = density_root(self.orbs.density())
         y0 = self.sys.sector_frame(1, 0.0).conj().T @ kappa0
         (first,), _ = hf._window(
             [y0], [self.sys.sector_frame(1, span * nodes)], rhs, span,
@@ -567,15 +568,6 @@ class TestFlows:
                            match=r"Gram drift 2\.02e-02 at t=0\.1"):
             evolve_hf_orbitals(orbs, system, [0, 0.1], HFConfig(dt=0.5))
 
-    def test_csv_shape(self):
-        traj = evolve_hf_orbitals(self.orbs, self.sys, [0.0, 0.1],
-                                  HFConfig(dt=1e-2))
-        text = traj.to_csv()
-        lines = text.strip().split("\n")
-        assert lines[0] == ("t,energy,gram_drift,spectrum_drift,trace,"
-                            "min_eigenvalue")
-        assert len(lines) == 3
-        assert len(lines[1].split(",")) == 6
 
 
 def flow_finals(system, orbitals, grid):
@@ -583,7 +575,7 @@ def flow_finals(system, orbitals, grid):
     gamma0 = orbitals.density()
     return (evolve_hf_orbitals(orbitals, system, grid).final().as_normalized(),
             evolve_hf_density(gamma0, system, grid).final(),
-            evolve_kappa(KappaFactor.from_density(gamma0), system,
+            evolve_kappa(density_root(gamma0), system,
                          grid).final())
 
 
@@ -593,7 +585,7 @@ def test_flows_match_an_eighth_order_reference(d, coupling, t):
     system = ModeSystem.chain(d, coupling)
     orbs = OrbitalSet.random(np.random.default_rng(d), d, d // 2)
     gamma0 = orbs.density()
-    starts = (orbs.as_normalized(), gamma0, KappaFactor.from_density(gamma0).mat)
+    starts = (orbs.as_normalized(), gamma0, density_root(gamma0))
     rhs = (hf_rhs_kappa, hf_rhs_density, hf_rhs_kappa)
     for start, f, final in zip(starts, rhs,
                                flow_finals(system, orbs, [0.0, t])):
@@ -644,12 +636,14 @@ def test_grid_points_do_not_move_the_final_state(d, coupling, t, cuts, seed):
 
 class TestValidation:
     def test_scale_marker_checked(self):
+        # a frame has one scale, orthonormal: columns divided by sqrt(N),
+        # or otherwise off the identity Gram matrix, are refused
         rng = np.random.default_rng(61)
         mat = OrbitalSet.random(rng, 5, 2).matrix
-        with pytest.raises(ValidationError):
-            OrbitalSet(mat, scale="normalized")
-        with pytest.raises(ValidationError):
-            OrbitalSet(mat / np.sqrt(2), scale="orthonormal")
+        with pytest.raises(ValidationError, match="not orthonormal"):
+            OrbitalSet(mat / np.sqrt(2))
+        with pytest.raises(ValidationError, match="not orthonormal"):
+            OrbitalSet(mat + 1e-3 * mat[:, ::-1])
 
     def test_empty_frame_rejected(self):
         with pytest.raises(RangeError):
@@ -667,23 +661,10 @@ class TestValidation:
             OrbitalSet.ground_state(ModeSystem.chain(3), 5)
         assert OrbitalSet.ground_state(ModeSystem.chain(3), 3).n == 3
 
-    def test_density_must_be_psd(self):
-        with pytest.raises(ValidationError):
-            DensityMatrix(np.diag([1.0, -0.5]))
-
-    def test_density_trace_at_most_one(self):
-        with pytest.raises(ValidationError):
-            DensityMatrix(np.eye(3))
-        assert DensityMatrix(np.eye(3) / 3).d == 3
-
-    def test_density_must_be_hermitian(self):
-        with pytest.raises(ValidationError):
-            DensityMatrix(np.array([[1.0, 1.0], [0.0, 1.0]]))
-
     def test_kappa_roundtrip(self):
         g = random_density(np.random.default_rng(62), 5)
-        k = KappaFactor.from_density(g)
-        assert np.max(np.abs(k.density() - g)) < 1e-12
+        k = density_root(g)
+        assert np.max(np.abs(k @ k.conj().T - g)) < 1e-12
 
     def test_bad_time_grid_is_bad_input(self):
         sys = ModeSystem.chain(4)
@@ -697,7 +678,7 @@ class TestValidation:
     def test_non_finite_time_grid_is_bad_input(self):
         sys = ModeSystem.chain(4)
         orbs = OrbitalSet.ground_state(sys, 2)
-        kappa = KappaFactor.from_density(orbs.density())
+        kappa = density_root(orbs.density())
         for grid in ([0.0, np.nan], [np.nan, 0.1], [0.0, np.inf],
                      [-np.inf, 0.0]):
             for evolve, start in ((evolve_hf_orbitals, orbs),

@@ -29,16 +29,16 @@ from fermiflow.exact import (build_hamiltonian, evolved_marginal,
 from fermiflow.fock import egorov_check
 from fermiflow.graded import (hierarchy_evolve, state_from_density,
                               superflow_observable)
-from fermiflow.hf import (HFConfig, KappaFactor, OrbitalSet,
+from fermiflow.hf import (HFConfig, OrbitalSet, density_root,
                           evolve_hf_density, evolve_hf_orbitals, evolve_kappa)
 from fermiflow.modes import ModeSystem, hopping_hamiltonian, soft_coulomb
 from fermiflow.sector import (PSectorOperator, lift_entries,
                               pair_diagonal_sector,
                               project_lift_pair_commutator, slater)
-from fermiflow.tree import (QuadratureSpec, TheoryConstants,
-                            _coarse_and_fine, _integrate_orders,
-                            check_time_guard, count_elementary_terms,
-                            free_evolve_op, hf_vs_tree_gap, loop_remainder,
+from fermiflow.tree import (QuadratureSpec, _coarse_and_fine,
+                            _integrate_orders, check_time_guard,
+                            count_elementary_terms, free_evolve_op,
+                            hf_vs_tree_gap, loop_remainder, reported_radius,
                             sector_propagator, tree_series)
 from oracles import (KERNEL_EXCHANGE, KERNEL_PLAIN, G_recursive, TreeOperator,
                      _attach_insertion, antisym_projector_dense,
@@ -478,7 +478,7 @@ def test_no_dense_propagator_inside_a_time_loop(monkeypatch):
     config = HFConfig(dt=0.05)
     for evolve, start in ((evolve_hf_orbitals, orbs),
                           (evolve_hf_density, gamma),
-                          (evolve_kappa, KappaFactor.from_density(gamma))):
+                          (evolve_kappa, density_root(gamma))):
         evolve(start, system, [0.0, 0.1], config)
     hierarchy_evolve(state_from_density(gamma), system, [0.0, 0.1], config)
 
@@ -528,6 +528,23 @@ def test_integration_order_and_capacity_guards():
         QuadratureSpec(1, 2)
     with pytest.raises(RangeError):
         QuadratureSpec(4, -1)
+
+
+def test_quadrature_size_is_bounded_before_any_node_is_built():
+    # a coarse sweep of n nodes and a fine one of 2n take
+    # sum_{k <= K} (n^k + (2n)^k) insertions between them
+    admitted = [(6, 3), (4, 6), (2, 9), (tree.MAX_NODES_PER_LEVEL, 2)]
+    for nodes, k_max in admitted:
+        QuadratureSpec(nodes, k_max)
+    assert sum(4 ** k + 8 ** k for k in range(1, 7)) <= tree.MAX_INSERTIONS
+    with pytest.raises(RangeError, match="nodes per level"):
+        QuadratureSpec(tree.MAX_NODES_PER_LEVEL + 1, 0)
+    with pytest.raises(RangeError, match="nodes per level"):
+        QuadratureSpec(10 ** 10, 3)
+    for nodes, k_max in [(6, 6), (2, 10), (tree.MAX_NODES_PER_LEVEL, 3),
+                         (2, 10 ** 9)]:
+        with pytest.raises(RangeError, match="insertions"):
+            QuadratureSpec(nodes, k_max)
 
 
 def test_residual_scales_with_coupling_squared():
@@ -592,7 +609,7 @@ def test_series_total_tracks_exact_expectation():
     orbitals = OrbitalSet.ground_state(system, n)
     series = tree_series(a, orbitals.density(), t, QuadratureSpec(6, 3),
                          system, override_time_guard=True)
-    state = slater(orbitals.as_orthonormal())
+    state = slater(orbitals.matrix)
     heis = heisenberg_observable(a, system, n, t)
     exact = complex(state.coeffs.conj() @ heis.mat @ state.coeffs)
     assert abs(series.total - exact) < 1e-4
@@ -609,7 +626,7 @@ def test_series_zero_order_equals_free_expectation():
     orbitals = OrbitalSet.ground_state(system, n)
     series = tree_series(a, orbitals.density(), t, QuadratureSpec(6, 2),
                          system, override_time_guard=True)
-    state = slater(orbitals.as_orthonormal())
+    state = slater(orbitals.matrix)
     heis = heisenberg_observable(a, free, n, t)
     free_expect = complex(state.coeffs.conj() @ heis.mat @ state.coeffs)
     assert abs(series.terms[0] - free_expect) < 1e-12
@@ -772,9 +789,10 @@ def test_gap_vanishes_without_interaction():
 
 
 def test_time_guard_radius_and_override():
-    assert np.isclose(TheoryConstants(1.0).t_report, 1.0 / (2048 * np.pi))
-    with pytest.raises(RangeError):
-        TheoryConstants(0.0)
+    assert np.isclose(reported_radius(1.0), 1.0 / (2048 * np.pi))
+    for kappa in (0.0, -1.0):
+        with pytest.raises(RangeError):
+            reported_radius(kappa)
     system = ModeSystem.chain(4, coupling=1.0)
     assert check_time_guard(system, 1e-5, False) == []
     with pytest.raises(RangeError):
