@@ -11,21 +11,21 @@ estimate of Hochbruck & Lubich (1997), and a time whose step would need
 more than ``KRYLOV_CAP`` vectors is split into equal substeps. The dense
 matrix is built only where an operator is conjugated, and diagonalised on
 each call of :func:`heisenberg_evolve`. A p-particle observable is
-second-quantized in one gather and one scatter over the subset-pair table
-that :func:`~fermiflow.sector.marginal` contracts, whose adjoint it is up
-to its scale.
+second-quantized by the expand map of :mod:`fermiflow.sector`, the adjoint
+of the contraction in :func:`~fermiflow.sector.marginal` up to its scale,
+on the scatter kernel of the pair-commutator lift.
 """
 
 from __future__ import annotations
 
-from math import comb, factorial
+from math import factorial
 
 import numpy as np
 
 from .errors import CapacityError, NumericError, RangeError, ValidationError
 from .modes import ModeSystem
-from .sector import (PSectorOperator, SectorState, _pair_groups, marginal,
-                     sector_basis, slater)
+from .sector import (PSectorOperator, SectorState, _expand_entries,
+                     _lift_sum, marginal, sector_basis, slater)
 
 KRYLOV_CAP = 30            # Lanczos vectors per substep
 MAX_SUBSTEPS = 1024        # equal substeps before a time is refused
@@ -156,11 +156,10 @@ def second_quantize(a: PSectorOperator, n: int) -> PSectorOperator:
     Slater expectations match traces against the quasi-free reduced
     densities of the one-particle density matrix.
 
-    Up to its scale it is the adjoint of :func:`~fermiflow.sector.marginal`,
-    read off the same table of disjoint (p, n-p)-subset pairs with the same signs: for
-    each (n-p)-subset beta, the entry (alpha ∪ beta, alpha' ∪ beta) adds
-    sign(alpha, beta) sign(alpha', beta) a[alpha, alpha'], and the sum is
-    scaled by p!/n^p. One gather and one scatter, no intermediate sector.
+    Up to its scale it is the adjoint of :func:`~fermiflow.sector.marginal`:
+    the expand map of the (p, n-p)-subset pairs, for each (n-p)-subset beta
+    adding sign(alpha, beta) sign(alpha', beta) a[alpha, alpha'] into the
+    entry (alpha ∪ beta, alpha' ∪ beta), run by the lift's scatter kernel.
     """
     if n < 1:
         raise RangeError("target sector needs at least one particle")
@@ -168,18 +167,9 @@ def second_quantize(a: PSectorOperator, n: int) -> PSectorOperator:
     dim = sector_basis(d, n).dim
     if n < p:
         return PSectorOperator(d, n, np.zeros((dim, dim), dtype=complex))
-    alpha, union, signs = _pair_groups(d, n, p)
-    scaled = factorial(p) / float(n) ** p * signs
-    gather = alpha[:, :, None] * comb(d, p) + alpha[:, None, :]
-    flat = (union[:, :, None] * dim + union[:, None, :]).reshape(-1)
-    mat = np.empty((dim, dim), dtype=complex)
-    for part, out in ((a.mat.real, mat.real), (a.mat.imag, mat.imag)):
-        values = part.take(gather)
-        values *= scaled[:, :, None]
-        values *= signs[:, None, :]
-        out[...] = np.bincount(flat, values.reshape(-1),
-                               dim * dim).reshape(dim, dim)
-    return PSectorOperator(d, n, mat)
+    _, small, big, signs = _expand_entries(d, n, p)
+    weights = np.repeat(signs * (factorial(p) / float(n) ** p), 2)
+    return PSectorOperator(d, n, _lift_sum(a.mat, small, weights, big, dim, 1))
 
 
 def heisenberg_observable(a: PSectorOperator, system: ModeSystem, n: int,

@@ -82,10 +82,13 @@ class SystemSpec:
     d: int | None
     coupling: float
 
+    def modes(self, n: int) -> int:
+        """The mode count of a sweep entry with n particles."""
+        return self.d if self.d is not None else 2 * n
+
     def build(self, n: int) -> ModeSystem:
         """The mode system of a sweep entry with n particles."""
-        return ModeSystem.chain(self.d if self.d is not None else 2 * n,
-                                self.coupling)
+        return ModeSystem.chain(self.modes(n), self.coupling)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SystemSpec":
@@ -335,16 +338,19 @@ def _sweep(cfg: ExperimentConfig, rows_of):
     order, all drawing from the config's one seeded generator, and each
     entry's wall time. ``system`` is the mode system of the entry's N, or
     None without one; entries with the same mode count share one system,
-    and with it its caches."""
+    and with it its caches, which is dropped after the last of them."""
     rng = default_rng(cfg.seed)
+    modes = [cfg.system.modes(e["N"]) if "N" in e else None for e in cfg.sweep]
+    last = {d: i for i, d in enumerate(modes)}
     systems: dict = {}
     rows, seconds = [], []
-    for entry in cfg.sweep:
+    for i, (entry, d) in enumerate(zip(cfg.sweep, modes)):
         start = perf_counter()
-        system = cfg.system.build(entry["N"]) if "N" in entry else None
-        if system is not None:
-            system = systems.setdefault(system.d, system)
-        rows.extend(rows_of(entry, rng, system))
+        if d is not None and d not in systems:
+            systems[d] = cfg.system.build(entry["N"])
+        rows.extend(rows_of(entry, rng, systems.get(d)))
+        if last[d] == i:
+            systems.pop(d, None)
         seconds.append(round(perf_counter() - start, 3))
     return rows, seconds
 

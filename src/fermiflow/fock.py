@@ -191,7 +191,9 @@ def egorov_check(a: PSectorOperator, system: ModeSystem, t: float, n: int,
     The left side conjugates the quantised observable by exp(-i t N H_N)
     built from the quantised energy observable; the right side quantises
     the truncated graded flow. Both land on the same sector, where the
-    difference is measured in operator norm.
+    difference is measured in operator norm. The tail past ``quad.k_max``
+    is 0 when those orders hold more than n particles, since they quantise
+    to zero there, and otherwise the flow's on d modes, as are the warnings.
     """
     if n > system.d:
         raise RangeError(f"cannot hold {n} particles in {system.d} modes")
@@ -215,6 +217,7 @@ def egorov_check(a: PSectorOperator, system: ModeSystem, t: float, n: int,
         rhs += second_quantize(PSectorOperator(a.d, p, mat), n).mat
     return EgorovReport(n=n, p=a.p, t=t,
                         norm_difference=float(np.linalg.norm(lhs - rhs, 2)),
-                        tree_tail_estimate=flow.tail_estimate,
+                        tree_tail_estimate=(0.0 if a.p + quad.k_max >= n
+                                            else flow.tail_estimate),
                         quad_error=flow.quad_error,
                         warnings=flow.warnings)

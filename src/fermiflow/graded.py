@@ -3,8 +3,8 @@
 Observables carry finitely many blocks indexed by (p, q): operators from
 the antisymmetric q-sector into the p-sector, stored in the compressed
 minor basis. Products and brackets stay in that basis: the split
-coisometries J(d, n, k) = E_n†(E_k ⊗ E_{n-k}), read from the subset-pair
-table of the sector module, carry every sign and normalization of the
+coisometries J(d, n, k) = E_n†(E_k ⊗ E_{n-k}) of the sector module, one
+column per disjoint subset pair, carry every sign and normalization of the
 antisymmetrizer, so no d**p tensor-space array is formed.
 
 States are the dual family: block sequences paired through plain traces.
@@ -27,7 +27,7 @@ from .errors import (CapacityError, RangeError, ShapeError,
                      UnsupportedError, ValidationError)
 from .hf import HFConfig, _interaction_stream, quasi_free_marginal
 from .modes import ModeSystem
-from .sector import (MAX_FULL_TENSOR, PSectorOperator, _marginal_table,
+from .sector import (MAX_FULL_TENSOR, PSectorOperator,
                      contract_pair_commutator, split_coisometry, trace_norm)
 from .tree import QuadratureSpec, _series, _spectral_norm
 
@@ -172,13 +172,11 @@ def graded_product(a: GradedObservable, b: GradedObservable) -> GradedObservable
             p, q = p1 + p2, q1 + q2
             if p > d or q > d:
                 continue
-            _refuse_over_capacity(
-                c(p) * c(p1) * c(p2), c(q) * c(q1) * c(q2),
-                c(p) * comb(p, p1) * c(q) * comb(q, q1))
-            rp, cp, _, _ = _marginal_table(d, p, p1)
-            rq, cq, _, _ = _marginal_table(d, q, q1)
-            left = split_coisometry(d, p, p1)[:, rp * c(p2) + cp]
-            right = split_coisometry(d, q, q1)[:, rq * c(q2) + cq]
+            pairs_p, pairs_q = c(p) * comb(p, p1), c(q) * comb(q, q1)
+            _refuse_over_capacity(c(p) * pairs_p, c(q) * pairs_q,
+                                  pairs_p * pairs_q)
+            left, rp, cp = split_coisometry(d, p, p1)
+            right, rq, cq = split_coisometry(d, q, q1)
             sign = -1.0 if (p2 * (p1 + q1)) % 2 else 1.0
             piece = left @ (ma[np.ix_(rp, rq)] * mb[np.ix_(cp, cq)]) @ right.T
             out[(p, q)] = out.get((p, q), 0) + sign * piece
@@ -192,19 +190,26 @@ def _joined(d: int, x: np.ndarray, px: int, qx: int,
 
     x J(d, qx, qx-1) and J(d, py, 1)ᵀ y meet over the joined mode; the
     free legs, rows (S1, S2') and columns (T1', T2), are compressed by
-    J(d, px+py-1, px) and J(d, qx+qy-1, qx-1).
+    J(d, px+py-1, px) and J(d, qx+qy-1, qx-1). Each J holds only its pairs'
+    columns: x J and Jᵀ y are placed, and the joined block read, by their rows.
     """
     c = partial(comb, d)
-    rows, cols = c(px) * c(py - 1), c(qx - 1) * c(qy)
+    pairs_l = c(px + py - 1) * comb(px + py - 1, px)
+    pairs_r = c(qx + qy - 1) * comb(qx + qy - 1, qx - 1)
     _refuse_over_capacity(
-        c(qx) * c(qx - 1) * d, c(px) * c(qx - 1) * d, c(py) * d * c(py - 1),
-        d * c(py - 1) * c(qy), rows * cols, c(px + py - 1) * rows,
-        c(qx + qy - 1) * cols)
-    xt = (x @ split_coisometry(d, qx, qx - 1)).reshape(c(px), c(qx - 1), d)
-    yt = (split_coisometry(d, py, 1).T @ y).reshape(d, c(py - 1), c(qy))
-    m = np.tensordot(xt, yt, (2, 0)).transpose(0, 2, 1, 3).reshape(rows, cols)
-    return (split_coisometry(d, px + py - 1, px) @ m
-            @ split_coisometry(d, qx + qy - 1, qx - 1).T)
+        c(qx) ** 2 * qx, c(px) * c(qx - 1) * d, c(py) ** 2 * py,
+        d * c(py - 1) * c(qy), c(px) * c(qx - 1) * c(py - 1) * c(qy),
+        c(px + py - 1) * pairs_l, c(qx + qy - 1) * pairs_r)
+    jx, xa, xb = split_coisometry(d, qx, qx - 1)
+    xt = np.zeros((c(px), c(qx - 1), d), dtype=complex)
+    xt[:, xa, xb] = x @ jx
+    jy, ya, yb = split_coisometry(d, py, 1)
+    yt = np.zeros((d, c(py - 1), c(qy)), dtype=complex)
+    yt[ya, yb] = jy.T @ y
+    m = np.tensordot(xt, yt, (2, 0)).transpose(0, 2, 1, 3)
+    left, la, lb = split_coisometry(d, px + py - 1, px)
+    right, ra, rb = split_coisometry(d, qx + qy - 1, qx - 1)
+    return left @ m[la, lb][:, ra, rb] @ right.T
 
 
 def graded_poisson(a: GradedObservable, b: GradedObservable) -> GradedObservable:

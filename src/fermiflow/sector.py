@@ -8,14 +8,14 @@ The state attached to the subset {i_1 < ... < i_n} is
 
 where P_- is the antisymmetrizing projector; these states are orthonormal.
 Fermionic signs follow from applying creation operators in ascending mode
-order. One cached table of disjoint subset pairs, with one sign convention,
-serves the reduced density matrices (contracted inside the sector, without
-the d**n tensor), their adjoint, the second quantization of
-:func:`fermiflow.exact.second_quantize`, the split coisometries of the
-graded algebra, the lift maps of the interaction expansions and the
-second-quantized one-body hops. The module also provides compound matrices
-by Laplace recursion. Nothing here forms a d**n tensor-product array; the
-full-space bridges that check these maps live with the tests.
+order. One cached table of disjoint subset pairs, with one sign convention
+and read only here, serves the reduced density matrices (contracted inside
+the sector, without the d**n tensor), the one-body hops, the split
+coisometries of the graded algebra, and the adjoint expand map: one builder
+and one scatter kernel shared by :func:`fermiflow.exact.second_quantize`
+and the lifts of the interaction expansions. Compound matrices come by
+Laplace recursion. No d**n tensor-product array is formed; the full-space
+bridges that check these maps live with the tests.
 """
 
 from __future__ import annotations
@@ -113,9 +113,6 @@ class PSectorOperator:
                 f"sector operator for (d={self.d}, p={self.p}) must be "
                 f"{dim}x{dim}, got {self.mat.shape}")
 
-    def trace(self) -> complex:
-        return complex(np.trace(self.mat))
-
     def norm(self) -> float:
         """Operator (spectral) norm."""
         return float(np.linalg.norm(self.mat, 2))
@@ -171,9 +168,8 @@ def _marginal_table(d: int, n: int, p: int):
     (n-p)-sectors, the row of alpha ∪ beta in the n-sector, and the sign
     (-1)^#{(a, b) in alpha x beta : a > b} that sorts the concatenation,
     beta-major with the alphas of each beta ascending (:func:`_pair_groups`).
-    Grouped by beta they give the second quantization of a p-particle
-    operator, at n - p = 1 the lifts (beta the added mode) and at p = 1 the
-    one-body hops (alpha the hopping mode)."""
+    Grouped by beta they give the expand map (:func:`_expand_entries`) and
+    at p = 1 the one-body hops (alpha the hopping mode)."""
     small, rest = sector_basis(d, p), sector_basis(d, n - p)
     cols, rows = np.nonzero(rest.masks[:, None] & small.masks[None, :] == 0)
     union = np.searchsorted(sector_basis(d, n).masks,
@@ -209,14 +205,15 @@ def marginal(state: SectorState, p: int) -> PSectorOperator:
     return PSectorOperator(d=d, p=p, mat=m @ m.conj().T / comb(n, p))
 
 
-def split_coisometry(d: int, n: int, k: int) -> np.ndarray:
-    """J = E_n†(E_k ⊗ E_{n-k}), E_m the m-sector's isometry into d**m space:
-    column alpha C(d, n-k) + beta holds sign(alpha, beta) / sqrt(C(n, k)) in
-    the row of alpha ∪ beta for the disjoint pairs of the marginal table."""
+def split_coisometry(d: int, n: int, k: int):
+    """The nonzero columns of J = E_n†(E_k ⊗ E_{n-k}), E_m the m-sector's
+    isometry into d**m space, one per disjoint pair (alpha, beta) of the
+    marginal table, holding sign(alpha, beta) / sqrt(C(n, k)) in the row of
+    alpha ∪ beta, and the pairs' alpha and beta rows."""
     rows, cols, union, signs = _marginal_table(d, n, k)
-    out = np.zeros((comb(d, n), comb(d, k) * comb(d, n - k)))
-    out[union, rows * comb(d, n - k) + cols] = signs / np.sqrt(comb(n, k))
-    return out
+    out = np.zeros((comb(d, n), len(union)))
+    out[union, np.arange(len(union))] = signs / np.sqrt(comb(n, k))
+    return out, rows, cols
 
 
 def compound_matrix(a: np.ndarray, m: int) -> np.ndarray:
@@ -288,7 +285,7 @@ def pair_diagonal_sector(wmat: np.ndarray, d: int, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Lift / contract maps between adjacent sectors
+# The expand map; lift / contract maps between adjacent sectors
 # ---------------------------------------------------------------------------
 #
 # The bridge space is (m-1 antisymmetric) ⊗ (one mode): interactions that
@@ -297,31 +294,39 @@ def pair_diagonal_sector(wmat: np.ndarray, d: int, n: int) -> np.ndarray:
 # onto the m-particle sector sends |alpha⟩ ⊗ e_i to
 # (1/sqrt(m)) (-1)^(m-1-pos(i)) |alpha ∪ {i}⟩.
 
-def lift_entries(wmat: np.ndarray, d: int, m: int):
-    """Entries (alpha_a, alpha_b, i) of the pair commutator on both sides of
-    the (m-1) ⊗ 1 → m coisometry, mode-major as the (m-1, 1) pair groups
-    run, once per real and imaginary part: the float-view positions of
-    alpha_a C(d, m-1) + alpha_b and of S_a C(d, m) + S_b, S = alpha ∪ {i},
-    and s_a s_b (wbar[alpha_a, i] - wbar[alpha_b, i]), s = (-1)^(m-1-pos(i)).
-    Uncached: ``ModeSystem._lift`` holds them."""
-    if m < 1:
-        raise RangeError("lift needs a target sector with at least one particle")
-    alpha, target, sign = _pair_groups(d, m, m - 1)
-    wbar = sector_basis(d, m - 1).occupation_onehot() @ wmat
-    w = wbar[alpha, np.arange(d)[:, None]]
+def _expand_entries(d: int, n: int, p: int):
+    """The expand map from the p- to the n-sector, adjoint to the contraction
+    of :func:`marginal`, beta-major: the alpha rows of :func:`_pair_groups`,
+    and for every beta and two of its alphas a, b the float-view positions
+    (real and imaginary part) of alpha_a C(d, p) + alpha_b and of
+    S_a C(d, n) + S_b, S = alpha ∪ beta, and s_a s_b, s = sign(alpha, beta)."""
+    alpha, union, signs = _pair_groups(d, n, p)
 
     def parts(v, dim):
-        flat = v[:, :, None] * dim + v[:, None, :]
-        return (2 * flat[..., None] + np.arange(2)).reshape(-1)
-    return (parts(alpha, comb(d, m - 1)), parts(target, comb(d, m)),
-            np.repeat(sign[:, :, None] * sign[:, None, :]
-                      * (w[:, :, None] - w[:, None, :]), 2))
+        flat = v[:, :, None] * (2 * dim) + 2 * v[:, None, :]
+        return np.stack((flat, flat + 1), axis=-1).reshape(-1)
+    return (alpha, parts(alpha, comb(d, p)), parts(union, comb(d, n)),
+            signs[:, :, None] * signs[:, None, :])
+
+
+def lift_entries(wmat: np.ndarray, d: int, m: int):
+    """Entries (small, big, coefficients) of the pair commutator on both
+    sides of the (m-1) ⊗ 1 → m coisometry: the positions of the expand map
+    at n - p = 1, beta the added mode i and s = (-1)^(m-1-pos(i)), and the
+    coefficients s_a s_b (wbar[alpha_a, i] - wbar[alpha_b, i]), once per
+    real and imaginary part. Uncached: ``ModeSystem._lift`` holds them."""
+    if m < 1:
+        raise RangeError("lift needs a target sector with at least one particle")
+    alpha, small, big, signs = _expand_entries(d, m, m - 1)
+    wbar = sector_basis(d, m - 1).occupation_onehot() @ wmat
+    w = wbar[alpha, np.arange(d)[:, None]]
+    return small, big, np.repeat(signs * (w[:, :, None] - w[:, None, :]), 2)
 
 
 def _lift_sum(x, gather, weights, scatter, dim: int, m: int) -> np.ndarray:
     """The dim x dim matrix, over m, whose float part k adds up the parts
     of x at ``gather`` times ``weights`` over the entries whose ``scatter``
-    is k; ``np.bincount`` adds in entry order, so mode by mode ascending."""
+    is k; ``np.bincount`` adds in entry order, so beta by beta ascending."""
     parts = np.ascontiguousarray(x, dtype=complex).view(float).take(gather)
     parts *= weights
     out = np.bincount(scatter, parts, 2 * dim * dim)

@@ -239,7 +239,7 @@ def test_evolved_marginal_matches_full_tensor_oracle():
     iso = embedding_isometry(d, p)
     want = dense(iso.conj().T) @ reduced @ dense(iso)
     np.testing.assert_allclose(got.mat, want, atol=1e-11)
-    np.testing.assert_allclose(got.trace(), 1.0, atol=1e-12)
+    np.testing.assert_allclose(np.trace(got.mat), 1.0, atol=1e-12)
 
 
 def quantized_sectors():

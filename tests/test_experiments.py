@@ -1,11 +1,13 @@
 """Config validation, experiment runners, report formats, and the CLI."""
 
+import gc
 import importlib.util
 import json
 import os
 import subprocess
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -111,6 +113,27 @@ def test_missing_and_invalid_fields_rejected():
         ExperimentConfig.from_dict(base_config(orbitals=["ground"]))
 
 
+def test_sweep_drops_each_system_after_its_last_entry():
+    # on 2N modes the entries run on 4, 6, 6 and 4 modes: the four-mode
+    # system serves the first and the last entry, the six-mode one can be
+    # collected once the third is done
+    cfg = ExperimentConfig.from_dict(count_time_config(
+        "convergence", [{"N": n, "t": 0.1} for n in (2, 3, 3, 2)]))
+    refs, seen = [], []
+
+    def rows_of(entry, rng, system):
+        gc.collect()
+        # per earlier entry: None once its system is gone, else whether
+        # it is this entry's system
+        seen.append([None if ref() is None else ref() is system
+                     for ref in refs])
+        refs.append(weakref.ref(system))
+        return []
+
+    experiments._sweep(cfg, rows_of)
+    assert seen == [[], [False], [False, True], [True, None, None]]
+
+
 def test_sweep_entry_validation():
     with pytest.raises(ConfigError, match="exceeds the mode count"):
         ExperimentConfig.from_dict(count_time_config(
@@ -196,7 +219,7 @@ def test_marginals_never_expand_the_full_tensor():
     assert not hasattr(sector.SectorState, "to_full_tensor")
     orbitals = OrbitalSet.random(np.random.default_rng(5), 8, 4)
     got = sector.marginal(sector.slater(orbitals.matrix), 2)
-    assert got.trace() == pytest.approx(1.0)
+    assert np.trace(got.mat) == pytest.approx(1.0)
     report = run(ExperimentConfig.from_dict(count_time_config(
         "convergence", [{"N": 3, "t": 0.1, "p": 2}])))
     assert 0 < report.rows[0][3] <= report.rows[0][4]

@@ -294,6 +294,29 @@ def test_egorov_interacting_difference_is_small_but_finite():
     assert report.quad_error < 1e-8
 
 
+def test_egorov_tail_vanishes_past_the_particle_number():
+    # orders past N - p hold more than N particles and quantise to zero on
+    # the N-particle sector; the flow on d modes still extrapolates a tail
+    system = ModeSystem.chain(6, 1.0)
+    quad = QuadratureSpec(nodes_per_level=4, k_max=3)
+    a = sample_projector(system)
+    report = egorov_check(a, system, 0.25, 3, quad, override_time_guard=True)
+    flow = superflow_observable(a, system, 0.25, quad,
+                                override_time_guard=True)
+    assert report.tree_tail_estimate == 0.0
+    assert flow.tail_estimate > 0.0
+
+
+def test_egorov_tail_below_the_particle_number_is_the_flows():
+    system = ModeSystem.chain(6, 1.0)
+    quad = QuadratureSpec(nodes_per_level=4, k_max=1)
+    a = sample_projector(system)
+    report = egorov_check(a, system, 0.25, 3, quad, override_time_guard=True)
+    flow = superflow_observable(a, system, 0.25, quad,
+                                override_time_guard=True)
+    assert report.tree_tail_estimate == flow.tail_estimate > 0.0
+
+
 def test_egorov_agrees_with_sector_route():
     """The dense lift reproduces the sector-level Heisenberg difference."""
     system = ModeSystem.chain(5, 1.0)

@@ -242,14 +242,15 @@ class TestQuasiFreeMarginal:
             for sub in combinations(range(d), p):
                 e_p += np.prod(lam[list(sub)])
             from math import factorial
-            assert abs(marg.trace() - factorial(p) * e_p) < 1e-10
+            assert abs(np.trace(marg.mat) - factorial(p) * e_p) < 1e-10
 
     def test_trace_bounded_by_one(self):
         rng = np.random.default_rng(33)
         for _ in range(20):
             g = random_density(rng, 6)
             for p in (1, 2, 3):
-                assert quasi_free_marginal(g, p).trace().real <= 1 + 1e-11
+                marg = quasi_free_marginal(g, p)
+                assert np.trace(marg.mat).real <= 1 + 1e-11
 
     def test_positive_semidefinite(self):
         rng = np.random.default_rng(34)

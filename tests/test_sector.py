@@ -6,13 +6,16 @@ Kronecker embeddings.
 """
 
 import itertools
+import pathlib
 from math import comb, factorial
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fermiflow import sector
 from fermiflow.errors import (CapacityError, RangeError, ShapeError,
                              ValidationError)
 from fermiflow.modes import ModeSystem
@@ -22,7 +25,7 @@ from fermiflow.sector import (MAX_SECTOR_DIM, MAX_SECTOR_MODES,
                               marginal, one_body_entries,
                               pair_diagonal_sector,
                               project_lift_pair_commutator, sector_basis,
-                              slater, trace_norm)
+                              slater, split_coisometry, trace_norm)
 from oracles import (antisym_projector_dense, antisymmetrize,
                      embedding_isometry, one_body_sector, permutation_sign,
                      to_full_tensor)
@@ -240,7 +243,7 @@ def check_marginal_against_dense_partial_trace(d, n, p, seed):
     got = marginal(state, p)
     want = dense_partial_trace(to_full_tensor(state), d, n, p)
     np.testing.assert_allclose(got.mat, want, rtol=0, atol=1e-13)
-    assert abs(got.trace() - 1.0) < 1e-13
+    assert abs(np.trace(got.mat) - 1.0) < 1e-13
 
 
 @settings(max_examples=40, deadline=None)
@@ -569,3 +572,32 @@ def test_lift_tables_cover_each_big_state_m_times():
 def test_sector_operator_shape_check():
     with pytest.raises(ShapeError):
         PSectorOperator(4, 2, np.eye(5))
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_split_coisometry_is_the_nonzero_columns_of_the_embedding_oracle(d):
+    # J = E_n†(E_k ⊗ E_{n-k}) from the permutation-sum isometries, exact up
+    # to the round-off of their n! terms: the columns of the disjoint pairs
+    # are those returned, all others are zero
+    for n in range(1, d + 1):
+        for k in range(n + 1):
+            full = (embedding_isometry(d, n).T @ sp.kron(
+                embedding_isometry(d, k),
+                embedding_isometry(d, n - k))).toarray()
+            got, alpha, beta = split_coisometry(d, n, k)
+            columns = alpha * comb(d, n - k) + beta
+            assert got.shape == (comb(d, n), comb(d, n) * comb(n, k))
+            np.testing.assert_allclose(got, full[:, columns], rtol=0,
+                                       atol=1e-13)
+            assert np.all(np.abs(np.delete(full, columns, axis=1)) < 1e-13)
+
+
+def test_only_the_sector_module_reads_the_subset_pair_table():
+    # the table's layout is known in one module; every other reader goes
+    # through the maps that sector builds on it
+    package = pathlib.Path(sector.__file__).parent
+    readers = [path.name for path in sorted(package.rglob("*.py"))
+               if path.name != "sector.py"
+               and any(name in path.read_text(encoding="utf-8")
+                       for name in ("_marginal_table", "_pair_groups"))]
+    assert readers == []
