@@ -24,6 +24,6 @@ from .modes import ModeSystem
 from .sector import (PSectorOperator, SectorState, marginal, sector_basis,
                      slater, trace_norm)
 from .tree import (QuadratureSpec, count_elementary_terms, hf_vs_tree_gap,
-                   loop_remainder, reported_radius, tree_series)
+                   lifted_series, loop_remainder, reported_radius, tree_series)
 
 __version__ = "0.1.0"

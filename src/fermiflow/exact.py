@@ -45,20 +45,15 @@ def _sector_entries(system: ModeSystem, n: int):
 
 def build_hamiltonian(system: ModeSystem, n: int) -> PSectorOperator:
     """The dense form of sum_i h_i + (1/n) sum_{i<j} w(x_i - x_j) on the
-    n-sector, built from the system's sparse entries once per system: the
-    result is cached there, with ``mat`` read-only."""
+    n-sector, built on each call from the system's cached sparse entries."""
     rows, cols, values, diagonal = _sector_entries(system, n)
-
-    def build():
-        dim = len(diagonal)
-        mat = np.zeros((dim, dim), dtype=complex)
-        np.add.at(mat, (rows, cols), values)
-        mat.flat[::dim + 1] += diagonal
-        if np.max(np.abs(mat - mat.conj().T)) > 1e-12:
-            raise ValidationError("assembled Hamiltonian lost hermiticity")
-        mat.setflags(write=False)
-        return PSectorOperator(system.d, n, mat)
-    return system._derive(("dense_hamiltonian", n), build)
+    dim = len(diagonal)
+    mat = np.zeros((dim, dim), dtype=complex)
+    np.add.at(mat, (rows, cols), values)
+    mat.flat[::dim + 1] += diagonal
+    if np.max(np.abs(mat - mat.conj().T)) > 1e-12:
+        raise ValidationError("assembled Hamiltonian lost hermiticity")
+    return PSectorOperator(system.d, n, mat)
 
 
 def _krylov_step(apply, psi: np.ndarray, tau: float):
@@ -140,7 +135,7 @@ def heisenberg_evolve(op: PSectorOperator, hamiltonian: PSectorOperator,
                       t: float) -> PSectorOperator:
     """Heisenberg picture: exp(+i t H) A exp(-i t H), the propagator from an
     ``eigh`` of the Hamiltonian taken on each call."""
-    if op.p != hamiltonian.p:
+    if op.p != hamiltonian.p or op.d != hamiltonian.d:
         raise ValidationError("observable must act on the Hamiltonian's sector")
     _check_time(t)
     vals, vecs = np.linalg.eigh(hamiltonian.mat)

@@ -13,7 +13,7 @@ parameter.
 Quantisation maps each graded block to a normally ordered monomial sum.
 Restricted to the N-particle subspace, a gauge-invariant block reproduces
 the mean-field lift from :mod:`fermiflow.exact` exactly; this identity is
-what connects the graded superflow to sector computations.
+what connects the Fock route to sector computations.
 """
 
 from __future__ import annotations
@@ -24,11 +24,11 @@ from math import factorial, sqrt
 import numpy as np
 
 from .errors import CapacityError, NumericError, RangeError, ValidationError
-from .exact import build_hamiltonian, heisenberg_evolve, second_quantize
-from .graded import GradedObservable, graded_poisson, superflow_observable
+from .exact import build_hamiltonian, heisenberg_evolve
+from .graded import GradedObservable, graded_poisson
 from .modes import ModeSystem
 from .sector import PSectorOperator, sector_basis
-from .tree import QuadratureSpec, check_time_guard
+from .tree import QuadratureSpec, check_time_guard, lifted_series
 
 MAX_FOCK_MODES = 14
 MAX_DENSE_FOCK = 4096
@@ -189,15 +189,14 @@ def egorov_check(a: PSectorOperator, system: ModeSystem, t: float, n: int,
     """Gap on the n-particle subspace between the two evolution routes.
 
     The left side conjugates the quantised observable by exp(-i t N H_N)
-    built from the quantised energy observable; the right side quantises
-    the truncated graded flow. Both land on the same sector, where the
-    difference is measured in operator norm. The tail past ``quad.k_max``
-    is 0 when those orders hold more than n particles, since they quantise
-    to zero there, and otherwise the flow's on d modes, as are the warnings.
+    built from the quantised energy observable; the right side is the
+    truncated series of :func:`~fermiflow.tree.lifted_series`, read on n
+    particles as for :func:`~fermiflow.tree.loop_remainder`. The gap, the
+    series' tail and its quadrature error are all operator norms there.
     """
     if n > system.d:
         raise RangeError(f"cannot hold {n} particles in {system.d} modes")
-    # fail before the Fock build; the flow below repeats the guard's note
+    # fail before the Fock build; the series below repeats the guard's note
     check_time_guard(system, t, override_time_guard)
     ctx = FockContext(system.d, n)
 
@@ -210,14 +209,9 @@ def egorov_check(a: PSectorOperator, system: ModeSystem, t: float, n: int,
     lifted = quantise(GradedObservable.from_sector_op(a), ctx, n)
     lhs = heisenberg_evolve(PSectorOperator(system.d, n, lifted),
                             PSectorOperator(system.d, n, ham_sector), t).mat
-
-    flow = superflow_observable(a, system, t, quad, override_time_guard=True)
-    rhs = np.zeros_like(lhs)
-    for (p, q), mat in flow.observable.blocks.items():
-        rhs += second_quantize(PSectorOperator(a.d, p, mat), n).mat
+    rhs, _, quad_errors, tail, warn = lifted_series(
+        a, system, t, n, quad, override_time_guard)
     return EgorovReport(n=n, p=a.p, t=t,
                         norm_difference=float(np.linalg.norm(lhs - rhs, 2)),
-                        tree_tail_estimate=(0.0 if a.p + quad.k_max >= n
-                                            else flow.tail_estimate),
-                        quad_error=flow.quad_error,
-                        warnings=flow.warnings)
+                        tree_tail_estimate=tail, quad_error=sum(quad_errors),
+                        warnings=warn)

@@ -130,22 +130,15 @@ class GradedState(_BlockFamily):
         return complex(total)
 
 
-def state_from_density(gamma, p_max: int | None = None) -> GradedState:
-    """Quasi-free state of a one-particle density: blocks are its p-minors.
-
-    Blocks above the density's rank vanish identically, so by default the
-    sequence stops at the rank. ``p_max``, capped at d, sets the top level
-    instead: below the rank it trims the sequence, above it the extra
-    blocks are (numerically) zero.
-    """
+def state_from_density(gamma) -> GradedState:
+    """Quasi-free state of a one-particle density: blocks are its p-minors
+    up to its rank, above which they vanish identically."""
     g = np.asarray(gamma, dtype=complex)
-    d = g.shape[0]
     rank = int(np.linalg.matrix_rank(g, tol=1e-12))
-    top = rank if p_max is None else min(p_max, d)
     blocks = {(0, 0): np.array([[1.0 + 0j]])}
-    for p in range(1, top + 1):
+    for p in range(1, rank + 1):
         blocks[(p, p)] = quasi_free_marginal(g, p).mat
-    return GradedState(d, blocks)
+    return GradedState(g.shape[0], blocks)
 
 
 def _refuse_over_capacity(*sizes: int) -> None:

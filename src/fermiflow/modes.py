@@ -51,9 +51,8 @@ class ModeSystem:
     The system is immutable: ``h`` and ``w`` are read-only copies of the
     inputs, so the data derived from them and kept in ``_derived`` (the
     pair kernel ``wmat`` and the flow kernel, the per-sector lift
-    entries, pair diagonals and eigensystems, the sparse sector
-    Hamiltonians and the dense ones of
-    :func:`~fermiflow.exact.build_hamiltonian`) can never go stale.
+    entries, pair diagonals and eigensystems, and the sparse sector
+    Hamiltonians) can never go stale.
 
     Parameters
     ----------

@@ -30,7 +30,7 @@ from math import comb, pi
 import numpy as np
 from numpy.polynomial.legendre import leggauss  # loaded lazily otherwise
 
-from .errors import NumericError, RangeError, ValidationError
+from .errors import NumericError, RangeError, ShapeError, ValidationError
 from .exact import heisenberg_observable, second_quantize
 from .hf import HFConfig, OrbitalSet, evolve_hf_density, quasi_free_marginal
 from .modes import ModeSystem
@@ -266,6 +266,8 @@ def _series(a: PSectorOperator, t: float, quad: QuadratureSpec,
     as ``RuntimeWarning``. The tail vanishes when orders past K would hold
     more than ``capacity`` particles, without a coupling, or at t = 0.
     """
+    if a.d != system.d:
+        raise ValidationError("observable and system mode counts differ")
     K = quad.k_max
     warn = check_time_guard(system, t, override_time_guard)
     coarse, fine = _coarse_and_fine(a, K, t, quad, system)
@@ -291,6 +293,8 @@ def tree_series(a: PSectorOperator, gamma, t: float, quad: QuadratureSpec,
     so its order-k term is 2^k times the plain one; both are reported.
     """
     g = np.asarray(gamma)
+    if g.shape != (system.d, system.d):
+        raise ShapeError(f"density of shape {g.shape} on {system.d} modes")
     terms, _, quad_errors, tail, warn = _series(
         a, t, quad, system, override_time_guard, system.d,
         lambda m, x: complex(np.trace(x @ quasi_free_marginal(g, m).mat)),
@@ -317,6 +321,20 @@ class LoopRemainder:
     warnings: list = field(default_factory=list)
 
 
+def lifted_series(a: PSectorOperator, system: ModeSystem, t: float, n: int,
+                  quad: QuadratureSpec,
+                  override_time_guard: bool = False) -> tuple:
+    """The loop-free series of ``a`` on n particles: the sum of its orders,
+    each second-quantized at capacity n, their spectral norms, their
+    quadrature errors in that norm, the tail past ``quad.k_max`` (0 once
+    those orders hold more than n particles) and the warnings."""
+    terms, norms, quad_errors, tail, warn = _series(
+        a, t, quad, system, override_time_guard, n,
+        lambda m, x: second_quantize(PSectorOperator(a.d, m, x), n).mat,
+        _spectral_norm)
+    return sum(terms), norms, quad_errors, tail, warn
+
+
 def loop_remainder(a: PSectorOperator, orbitals: OrbitalSet,
                    system: ModeSystem, t: float, quad: QuadratureSpec,
                    override_time_guard: bool = False) -> LoopRemainder:
@@ -327,12 +345,12 @@ def loop_remainder(a: PSectorOperator, orbitals: OrbitalSet,
     lifted term norms geometrically; if it fails to sit below the residual
     the result carries a diagnostic warning.
     """
+    if orbitals.d != system.d:
+        raise ValidationError("orbitals and system mode counts differ")
     n = orbitals.n
-    terms, term_norms, quad_errors, tail, warn = _series(
-        a, t, quad, system, override_time_guard, n,
-        lambda m, x: second_quantize(PSectorOperator(a.d, m, x), n).mat,
-        _spectral_norm)
-    residual = heisenberg_observable(a, system, n, t).mat - sum(terms)
+    series, term_norms, quad_errors, tail, warn = lifted_series(
+        a, system, t, n, quad, override_time_guard)
+    residual = heisenberg_observable(a, system, n, t).mat - series
     norm = _spectral_norm(residual)
     state = slater(orbitals.matrix)
     expectation = complex(state.coeffs.conj() @ residual @ state.coeffs)

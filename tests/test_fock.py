@@ -1,11 +1,13 @@
 """Bit-string Fock quantisation, the string-construction oracle, and
 scaling checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 from math import comb, factorial, sqrt
 
-from fermiflow import exact, fock, sector
+from fermiflow import exact, sector
 from fermiflow.errors import CapacityError, RangeError, ValidationError
 from fermiflow.exact import build_hamiltonian, heisenberg_observable, second_quantize
 from fermiflow.fock import (
@@ -16,9 +18,10 @@ from fermiflow.fock import (
     quantise,
 )
 from fermiflow.graded import GradedObservable, graded_product, superflow_observable
+from fermiflow.hf import OrbitalSet
 from fermiflow.modes import ModeSystem
 from fermiflow.sector import PSectorOperator, sector_basis
-from fermiflow.tree import QuadratureSpec
+from fermiflow.tree import QuadratureSpec, loop_remainder
 
 ANNIHILATE = np.array([[0.0, 1.0], [0.0, 0.0]])
 PARITY = np.diag([1.0, -1.0])
@@ -184,7 +187,6 @@ def test_fock_route_uses_no_sector_lift(monkeypatch, n):
     monkeypatch.setattr(sector, "lift_entries", refuse)
     monkeypatch.setattr(sector, "_marginal_table", refuse)
     monkeypatch.setattr(exact, "second_quantize", refuse)
-    monkeypatch.setattr(fock, "second_quantize", refuse)
     got = n * quantise(grassmann_hamiltonian(ModeSystem.chain(5, 0.8)),
                        FockContext(5, n), n)
     assert np.linalg.norm(got - want, 2) < 1e-12
@@ -307,14 +309,32 @@ def test_egorov_tail_vanishes_past_the_particle_number():
     assert flow.tail_estimate > 0.0
 
 
-def test_egorov_tail_below_the_particle_number_is_the_flows():
+def test_egorov_tail_below_the_particle_number_is_loop_remainders():
+    # both read the series on N particles: the tail extrapolates the lifted
+    # order norms, not the flow's on d modes, which sits above the gap here
     system = ModeSystem.chain(6, 1.0)
     quad = QuadratureSpec(nodes_per_level=4, k_max=1)
     a = sample_projector(system)
     report = egorov_check(a, system, 0.25, 3, quad, override_time_guard=True)
-    flow = superflow_observable(a, system, 0.25, quad,
-                                override_time_guard=True)
-    assert report.tree_tail_estimate == flow.tail_estimate > 0.0
+    orbitals = OrbitalSet(np.eye(6, 3))
+    remainder = loop_remainder(a, orbitals, system, 0.25, quad,
+                               override_time_guard=True)
+    assert 0.0 < report.tree_tail_estimate < report.norm_difference
+    assert report.tree_tail_estimate == remainder.tail_estimate
+    assert report.quad_error == remainder.quad_error
+
+
+def test_egorov_on_one_particle_warns_only_of_the_time_guard():
+    # k_max 0 leaves a single order, too few to extrapolate; on one particle
+    # every later order lifts to zero, so there is no tail to estimate
+    system = ModeSystem.chain(6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = egorov_check(sample_projector(system), system, 0.1, 1,
+                              QuadratureSpec(4, 0), override_time_guard=True)
+    assert report.tree_tail_estimate == 0.0
+    assert len(report.warnings) == 1
+    assert "beyond reported radius" in report.warnings[0]
 
 
 def test_egorov_agrees_with_sector_route():

@@ -371,6 +371,51 @@ def test_time_ordering_is_validated():
         G_recursive(a, -1, 0, 0.3, (), system)
 
 
+def _eye_op(d, p=1):
+    return PSectorOperator(d, p, np.eye(comb(d, p), dtype=complex))
+
+
+def _half_filled(d):
+    return np.diag([0.5, 0.5] + [0.0] * (d - 2)).astype(complex)
+
+
+# each call pairs a 5-mode system with an input on another mode count; the
+# time sits inside the reported radius, so no override is needed
+MODE_COUNT_MISMATCHES = {
+    "tree_series-observable": lambda s, q: tree_series(
+        _eye_op(4), _half_filled(5), 1e-4, q, s),
+    "superflow-observable": lambda s, q: superflow_observable(
+        _eye_op(4), s, 1e-4, q),
+    "loop_remainder-observable": lambda s, q: loop_remainder(
+        _eye_op(4), OrbitalSet(np.eye(5, 2)), s, 1e-4, q),
+    "gap-observable": lambda s, q: hf_vs_tree_gap(
+        _eye_op(4), _half_filled(5), s, 1e-4, q),
+    "tree_series-gamma4": lambda s, q: tree_series(
+        _eye_op(5), _half_filled(4), 1e-4, q, s),
+    "tree_series-gamma6": lambda s, q: tree_series(
+        _eye_op(5), _half_filled(6), 1e-4, q, s),
+    "gap-gamma4": lambda s, q: hf_vs_tree_gap(
+        _eye_op(5), _half_filled(4), s, 1e-4, q),
+    "gap-gamma6": lambda s, q: hf_vs_tree_gap(
+        _eye_op(5), _half_filled(6), s, 1e-4, q),
+    "loop_remainder-orbitals": lambda s, q: loop_remainder(
+        _eye_op(5), OrbitalSet(np.eye(6, 2)), s, 1e-4, q),
+    "heisenberg_evolve": lambda s, q: heisenberg_evolve(
+        _eye_op(6, 2), build_hamiltonian(s, 2), 1e-4),
+}
+
+
+@pytest.mark.parametrize("case", MODE_COUNT_MISMATCHES)
+def test_mode_count_mismatch_is_refused_before_the_sweep(monkeypatch, case):
+    def refuse(*args):
+        raise AssertionError("the sweep ran on mismatched mode counts")
+
+    monkeypatch.setattr(tree, "_integrate_orders", refuse)
+    with pytest.raises((ShapeError, ValidationError)):
+        MODE_COUNT_MISMATCHES[case](ModeSystem.chain(5, 1.0),
+                                    QuadratureSpec(2, 1))
+
+
 def test_tree_operator_bookkeeping():
     mat = np.zeros((6, 6), dtype=complex)
     op = TreeOperator(d=4, p=1, k=2, l=1, times=(0.3, 0.2, 0.1), matrix=mat)
