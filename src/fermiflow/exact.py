@@ -5,15 +5,16 @@ scaled by 1/n, held once per system in the subset basis: the one-body
 part as the nonzero second-quantized hops, the pair part as a diagonal
 because the potential multiplies by mode differences. States move
 by short-iterative Lanczos (Park & Light 1986) on those entries, each
-matrix-vector product two ``np.bincount`` sums, so no dense sector matrix
-is built to move a state. Each step stops on the a-posteriori Krylov
-estimate of Hochbruck & Lubich (1997), and a time whose step would need
-more than ``KRYLOV_CAP`` vectors is split into equal substeps. The dense
-matrix is built only where an operator is conjugated, and diagonalised on
-each call of :func:`heisenberg_evolve`. A p-particle observable is
-second-quantized by the expand map of :mod:`fermiflow.sector`, the adjoint
-of the contraction in :func:`~fermiflow.sector.marginal` up to its scale,
-on the scatter kernel of the pair-commutator lift.
+matrix-vector product one ``np.add.at`` scatter of the hops plus the
+diagonal, so no dense sector matrix is built to move a state. Each step
+stops on the a-posteriori Krylov estimate of Hochbruck & Lubich (1997),
+and a time whose step would need more than ``KRYLOV_CAP`` vectors is
+split into equal substeps. The dense matrix is built only where an
+operator is conjugated, and diagonalised on each call of
+:func:`heisenberg_evolve`. A p-particle observable is second-quantized by
+the expand map of :mod:`fermiflow.sector`, the adjoint of the contraction
+in :func:`~fermiflow.sector.marginal` up to its scale, on the scatter
+kernel of the pair-commutator lift.
 """
 
 from __future__ import annotations
@@ -122,10 +123,9 @@ def evolve_exact(state: SectorState, system: ModeSystem, t: float):
     dim = len(diagonal)
 
     def apply(x):
-        y = values * x[cols]
-        out = diagonal * x
-        out.real += np.bincount(rows, y.real, dim)
-        out.imag += np.bincount(rows, y.imag, dim)
+        out = np.zeros(dim, dtype=complex)
+        np.add.at(out, rows, values * x[cols])
+        out += diagonal * x
         return out
     coeffs, error = _propagate(apply, state.coeffs, t)
     return SectorState(basis=state.basis, coeffs=coeffs), error
@@ -163,7 +163,7 @@ def second_quantize(a: PSectorOperator, n: int) -> PSectorOperator:
     if n < p:
         return PSectorOperator(d, n, np.zeros((dim, dim), dtype=complex))
     _, small, big, signs = _expand_entries(d, n, p)
-    weights = np.repeat(signs * (factorial(p) / float(n) ** p), 2)
+    weights = (signs * (factorial(p) / float(n) ** p)).reshape(-1)
     return PSectorOperator(d, n, _lift_sum(a.mat, small, weights, big, dim, 1))
 
 

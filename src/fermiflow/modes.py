@@ -118,13 +118,10 @@ class ModeSystem:
         return float(np.max(np.abs(self.w[1:]), initial=0.0))
 
     def _lift(self, m: int):
-        """Pair-commutator entries of the (m-1) ⊗ 1 → m lift from
-        :func:`~fermiflow.sector.lift_entries`, held only here; the positions
-        stay writeable, as take and bincount copy a read-only index array."""
-        def build():
-            *positions, coefficients = lift_entries(self.wmat, self.d, m)
-            return (*positions, _read_only(coefficients))
-        return self._derive(("lift", m), build)
+        """Read-only pair-commutator entries of the (m-1) ⊗ 1 → m lift from
+        :func:`~fermiflow.sector.lift_entries`, held only here."""
+        return self._derive(("lift", m), lambda: tuple(
+            map(_read_only, lift_entries(self.wmat, self.d, m))))
 
     def _pair_diagonal(self, m: int) -> np.ndarray:
         """Read-only diagonal of the pair sum on the m-sector, as
@@ -134,15 +131,13 @@ class ModeSystem:
 
     def _sector_hamiltonian(self, n: int):
         """The n-sector Hamiltonian sum_i h_i + (1/n) sum_{i<j} w(x_i - x_j)
-        as arrays (rows, cols, values, diagonal): the hops with h[k, l] != 0,
-        from :func:`~fermiflow.sector.one_body_entries` and held only here,
-        and the pair diagonal over n. All are read-only but ``rows``, the
-        scatter index of every Lanczos product, which stays writeable, as
-        bincount copies a read-only index array on every call."""
+        as read-only arrays (rows, cols, values, diagonal): the hops with
+        h[k, l] != 0, from :func:`~fermiflow.sector.one_body_entries` and
+        held only here, and the pair diagonal over n."""
         def build():
-            rows, cols, values = one_body_entries(self.h, self.d, n)
-            return (rows, _read_only(cols), _read_only(values),
-                    _read_only(self._pair_diagonal(n) / n))
+            return tuple(map(_read_only, (
+                *one_body_entries(self.h, self.d, n),
+                self._pair_diagonal(n) / n)))
         return self._derive(("sector_hamiltonian", n), build)
 
     def _derive(self, key, build):

@@ -12,10 +12,11 @@ order. One cached table of disjoint subset pairs, with one sign convention
 and read only here, serves the reduced density matrices (contracted inside
 the sector, without the d**n tensor), the one-body hops, the split
 coisometries of the graded algebra, and the adjoint expand map: one builder
-and one scatter kernel shared by :func:`fermiflow.exact.second_quantize`
-and the lifts of the interaction expansions. Compound matrices come by
-Laplace recursion. No d**n tensor-product array is formed; the full-space
-bridges that check these maps live with the tests.
+of flat positions and real weights, and one ``np.add.at`` scatter kernel,
+shared by :func:`fermiflow.exact.second_quantize` and the lifts of the
+interaction expansions. Compound matrices come by Laplace recursion. No
+d**n tensor-product array is formed; the full-space bridges that check
+these maps live with the tests.
 """
 
 from __future__ import annotations
@@ -297,15 +298,14 @@ def pair_diagonal_sector(wmat: np.ndarray, d: int, n: int) -> np.ndarray:
 def _expand_entries(d: int, n: int, p: int):
     """The expand map from the p- to the n-sector, adjoint to the contraction
     of :func:`marginal`, beta-major: the alpha rows of :func:`_pair_groups`,
-    and for every beta and two of its alphas a, b the float-view positions
-    (real and imaginary part) of alpha_a C(d, p) + alpha_b and of
-    S_a C(d, n) + S_b, S = alpha ∪ beta, and s_a s_b, s = sign(alpha, beta)."""
+    and for every beta and two of its alphas a, b the flat positions
+    alpha_a C(d, p) + alpha_b and S_a C(d, n) + S_b, S = alpha ∪ beta, and
+    the sign products s_a s_b, s = sign(alpha, beta), grouped by beta."""
     alpha, union, signs = _pair_groups(d, n, p)
 
-    def parts(v, dim):
-        flat = v[:, :, None] * (2 * dim) + 2 * v[:, None, :]
-        return np.stack((flat, flat + 1), axis=-1).reshape(-1)
-    return (alpha, parts(alpha, comb(d, p)), parts(union, comb(d, n)),
+    def flat(v, dim):
+        return (v[:, :, None] * dim + v[:, None, :]).reshape(-1)
+    return (alpha, flat(alpha, comb(d, p)), flat(union, comb(d, n)),
             signs[:, :, None] * signs[:, None, :])
 
 
@@ -313,25 +313,27 @@ def lift_entries(wmat: np.ndarray, d: int, m: int):
     """Entries (small, big, coefficients) of the pair commutator on both
     sides of the (m-1) ⊗ 1 → m coisometry: the positions of the expand map
     at n - p = 1, beta the added mode i and s = (-1)^(m-1-pos(i)), and the
-    coefficients s_a s_b (wbar[alpha_a, i] - wbar[alpha_b, i]), once per
-    real and imaginary part. Uncached: ``ModeSystem._lift`` holds them."""
+    coefficients s_a s_b (wbar[alpha_a, i] - wbar[alpha_b, i]), 24 B per
+    entry. Uncached: ``ModeSystem._lift`` holds them."""
     if m < 1:
         raise RangeError("lift needs a target sector with at least one particle")
     alpha, small, big, signs = _expand_entries(d, m, m - 1)
     wbar = sector_basis(d, m - 1).occupation_onehot() @ wmat
     w = wbar[alpha, np.arange(d)[:, None]]
-    return small, big, np.repeat(signs * (w[:, :, None] - w[:, None, :]), 2)
+    return small, big, (signs * (w[:, :, None] - w[:, None, :])).reshape(-1)
 
 
 def _lift_sum(x, gather, weights, scatter, dim: int, m: int) -> np.ndarray:
-    """The dim x dim matrix, over m, whose float part k adds up the parts
-    of x at ``gather`` times ``weights`` over the entries whose ``scatter``
-    is k; ``np.bincount`` adds in entry order, so beta by beta ascending."""
-    parts = np.ascontiguousarray(x, dtype=complex).view(float).take(gather)
-    parts *= weights
-    out = np.bincount(scatter, parts, 2 * dim * dim)
+    """The dim x dim matrix, over m, whose flat entry k adds up the entries
+    of x at ``gather`` times ``weights`` over the positions whose
+    ``scatter`` is k; ``np.add.at`` adds in entry order, so beta by beta
+    ascending."""
+    values = np.asarray(x, dtype=complex).reshape(-1)[gather]
+    values *= weights
+    out = np.zeros(dim * dim, dtype=complex)
+    np.add.at(out, scatter, values)
     out *= 1.0 / m
-    return out.view(complex).reshape(dim, dim)
+    return out.reshape(dim, dim)
 
 
 def project_lift_pair_commutator(x: np.ndarray, entries, d: int,

@@ -23,6 +23,8 @@ insertion, on dense sector propagators, is the oracle in
 
 from __future__ import annotations
 
+import os
+import sys
 import warnings as _warnings
 from dataclasses import dataclass, field
 from math import comb, pi
@@ -38,6 +40,8 @@ from .sector import PSectorOperator, project_lift_pair_commutator, slater
 
 MAX_NODES_PER_LEVEL = 256        # Gauss-Legendre nodes of the coarse sweep
 MAX_INSERTIONS = 1 << 20         # insertions of a coarse and a fine sweep
+
+_PACKAGE = os.path.dirname(__file__) + os.sep
 
 
 @dataclass
@@ -252,6 +256,16 @@ def _geometric_tail(norms, vanishing: bool) -> tuple:
     return norms[-1] * ratio / (1.0 - ratio), []
 
 
+def _outside_stacklevel() -> int:
+    """The ``stacklevel`` that attributes a warning raised by the caller of
+    this function to the first frame outside the package."""
+    frame, level = sys._getframe(1), 1
+    while (frame.f_back is not None
+           and frame.f_code.co_filename.startswith(_PACKAGE)):
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 def _series(a: PSectorOperator, t: float, quad: QuadratureSpec,
             system: ModeSystem, override_time_guard: bool,
             capacity: int, read, size) -> tuple:
@@ -263,8 +277,9 @@ def _series(a: PSectorOperator, t: float, quad: QuadratureSpec,
     values, their sizes, each order's quadrature error (the size of the
     coarse reading minus the fine one), the tail past K and the warnings
     of the time guard and of the tail rule, whose warnings are also raised
-    as ``RuntimeWarning``. The tail vanishes when orders past K would hold
-    more than ``capacity`` particles, without a coupling, or at t = 0.
+    as ``RuntimeWarning`` at the first calling line outside the package.
+    The tail vanishes when orders past K would hold more than ``capacity``
+    particles, without a coupling, or at t = 0.
     """
     if a.d != system.d:
         raise ValidationError("observable and system mode counts differ")
@@ -278,7 +293,8 @@ def _series(a: PSectorOperator, t: float, quad: QuadratureSpec,
     tail, tail_warn = _geometric_tail(
         sizes, a.p + K >= capacity or system.kappa == 0.0 or t == 0.0)
     for message in tail_warn:
-        _warnings.warn(message, RuntimeWarning, stacklevel=3)
+        _warnings.warn(message, RuntimeWarning,
+                       stacklevel=_outside_stacklevel())
     return values, sizes, errors, tail, warn + tail_warn
 
 

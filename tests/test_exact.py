@@ -68,15 +68,15 @@ def test_hamiltonian_range_check():
         build_hamiltonian(sys, 5)
 
 
-def test_lanczos_scatter_index_is_the_one_writeable_array():
-    # np.bincount copies a read-only index array on every call, and each
-    # Lanczos product sums over rows twice; the rest of the cache is frozen
+def test_sector_hamiltonian_entries_are_built_once_and_read_only():
+    # fancy indexing and np.add.at take a read-only index without copying
+    # it, so every cached array of the Lanczos product is frozen
     system = ModeSystem.chain(6)
-    rows, cols, values, diagonal = system._sector_hamiltonian(3)
-    assert system._sector_hamiltonian(3)[0] is rows
-    assert rows.flags.writeable
-    for array in (cols, values, diagonal):
-        assert not array.flags.writeable
+    for n in range(1, 7):
+        entries = system._sector_hamiltonian(n)
+        assert system._sector_hamiltonian(n) is entries
+        for array in entries:
+            assert not array.flags.writeable
 
 
 def test_half_filled_sector_hamiltonian_at_sixteen_modes_peaks_under_30_mb():

@@ -526,47 +526,49 @@ def test_lift_kernels_match_the_per_mode_loop(d):
             per_mode_loop(d, m, rho, wbar, adjoint=True))
 
 
-def float_parts(flat):
-    """Positions of the real and imaginary parts of flat complex indices."""
-    return np.stack([2 * flat, 2 * flat + 1], axis=-1).ravel()
-
-
 @pytest.mark.parametrize("d", [1, 2, 5, 8])
 def test_lift_tables_match_nested_loop(d):
-    # the entry tables of lift_entries, block by added mode
+    # the entry tables of lift_entries, block by added mode: flat complex
+    # positions in both sectors and one real coefficient per entry
     sys = ModeSystem.chain(d, coupling=0.7)
     for m in range(1, d + 1):
         small, big = sector_basis(d, m - 1).dim, sector_basis(d, m).dim
         wbar = interaction_weights(sys.wmat, d, m)
-        small_parts, big_parts, coefficients = lift_entries(sys.wmat, d, m)
+        small_flat, big_flat, coefficients = lift_entries(sys.wmat, d, m)
         for i, (a_idx, s_idx, sg) in enumerate(nested_loop_blocks(d, m)):
             assert len(a_idx) == comb(d - 1, m - 1)
-            n = 2 * len(a_idx) ** 2
+            n = len(a_idx) ** 2
             entries = slice(i * n, (i + 1) * n)
             np.testing.assert_array_equal(
-                small_parts[entries],
-                float_parts(np.add.outer(small * a_idx, a_idx).ravel()))
+                small_flat[entries], np.add.outer(small * a_idx, a_idx).ravel())
             np.testing.assert_array_equal(
-                big_parts[entries],
-                float_parts(np.add.outer(big * s_idx, s_idx).ravel()))
+                big_flat[entries], np.add.outer(big * s_idx, s_idx).ravel())
             wcol = wbar[a_idx, i]
             np.testing.assert_array_equal(
                 coefficients[entries],
-                np.repeat(np.outer(sg, sg) * np.subtract.outer(wcol, wcol), 2))
-        assert len(coefficients) == 2 * d * comb(d - 1, m - 1) ** 2
+                (np.outer(sg, sg) * np.subtract.outer(wcol, wcol)).ravel())
+        assert len(coefficients) == d * comb(d - 1, m - 1) ** 2
 
 
 def test_lift_tables_cover_each_big_state_m_times():
-    # an entry (S_a, S_b) is reached once per shared mode, per part; the
-    # diagonal m times
+    # an entry (S_a, S_b) is reached once per shared mode; the diagonal m times
     d, m = 6, 3
     big = sector_basis(d, m)
     scatter = lift_entries(ModeSystem.chain(d).wmat, d, m)[1]
-    counts = np.bincount(scatter, minlength=2 * big.dim ** 2)
+    counts = np.bincount(scatter, minlength=big.dim ** 2)
     shared = big.occupation_onehot() @ big.occupation_onehot().T
-    np.testing.assert_array_equal(counts.reshape(big.dim, big.dim, 2),
-                                  np.repeat(shared[..., None], 2, axis=2))
+    np.testing.assert_array_equal(counts.reshape(big.dim, big.dim), shared)
     np.testing.assert_array_equal(np.diag(shared), m)
+
+
+def test_lift_entries_take_24_bytes_each():
+    # one flat position in each sector and one real coefficient per entry,
+    # d C(d-1, m-1)^2 entries per lift
+    d = 8
+    system = ModeSystem.chain(d)
+    for m in range(1, d + 1):
+        held = sum(array.nbytes for array in system._lift(m))
+        assert held == 24 * d * comb(d - 1, m - 1) ** 2
 
 
 def test_sector_operator_shape_check():

@@ -38,8 +38,8 @@ from fermiflow.sector import (PSectorOperator, lift_entries,
 from fermiflow.tree import (QuadratureSpec, _coarse_and_fine,
                             _integrate_orders, check_time_guard,
                             count_elementary_terms, free_evolve_op,
-                            hf_vs_tree_gap, loop_remainder, reported_radius,
-                            sector_propagator, tree_series)
+                            hf_vs_tree_gap, lifted_series, loop_remainder,
+                            reported_radius, sector_propagator, tree_series)
 from oracles import (KERNEL_EXCHANGE, KERNEL_PLAIN, G_recursive, TreeOperator,
                      _attach_insertion, antisym_projector_dense,
                      embedding_isometry)
@@ -176,20 +176,18 @@ def test_wmat_is_built_once_and_read_only():
                          [("_lift", lift_entries),
                           ("_pair_diagonal", pair_diagonal_sector)])
 def test_pair_tables_are_built_once_and_read_only(name, definition):
+    # every lift array is frozen: fancy indexing and np.add.at take a
+    # read-only index without copying it
     system = ModeSystem.chain(5, coupling=1.0)
     table = getattr(system, name)(3)
     assert getattr(system, name)(3) is table
     want = definition(system.wmat, 5, 3)
-    if name == "_lift":
-        # only the coefficients are read-only: numpy's take and bincount
-        # would copy read-only positions on every call
-        for got, ref in zip(table, want):
-            np.testing.assert_array_equal(got, ref)
-        assert table[0].flags.writeable and table[1].flags.writeable
-        table, want = table[2], want[2]
-    np.testing.assert_array_equal(table, want)
-    with pytest.raises(ValueError):
-        table[0] = 7.0
+    if name == "_pair_diagonal":
+        table, want = (table,), (want,)
+    for got, ref in zip(table, want, strict=True):
+        np.testing.assert_array_equal(got, ref)
+        with pytest.raises(ValueError):
+            got[0] = 7
 
 
 def test_lift_entries_die_with_their_system():
@@ -414,6 +412,27 @@ def test_mode_count_mismatch_is_refused_before_the_sweep(monkeypatch, case):
     with pytest.raises((ShapeError, ValidationError)):
         MODE_COUNT_MISMATCHES[case](ModeSystem.chain(5, 1.0),
                                     QuadratureSpec(2, 1))
+
+
+# every route to the loop-free series, on chain(6) with N = 3 and a single
+# order, too few for a tail estimate
+TAIL_WARNING_ROUTES = {
+    "tree_series": lambda s, q: tree_series(
+        _eye_op(6), _half_filled(6), 0.1, q, s, True),
+    "lifted_series": lambda s, q: lifted_series(_eye_op(6), s, 0.1, 3, q, True),
+    "loop_remainder": lambda s, q: loop_remainder(
+        _eye_op(6), OrbitalSet(np.eye(6, 3)), s, 0.1, q, True),
+    "egorov_check": lambda s, q: egorov_check(_eye_op(6), s, 0.1, 3, q, True),
+    "superflow_observable": lambda s, q: superflow_observable(
+        _eye_op(6), s, 0.1, q, True),
+}
+
+
+@pytest.mark.parametrize("route", TAIL_WARNING_ROUTES)
+def test_tail_warning_names_the_calling_line(route):
+    with pytest.warns(RuntimeWarning, match="too few terms") as caught:
+        TAIL_WARNING_ROUTES[route](ModeSystem.chain(6), QuadratureSpec(4, 0))
+    assert [w.filename for w in caught] == [__file__]
 
 
 def test_tree_operator_bookkeeping():
