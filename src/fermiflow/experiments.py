@@ -355,6 +355,14 @@ def _sweep(cfg: ExperimentConfig, rows_of):
     return rows, seconds
 
 
+def _hf_metadata(flows) -> dict:
+    """Report metadata of a run's mean-field flows, given as their (window
+    error, sweeps) pairs: the largest error and the total sweeps."""
+    errors, sweeps = zip((0.0, 0), *flows)
+    return {"hf_integration_error": json.dumps(max(errors)),
+            "hf_sweeps": json.dumps(sum(sweeps))}
+
+
 def _report(cfg: ExperimentConfig, columns, rows, seconds,
             **metadata) -> ExperimentReport:
     """The report of ``rows``, each ending with the config hash, with the
@@ -375,7 +383,7 @@ def _report(cfg: ExperimentConfig, columns, rows, seconds,
 def run_convergence(cfg: ExperimentConfig,
                     override_time_guard: bool = False) -> ExperimentReport:
     """Trace-norm gap between exact and mean-field marginals over a sweep."""
-    errors, hf = [], [(0.0, 0)]
+    errors, hf = [], []
 
     def rows_of(entry, rng, system):
         n, t, p = entry["N"], entry["t"], entry["p"]
@@ -394,15 +402,13 @@ def run_convergence(cfg: ExperimentConfig,
                          "fitted_slope"),
                    [row + (slope,) for row in rows], seconds,
                    exact_propagation_error=json.dumps(errors),
-                   fitted_slope_window=window,
-                   hf_integration_error=json.dumps(max(e for e, _ in hf)),
-                   hf_sweeps=json.dumps(sum(s for _, s in hf)))
+                   fitted_slope_window=window, **_hf_metadata(hf))
 
 
 def run_tree_truncation(cfg: ExperimentConfig,
                         override_time_guard: bool = False) -> ExperimentReport:
     """Partial sums of the loop-free series against the mean-field pairing."""
-    hf = [(0.0, 0)]
+    hf = []
 
     def rows_of(entry, rng, system):
         n, t = entry["N"], entry["t"]
@@ -421,9 +427,7 @@ def run_tree_truncation(cfg: ExperimentConfig,
 
     rows, seconds = _sweep(cfg, rows_of)
     return _report(cfg, ("N", "t", "K", "partial_sum", "hf_gap",
-                         "quad_error"), rows, seconds,
-                   hf_integration_error=json.dumps(max(e for e, _ in hf)),
-                   hf_sweeps=json.dumps(sum(s for _, s in hf)))
+                         "quad_error"), rows, seconds, **_hf_metadata(hf))
 
 
 def run_egorov(cfg: ExperimentConfig,
@@ -454,7 +458,7 @@ def run_egorov(cfg: ExperimentConfig,
 def run_conservation(cfg: ExperimentConfig,
                      override_time_guard: bool = False) -> ExperimentReport:
     """Invariant drifts along all three mean-field formulations."""
-    cross, hf = [], [(0.0, 0)]
+    cross, hf = [], []
 
     def rows_of(entry, rng, system):
         n = entry["N"]
@@ -484,8 +488,7 @@ def run_conservation(cfg: ExperimentConfig,
     return _report(cfg, ("formulation", "t", "energy_drift", "gram_drift",
                          "trace_drift", "spectrum_drift"), rows, seconds,
                    kappa_vs_density_trace_gap=json.dumps(cross),
-                   hf_integration_error=json.dumps(max(e for e, _ in hf)),
-                   hf_sweeps=json.dumps(sum(s for _, s in hf)))
+                   **_hf_metadata(hf))
 
 
 def run_graph_count(cfg: ExperimentConfig,

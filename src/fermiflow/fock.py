@@ -196,6 +196,8 @@ def egorov_check(a: PSectorOperator, system: ModeSystem, t: float, n: int,
     """
     if n > system.d:
         raise RangeError(f"cannot hold {n} particles in {system.d} modes")
+    if a.d != system.d:
+        raise ValidationError("observable and system mode counts differ")
     # fail before the Fock build; the series below repeats the guard's note
     check_time_guard(system, t, override_time_guard)
     ctx = FockContext(system.d, n)

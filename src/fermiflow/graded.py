@@ -272,6 +272,8 @@ def hierarchy_evolve(rho: GradedState, system: ModeSystem, t_grid,
     config = HFConfig() if config is None else config
     if not rho.blocks:
         raise ValidationError("state has no blocks to evolve")
+    if rho.d != system.d:
+        raise ValidationError("state and system mode counts differ")
     levels = range(max(p for (p, q) in rho.blocks) + 1)
     stream = _interaction_stream(
         [rho.block(p, p) for p in levels],

@@ -336,6 +336,8 @@ def _record(x0, system: ModeSystem, t_grid, mean_field, config,
     """Trajectory of the flow whose right-hand side is the free term plus
     ``mean_field(x, kernel)``, measured through ``density(state)``; the Gram
     drift column is ``gram_drift(t, state)``, NaN without it."""
+    if len(x0) != system.d:
+        raise ValidationError("start and system mode counts differ")
     config, kernel, sweeps = config or HFConfig(), system._flow_kernel(), []
     times, states, rows, spec0 = [], [], [], None
     for t, (state,), error in _interaction_stream(

@@ -9,14 +9,16 @@ The state attached to the subset {i_1 < ... < i_n} is
 where P_- is the antisymmetrizing projector; these states are orthonormal.
 Fermionic signs follow from applying creation operators in ascending mode
 order. One cached table of disjoint subset pairs, with one sign convention
-and read only here, serves the reduced density matrices (contracted inside
-the sector, without the d**n tensor), the one-body hops, the split
-coisometries of the graded algebra, and the adjoint expand map: one builder
-of flat positions and real weights, and one ``np.add.at`` scatter kernel,
-shared by :func:`fermiflow.exact.second_quantize` and the lifts of the
-interaction expansions. Compound matrices come by Laplace recursion. No
-d**n tensor-product array is formed; the full-space bridges that check
-these maps live with the tests.
+and read only here, in one layout (alpha rows, union rows and signs, a row
+per (n-p)-subset beta, 24 B per pair) that every reader indexes directly,
+serves the reduced density matrices (contracted inside the sector, without
+the d**n tensor), the one-body hops, the split coisometries of the graded
+algebra, and the adjoint expand map: one builder of flat positions and real
+weights, and one ``np.add.at`` scatter kernel, shared by
+:func:`fermiflow.exact.second_quantize` and the lifts of the interaction
+expansions. Compound matrices come by Laplace recursion. No d**n
+tensor-product array is formed; the full-space bridges that check these
+maps live with the tests.
 """
 
 from __future__ import annotations
@@ -165,27 +167,23 @@ def slater(phi: np.ndarray) -> SectorState:
 
 @lru_cache(maxsize=None)
 def _marginal_table(d: int, n: int, p: int):
-    """Disjoint (p, n-p)-subset pairs (alpha, beta): their rows in the p- and
-    (n-p)-sectors, the row of alpha ∪ beta in the n-sector, and the sign
+    """Disjoint (p, n-p)-subset pairs (alpha, beta), one row per beta of the
+    (n-p)-sector with its C(d-n+p, p) alphas ascending: the rows of alpha in
+    the p-sector and of alpha ∪ beta in the n-sector, and the sign
     (-1)^#{(a, b) in alpha x beta : a > b} that sorts the concatenation,
-    beta-major with the alphas of each beta ascending (:func:`_pair_groups`).
-    Grouped by beta they give the expand map (:func:`_expand_entries`) and
-    at p = 1 the one-body hops (alpha the hopping mode)."""
+    three (C(d, n-p), C(d-n+p, p)) arrays of 24 B per pair. Grouped by beta
+    they give the expand map (:func:`_expand_entries`) and at p = 1 the
+    one-body hops (alpha the hopping mode)."""
     small, rest = sector_basis(d, p), sector_basis(d, n - p)
-    cols, rows = np.nonzero(rest.masks[:, None] & small.masks[None, :] == 0)
+    beta = np.arange(rest.dim)[:, None]
+    disjoint = rest.masks[:, None] & small.masks[None, :] == 0
+    # a copy, so np.nonzero's (pairs, 2) buffer with its beta column is freed
+    alpha = np.nonzero(disjoint)[1].reshape(rest.dim, -1).copy()
     union = np.searchsorted(sector_basis(d, n).masks,
-                            small.masks[rows] | rest.masks[cols])
+                            small.masks[alpha] | rest.masks[beta])
     below = rest.occupation_onehot() @ np.triu(np.ones((d, d)), 1)
-    inversions = (small.occupation_onehot() @ below.T)[rows, cols]
-    return rows, cols, union, 1.0 - 2.0 * (inversions % 2)
-
-
-def _pair_groups(d: int, n: int, p: int):
-    """Views (C(d, n-p), C(d-n+p, p)) of the alpha rows, union rows and signs
-    of :func:`_marginal_table`: row beta holds its pairs, alphas ascending."""
-    rows, _, union, signs = _marginal_table(d, n, p)
-    return (v.reshape(comb(d, n - p), comb(d - n + p, p))
-            for v in (rows, union, signs))
+    inversions = (small.occupation_onehot() @ below.T)[alpha, beta]
+    return alpha, union, 1.0 - 2.0 * (inversions % 2)
 
 
 def marginal(state: SectorState, p: int) -> PSectorOperator:
@@ -199,10 +197,9 @@ def marginal(state: SectorState, p: int) -> PSectorOperator:
     d, n = state.d, state.n
     if not 1 <= p <= n:
         raise RangeError(f"marginal order p={p} outside [1, {n}]")
-    rows, cols, union, signs = _marginal_table(d, n, p)
-    m = np.zeros((sector_basis(d, p).dim, sector_basis(d, n - p).dim),
-                 dtype=complex)
-    m[rows, cols] = signs * state.coeffs[union]
+    alpha, union, signs = _marginal_table(d, n, p)
+    m = np.zeros((comb(d, p), len(alpha)), dtype=complex)
+    m[alpha, np.arange(len(alpha))[:, None]] = signs * state.coeffs[union]
     return PSectorOperator(d=d, p=p, mat=m @ m.conj().T / comb(n, p))
 
 
@@ -210,11 +207,13 @@ def split_coisometry(d: int, n: int, k: int):
     """The nonzero columns of J = E_n†(E_k ⊗ E_{n-k}), E_m the m-sector's
     isometry into d**m space, one per disjoint pair (alpha, beta) of the
     marginal table, holding sign(alpha, beta) / sqrt(C(n, k)) in the row of
-    alpha ∪ beta, and the pairs' alpha and beta rows."""
-    rows, cols, union, signs = _marginal_table(d, n, k)
-    out = np.zeros((comb(d, n), len(union)))
-    out[union, np.arange(len(union))] = signs / np.sqrt(comb(n, k))
-    return out, rows, cols
+    alpha ∪ beta, and the pairs' alpha and beta rows, beta-major."""
+    alpha, union, signs = _marginal_table(d, n, k)
+    out = np.zeros((comb(d, n), union.size))
+    out[union, np.arange(union.size).reshape(union.shape)] = (
+        signs / np.sqrt(comb(n, k)))
+    beta = np.repeat(np.arange(len(alpha)), alpha.shape[1])
+    return out, alpha.reshape(-1), beta
 
 
 def compound_matrix(a: np.ndarray, m: int) -> np.ndarray:
@@ -267,7 +266,7 @@ def one_body_entries(a: np.ndarray, d: int, n: int):
     c†_k c_l sends beta ∪ {l} to sign(k, beta) sign(l, beta) (beta ∪ {k})."""
     if n == 0:
         return np.zeros(0, int), np.zeros(0, int), np.zeros(0, a.dtype)
-    modes, union, signs = _pair_groups(d, n, 1)
+    modes, union, signs = _marginal_table(d, n, 1)
     group, i, j = np.nonzero((a != 0)[modes[:, :, None], modes[:, None, :]])
     k, l = (group, i), (group, j)
     return union[k], union[l], signs[k] * signs[l] * a[modes[k], modes[l]]
@@ -297,11 +296,11 @@ def pair_diagonal_sector(wmat: np.ndarray, d: int, n: int) -> np.ndarray:
 
 def _expand_entries(d: int, n: int, p: int):
     """The expand map from the p- to the n-sector, adjoint to the contraction
-    of :func:`marginal`, beta-major: the alpha rows of :func:`_pair_groups`,
+    of :func:`marginal`, beta-major: the alpha rows of :func:`_marginal_table`,
     and for every beta and two of its alphas a, b the flat positions
     alpha_a C(d, p) + alpha_b and S_a C(d, n) + S_b, S = alpha ∪ beta, and
     the sign products s_a s_b, s = sign(alpha, beta), grouped by beta."""
-    alpha, union, signs = _pair_groups(d, n, p)
+    alpha, union, signs = _marginal_table(d, n, p)
 
     def flat(v, dim):
         return (v[:, :, None] * dim + v[:, None, :]).reshape(-1)

@@ -406,6 +406,18 @@ def test_cli_writes_csv(tmp_path, capsys):
     assert "wrote 1 rows" in capsys.readouterr().out
 
 
+def test_graph_count_reports_a_count_over_its_bound(monkeypatch, tmp_path,
+                                                    capsys):
+    # a count over its bound is a row that reads false, not bad input
+    monkeypatch.setattr(tree, "_term_count_bounds", lambda p, k, l: (1, 1))
+    monkeypatch.setattr(experiments, "_term_count_bounds",
+                        lambda p, k, l: (1, 1))
+    path = write_config(tmp_path, base_config(output={"format": "json"}))
+    assert main(["run", path]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["rows"][0][:7] == [1, 1, 0, 2, 1, 1, False]
+
+
 def test_cli_stdout_json(tmp_path, capsys):
     path = write_config(tmp_path, base_config(output={"format": "json"}))
     assert main(["run", path]) == 0

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from math import comb, factorial, sqrt
 
-from fermiflow import exact, sector
+from fermiflow import exact, fock, sector
 from fermiflow.errors import CapacityError, RangeError, ValidationError
 from fermiflow.exact import build_hamiltonian, heisenberg_observable, second_quantize
 from fermiflow.fock import (
@@ -190,6 +190,16 @@ def test_fock_route_uses_no_sector_lift(monkeypatch, n):
     got = n * quantise(grassmann_hamiltonian(ModeSystem.chain(5, 0.8)),
                        FockContext(5, n), n)
     assert np.linalg.norm(got - want, 2) < 1e-12
+
+
+def test_egorov_refuses_a_mode_count_mismatch_before_quantising(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("egorov quantised on mismatched mode counts")
+
+    monkeypatch.setattr(fock, "quantise", refuse)
+    with pytest.raises(ValidationError, match="mode counts differ"):
+        egorov_check(PSectorOperator(4, 1, np.eye(4)), ModeSystem.chain(5),
+                     1e-4, 2, QuadratureSpec(2, 1))
 
 
 def test_quantisation_is_not_multiplicative():

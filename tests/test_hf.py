@@ -10,6 +10,7 @@ from scipy.linalg import expm
 from fermiflow import hf
 from fermiflow.errors import (CapacityError, DivergenceError, RangeError,
                              ShapeError, ValidationError)
+from fermiflow.graded import hierarchy_evolve, state_from_density
 from fermiflow.hf import (HFConfig, OrbitalSet, density_root,
                           energy_functional, evolve_hf_density,
                           evolve_hf_orbitals, evolve_kappa,
@@ -693,3 +694,26 @@ class TestValidation:
             HFConfig(dt=0.0)
         with pytest.raises(RangeError):
             HFConfig(dt=1.0)
+
+
+# each flow from a start on 4 modes, on a 5-mode system
+MODE_COUNT_FLOWS = {
+    "orbitals": lambda s, g: evolve_hf_orbitals(
+        OrbitalSet(np.eye(4, 2)), s, [0.0, 0.1]),
+    "density": lambda s, g: evolve_hf_density(g, s, [0.0, 0.1]),
+    "kappa": lambda s, g: evolve_kappa(density_root(g), s, [0.0, 0.1]),
+    "hierarchy": lambda s, g: hierarchy_evolve(
+        state_from_density(g), s, [0.0, 0.1]),
+}
+
+
+@pytest.mark.parametrize("flow", MODE_COUNT_FLOWS)
+def test_start_on_another_mode_count_is_refused_before_the_first_window(
+        monkeypatch, flow):
+    def refuse(*args):
+        raise AssertionError("a window ran on mismatched mode counts")
+
+    monkeypatch.setattr(hf, "_window", refuse)
+    with pytest.raises(ValidationError, match="mode counts differ"):
+        MODE_COUNT_FLOWS[flow](ModeSystem.chain(5),
+                               OrbitalSet(np.eye(4, 2)).density())
