@@ -5,6 +5,31 @@ commutator-tree expansion of Heisenberg observables, a graded observable
 calculus with its state hierarchy, and a deterministic experiment driver.
 """
 
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                          "OMP_NUM_THREADS", "OPENBLAS_DEFAULT_NUM_THREADS")
+
+
+def _load_numpy_on_one_blas_thread():
+    """Load numpy with OpenBLAS started on one thread, when this import is
+    the first to load it and the caller set no thread count. Each OpenBLAS
+    worker busy-waits for a while once it starts, a second core's worth
+    that no run uses. The variable is removed again, so ``os.environ`` and
+    child processes see no change."""
+    import os
+    import sys
+
+    if "numpy" in sys.modules or any(
+            name in os.environ for name in _BLAS_THREAD_VARIABLES):
+        return
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
+
+_load_numpy_on_one_blas_thread()
+
 from .errors import (CapacityError, ConfigError, DivergenceError,
                      FermiflowError, NumericError, RangeError, ShapeError,
                      UnsupportedError, ValidationError)

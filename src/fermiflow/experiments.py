@@ -551,7 +551,9 @@ def _one_blas_thread():
     while, so one threaded call in a run costs a second core, and
     desk-scale operands gain little or nothing from it; only tree sweeps
     from about d = 9 run faster on two threads, at more CPU. One thread
-    also makes the rows independent of the core count."""
+    also makes the rows independent of the core count. A process whose
+    ``import fermiflow`` loaded numpy already starts on one thread; this
+    pins callers that loaded numpy first or set a thread count."""
     hook = _openblas_hook()
     if hook is None:
         yield None

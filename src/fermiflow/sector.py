@@ -181,9 +181,15 @@ def _marginal_table(d: int, n: int, p: int):
     alpha = np.nonzero(disjoint)[1].reshape(rest.dim, -1).copy()
     union = np.searchsorted(sector_basis(d, n).masks,
                             small.masks[alpha] | rest.masks[beta])
-    below = rest.occupation_onehot() @ np.triu(np.ones((d, d)), 1)
-    inversions = (small.occupation_onehot() @ below.T)[alpha, beta]
-    return alpha, union, 1.0 - 2.0 * (inversions % 2)
+    # below[beta, a] = #{b in beta : b < a}, and the low bit of the XOR of
+    # below[beta, a] over the modes a of alpha is the inversions' parity
+    occupied = np.zeros((rest.dim, d), dtype=np.int8)
+    occupied[beta, rest.occ] = 1
+    below = np.cumsum(occupied, axis=1, dtype=np.int8) - occupied
+    odd = np.zeros(alpha.shape, dtype=np.int8)
+    for modes in small.occ.T:
+        odd ^= below[beta, modes[alpha]]
+    return alpha, union, np.where(odd & 1, -1.0, 1.0)
 
 
 def marginal(state: SectorState, p: int) -> PSectorOperator:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import fermiflow
 from fermiflow import exact, experiments, hf, sector, tree
 from fermiflow.cli import main
 from fermiflow.errors import ConfigError
@@ -693,6 +694,32 @@ def test_import_loads_no_dense_or_sparse_solvers():
     out = subprocess.run([sys.executable, "-c", code], env=package_env(),
                          check=True, capture_output=True, text=True).stdout
     assert out.strip() == ""
+
+
+def test_import_starts_blas_on_one_thread_unless_told_otherwise():
+    if experiments._openblas_hook() is None:
+        pytest.skip("numpy loaded no scipy-openblas")
+    bare = {name: value for name, value in package_env().items()
+            if name not in fermiflow._BLAS_THREAD_VARIABLES}
+
+    def child(first="", **variables):
+        code = (first + "import os, fermiflow; "
+                "from fermiflow import experiments; "
+                "print(experiments._openblas_hook()[0](), sorted("
+                "name for name in fermiflow._BLAS_THREAD_VARIABLES"
+                " if name in os.environ))")
+        out = subprocess.run([sys.executable, "-c", code],
+                             env=dict(bare, **variables), check=True,
+                             capture_output=True, text=True).stdout.split()
+        return int(out[0]), " ".join(out[1:])
+
+    assert child() == (1, "[]")
+    if (os.cpu_count() or 1) < 2:
+        return
+    # a caller's count is kept, and so is numpy's own when it loaded first
+    assert child(OPENBLAS_NUM_THREADS="2") == (2, "['OPENBLAS_NUM_THREADS']")
+    threads, left = child("import numpy; ")
+    assert threads > 1 and left == "[]"
 
 
 def test_package_runs_without_scipy():
